@@ -2,32 +2,8 @@
 dipolar coupling, with closed-form and dense-matrix channel paths and the
 negativity / pi-tangle / steered-coherence quantifiers."""
 
-from .qmat import (BadSubsystem, ComplexMatrix, DensityMatrix, HERM_TOL,
-                   NotHermitian, NotPositive, NotUnitary, ORACLE_TOL, PSD_TOL,
-                   TRACE_TOL, density_matrix, hermitian_eigenvalues, kron,
-                   matrix_exp_hermitian, partial_trace, partial_transpose,
-                   trace_norm)
-from .netmodel import (ALL_CHANNELS, CHANNEL_QUBITS, DipolarParams,
-                       NetworkConfig, PropagatorCoeffs, SINGLET_PARAMS,
-                       XStateParams, channel_qubits, dipolar_hamiltonian,
-                       evolve_pair, evolved_network, extend_to_eight,
-                       initial_network, network_channel_state,
-                       propagator_coeffs, propagator_matrix, tau_to_time,
-                       werner_params, x_state)
-from .closedform import (ClosedFormCoefficients, ExtensionCoefficients,
-                         OracleMismatch, closed_channel_state, coeffs,
-                         cross_pair_damping, extension_coefficients,
-                         kept_pair_damping, render_typo_report, rho12_closed,
-                         rho14_closed, rho18_closed, rho23_closed,
-                         rho34_closed, rho123_closed, rho124_closed,
-                         rho234_closed, typo_ledger, validate_channel)
-from .measures import (MeasurementOutcome, NAQC_CRITICAL, NAQC_MAX,
-                       TangleBreakdown, ZeroProbability, conditional_states,
-                       global_negativity, l1_coherence, naqc_average,
-                       naqc_degree, negativity, pairwise_negativity, pi_tangle)
-from .scan import (EventRecord, ExtensionSpec, MeasureSeries, ScanGrid,
-                   ZERO_TOL, count_peaks, detect_sudden_changes,
-                   detect_zero_intervals, evaluate_point, sweep)
-from .cli import Scenario, parse_scenario, run
+from .netmodel import DipolarParams, NetworkConfig
+from .measures import negativity, pi_tangle
+from .scan import ExtensionSpec, ScanGrid, evaluate_point, sweep
 
 __version__ = "0.1.0"

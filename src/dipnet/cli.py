@@ -6,16 +6,18 @@ Exit codes: 0 success, 2 parse/validation error, 3 compute error,
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .closedform import OracleMismatch, render_typo_report
+from .closedform import OracleMismatch
+from .ledger import render_typo_report
 from .netmodel import DipolarParams, NetworkConfig
-from .scan import (ExtensionSpec, MeasureSeries, ScanGrid, ZERO_TOL,
-                   count_peaks, detect_sudden_changes, detect_zero_intervals,
-                   series_evaluator, sweep)
+from .scan import (MIN_TAU_STEPS, ExtensionSpec, MeasureSeries, ScanGrid,
+                   ZERO_TOL, count_peaks, detect_sudden_changes,
+                   detect_zero_intervals, series_evaluator, sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,18 +70,29 @@ _BOOL_WORDS = {"yes": True, "true": True, "1": True,
                "no": False, "false": False, "0": False}
 
 
-def _parse_float(raw: str, key: str, line: int) -> float:
+def _parse_float(raw: str, key: str, line: int,
+                 minimum: Optional[float] = None) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValidationError(f"key {key}: not a number: {raw!r}", line) from None
+    if not math.isfinite(value):
+        raise ValidationError(f"key {key}: not a finite number: {raw!r}", line)
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"key {key}: must be >= {minimum:g}, got {raw!r}",
+                              line)
+    return value
 
 
-def _parse_int(raw: str, key: str, line: int) -> int:
+def _parse_int(raw: str, key: str, line: int, minimum: int) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValidationError(f"key {key}: not an integer: {raw!r}", line) from None
+    if value < minimum:
+        raise ValidationError(f"key {key}: must be >= {minimum}, got {raw!r}",
+                              line)
+    return value
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -132,9 +145,10 @@ def parse_scenario(text: str) -> Scenario:
     quant_raw, l6 = get("quantifiers", "negativity")
     try:
         grid = ScanGrid(
-            tau_min=_parse_float(tau_min_raw, "tau_min", l1),
+            tau_min=_parse_float(tau_min_raw, "tau_min", l1, minimum=0.0),
             tau_max=_parse_float(tau_max_raw, "tau_max", l2),
-            tau_steps=_parse_int(steps_raw, "tau_steps", l3),
+            tau_steps=_parse_int(steps_raw, "tau_steps", l3,
+                                 minimum=MIN_TAU_STEPS),
             eps_values=tuple(_parse_float(s.strip(), "eps_values", l4)
                              for s in eps_raw.split(",") if s.strip()),
             channels=tuple(s.strip() for s in channels_raw.split(",") if s.strip()),
@@ -162,7 +176,7 @@ def parse_scenario(text: str) -> Scenario:
             mode="fixed",
             bridge=DipolarParams(
                 eps_tilde=_parse_float(be_raw, "bridge_eps_tilde", be_line),
-                tau=_parse_float(bt_raw, "bridge_tau", bt_line)))
+                tau=_parse_float(bt_raw, "bridge_tau", bt_line, minimum=0.0)))
     elif ext_raw != "none":
         raise ValidationError(
             f"key extension: expected none|track|fixed, got {ext_raw!r}", ext_line)
@@ -186,10 +200,11 @@ def parse_scenario(text: str) -> Scenario:
         output_dir=Path(get("output_dir", "out")[0]),
         emit_plot_script=_BOOL_WORDS[plot_raw.lower()],
         extension=extension,
-        zero_tol=_parse_float(zero_raw, "zero_tol", zero_line),
+        zero_tol=_parse_float(zero_raw, "zero_tol", zero_line, minimum=0.0),
         peak_prominence=None if prom_raw is None
-        else _parse_float(prom_raw, "peak_prominence", prom_line),
-        slope_jump_tol=_parse_float(jump_raw, "slope_jump_tol", jump_line),
+        else _parse_float(prom_raw, "peak_prominence", prom_line, minimum=0.0),
+        slope_jump_tol=_parse_float(jump_raw, "slope_jump_tol", jump_line,
+                                    minimum=0.0),
     )
 
 
@@ -299,9 +314,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dipnet",
         description="Entangled-network simulator: sweeps, events, reports.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted and unused; reserved for future "
-                             "stochastic features")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, help_ in [("run", "run a scenario file"),
                        ("validate", "run with closed-vs-dense validation forced")]:

@@ -8,25 +8,23 @@ assembly of a few damping factors built from the propagator entries
     cross-pair damping  eta = (ex, ey, ez)   channels "14", "23", "18"
 
 A Pauli-diagonal pair (a, b, c) reduces to (a*lx, b*ly, c*lz) on its own
-qubits and transfers (a*ex, b*ey, c*ez) across the coupling. Channels "13"
-and "24" stay maximally mixed for all parameters. The three-node channels
-are assembled from conjugated Pauli blocks of the propagator.
+qubits and transfers (a*ex, b*ey, c*ez) across the coupling. The terminal
+channel "18" of the eight-node extension is pair 1 sent across the inner
+coupling and then across the bridge: (a, b, c) * eta(inner) * eta(bridge).
+Channels "13" and "24" stay maximally mixed for all parameters. The
+three-node channels conjugate the Pauli words of the coupled qubits by the
+4x4 coupling and trace out what the channel drops.
 
-The printed source formulas deviate from these oracle-exact forms in a few
-documented places; `typo_ledger` compares them per coordinate against the
-dense oracle and `render_typo_report` emits the plain-text repair report.
+The closed form never builds the 16x16 or 256x256 network state; that is
+the dense path's route (`netmodel.network_channel_state`), and
+`validate_channel` compares the two.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import (ComplexMatrix, DensityMatrix, ORACLE_TOL, kron,
-                   partial_trace)
-from .netmodel import (CHANNEL_QUBITS, DipolarParams, NetworkConfig, PAULIS,
-                       PropagatorCoeffs, XStateParams, channel_qubits,
-                       evolved_network, extend_to_eight, network_channel_state,
-                       propagator_coeffs, propagator_matrix, x_state)
+from .qmat import BadSubsystem, DensityMatrix, ORACLE_TOL
+from .netmodel import (PAULIS, DipolarParams, NetworkConfig, XStateParams,
+                       network_channel_state, propagator_coeffs, x_state)
 
 
 class OracleMismatch(AssertionError):
@@ -40,60 +38,6 @@ class OracleMismatch(AssertionError):
         super().__init__(
             f"channel {channel} {where} coord {coord}: closed {closed_value} "
             f"vs dense {dense_value}")
-
-
-@dataclass(frozen=True)
-class ClosedFormCoefficients:
-    """Pair coefficients (A from pair 1, B from pair 2) and propagator gammas.
-
-    The duplicated printed definition of A3/B3 is resolved as
-    A3 = (a-b)/4, A4 = (a+b)/4 (and likewise for B).
-    """
-
-    A1: float
-    A2: float
-    A3: float
-    A4: float
-    B1: float
-    B2: float
-    B3: float
-    B4: float
-    beta1: float
-    beta2: float
-    gamma1: complex
-    gamma2: complex
-    gamma3: complex
-    gamma4: complex
-
-    def __post_init__(self):
-        if abs(self.A1 + self.A2 - 0.5) > 1e-12 or abs(self.B1 + self.B2 - 0.5) > 1e-12:
-            raise ValueError("A1+A2 and B1+B2 must both equal 1/2")
-        gn = sum(abs(g) ** 2 for g in self.gammas())
-        if abs(gn - 2.0) > 1e-12:
-            raise ValueError(f"sum |gamma_k|^2 = {gn} deviates from 2")
-
-    def gammas(self) -> tuple[complex, complex, complex, complex]:
-        return (self.gamma1, self.gamma2, self.gamma3, self.gamma4)
-
-    def pair1_params(self) -> XStateParams:
-        return XStateParams(2 * (self.A3 + self.A4), 2 * (self.A4 - self.A3),
-                            4 * self.A1 - 1)
-
-    def pair2_params(self) -> XStateParams:
-        return XStateParams(2 * (self.B3 + self.B4), 2 * (self.B4 - self.B3),
-                            4 * self.B1 - 1)
-
-
-def coeffs(pair1: XStateParams, pair2: XStateParams,
-           pc: PropagatorCoeffs) -> ClosedFormCoefficients:
-    g1, g2, g3, g4 = pc.gammas()
-    return ClosedFormCoefficients(
-        A1=0.25 * (pair1.c + 1), A2=0.25 * (1 - pair1.c),
-        A3=0.25 * (pair1.a - pair1.b), A4=0.25 * (pair1.a + pair1.b),
-        B1=0.25 * (pair2.c + 1), B2=0.25 * (1 - pair2.c),
-        B3=0.25 * (pair2.a - pair2.b), B4=0.25 * (pair2.a + pair2.b),
-        beta1=0.5, beta2=0.5,
-        gamma1=g1, gamma2=g2, gamma3=g3, gamma4=g4)
 
 
 def kept_pair_damping(gammas) -> tuple[float, float, float]:
@@ -114,177 +58,89 @@ def cross_pair_damping(gammas) -> tuple[float, float, float]:
     return ex, ey, ez
 
 
-def _damped_x_state(params: XStateParams, damping) -> DensityMatrix:
+def _damped(params: XStateParams, damping) -> XStateParams:
     dx, dy, dz = damping
-    return x_state(XStateParams(params.a * dx, params.b * dy, params.c * dz))
+    return XStateParams(params.a * dx, params.b * dy, params.c * dz)
 
 
-def rho12_closed(cf: ClosedFormCoefficients) -> DensityMatrix:
-    return _damped_x_state(cf.pair1_params(), kept_pair_damping(cf.gammas()))
+# two-node channel -> (index of the pair it carries, damping that pair sees)
+TWO_NODE_DAMPING = {
+    "12": (0, kept_pair_damping),
+    "34": (1, kept_pair_damping),
+    "14": (0, cross_pair_damping),
+    "23": (1, cross_pair_damping),
+}
+
+# P_k (x) P_l on the coupled qubits, indexed [k, l]
+_WORDS = np.array([[np.kron(pk, pl) for pl in PAULIS] for pk in PAULIS])
+_PAULI_STACK = np.array(PAULIS)
 
 
-def rho34_closed(cf: ClosedFormCoefficients) -> DensityMatrix:
-    return _damped_x_state(cf.pair2_params(), kept_pair_damping(cf.gammas()))
-
-
-def rho14_closed(cf: ClosedFormCoefficients) -> DensityMatrix:
-    return _damped_x_state(cf.pair1_params(), cross_pair_damping(cf.gammas()))
-
-
-def rho23_closed(cf: ClosedFormCoefficients) -> DensityMatrix:
-    return _damped_x_state(cf.pair2_params(), cross_pair_damping(cf.gammas()))
-
-
-def _coupling_matrix(cf: ClosedFormCoefficients) -> ComplexMatrix:
-    g1, g2, g3, g4 = cf.gammas()
+def _coupling_matrix(gammas) -> np.ndarray:
+    g1, g2, g3, g4 = gammas
     return np.array([[g4, 0, 0, g1],
                      [0, g3, g2, 0],
                      [0, g2, g3, 0],
                      [g1, 0, 0, g4]])
 
 
-def _pauli_weights(params: XStateParams) -> tuple[float, float, float, float]:
-    return (1.0, params.a, params.b, params.c)
+def _three_node_matrix(channel: str, w1: np.ndarray, w2: np.ndarray,
+                       gammas) -> np.ndarray:
+    """8x8 state of a three-node channel from the Pauli weights (1, a, b, c)
+    of both pairs.
 
-
-def rho124_closed(cf: ClosedFormCoefficients) -> DensityMatrix:
-    """Channel "124" (qubits 0,1,2): node pair 1 plus the coupled node 4."""
-    u = _coupling_matrix(cf)
-    w = _pauli_weights(cf.pair1_params())
-    out = np.zeros((8, 8), dtype=complex)
-    for k in range(4):
-        block = u @ kron(PAULIS[k], np.eye(2)) @ u.conj().T
-        out += w[k] * kron(PAULIS[k], block)
-    return DensityMatrix(out / 8.0, 3)
-
-
-def rho234_closed(cf: ClosedFormCoefficients) -> DensityMatrix:
-    """Channel "234" (qubits 1,2,3): node pair 2 plus the coupled node 2."""
-    u = _coupling_matrix(cf)
-    w = _pauli_weights(cf.pair2_params())
-    out = np.zeros((8, 8), dtype=complex)
-    for k in range(4):
-        block = u @ kron(np.eye(2), PAULIS[k]) @ u.conj().T
-        out += w[k] * kron(block, PAULIS[k])
-    return DensityMatrix(out / 8.0, 3)
-
-
-def rho123_closed(cf: ClosedFormCoefficients) -> DensityMatrix:
-    """Channel "123" (qubits 0,1,3): both pairs' far nodes and node 2."""
-    u = _coupling_matrix(cf)
-    w1 = _pauli_weights(cf.pair1_params())
-    w2 = _pauli_weights(cf.pair2_params())
-    out = np.zeros((8, 8), dtype=complex)
-    for k in range(4):
-        for l in range(4):
-            block = u @ kron(PAULIS[k], PAULIS[l]) @ u.conj().T
-            # trace the second coupled qubit, keep the first
-            psi = np.trace(block.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-            out += w1[k] * w2[l] * kron(kron(PAULIS[k], psi), PAULIS[l])
-    return DensityMatrix(out / 16.0, 3)
-
-
-@dataclass(frozen=True)
-class ExtensionCoefficients:
-    """Hop-channel matrix elements feeding the eight-node terminal channel.
-
-    M holds the hop's "14"-channel elements, N the "23"-channel elements.
-    delta1..delta5 are housed as printed; only delta3 (= trace of N = 1) has
-    an identified role, the others are never referenced by the terminal
-    channel formula and are kept for inspection only.
+    The network state is 1/16 sum_kl w1[k] w2[l] P_k (x) u (P_k (x) P_l) u^+
+    (x) P_l; each channel keeps one such sum with the dropped qubit traced.
     """
-
-    M11: float
-    M14: float
-    M22: float
-    M23: float
-    M32: float
-    M33: float
-    M41: float
-    M44: float
-    N11: float
-    N14: float
-    N22: float
-    N23: float
-    N32: float
-    N33: float
-    N41: float
-    N44: float
-    delta1: float
-    delta2: float
-    delta3: float
-    delta4: float
-    delta5: float
-
-    def __post_init__(self):
-        if (self.M32 != self.M23 or self.M33 != self.M22
-                or self.M41 != self.M14 or self.M44 != self.M11):
-            raise ValueError("M symmetry fills violated")
-        if (self.N32 != self.N23 or self.N33 != self.N22
-                or self.N41 != self.N14 or self.N44 != self.N11):
-            raise ValueError("N symmetry fills violated")
-        if abs(self.delta3 - (self.N11 + self.N22 + self.N33 + self.N44)) > 1e-12:
-            raise ValueError("delta3 must equal N11+N22+N33+N44")
-
-    def hop_channel_params(self) -> XStateParams:
-        """X-state parameters of the hop's terminal ("14") channel."""
-        return XStateParams(2 * (self.M23 + self.M14),
-                            2 * (self.M23 - self.M14),
-                            4 * self.M11 - 1)
+    u = _coupling_matrix(gammas)
+    # conj[k, l, a, m, b, n]: coupled qubits (a, m) out, (b, n) in
+    conj = (u @ _WORDS @ u.conj().T).reshape(4, 4, 2, 2, 2, 2)
+    p = _PAULI_STACK
+    if channel == "124":  # pair 1 and both coupled qubits; qubit 3 traced
+        m = np.einsum("k,kij,kambn->iamjbn", w1, p, conj[:, 0]) / 8.0
+    elif channel == "234":  # both coupled qubits and pair 2; qubit 0 traced
+        m = np.einsum("l,lambn,lcd->amcbnd", w2, conj[0], p) / 8.0
+    elif channel == "123":  # far nodes and the first coupled qubit
+        psi = np.trace(conj, axis1=3, axis2=5)
+        m = np.einsum("kl,kij,klab,lcd->iacjbd", np.outer(w1, w2), p, psi,
+                      p) / 16.0
+    else:
+        raise BadSubsystem(f"unknown channel {channel!r}")
+    return m.reshape(8, 8)
 
 
-def extension_coefficients(cf_inner: ClosedFormCoefficients) -> ExtensionCoefficients:
-    m = rho14_closed(cf_inner).mat
-    n = rho23_closed(cf_inner).mat
-    M11, M14, M22, M23 = m[0, 0].real, m[0, 3].real, m[1, 1].real, m[1, 2].real
-    N11, N14, N22, N23 = n[0, 0].real, n[0, 3].real, n[1, 1].real, n[1, 2].real
-    g1, g2, g3, g4 = cf_inner.gammas()
-    G1, G2, G3, G4 = (abs(g) ** 2 for g in (g1, g2, g3, g4))
-    d4 = ((G2 + G4) * M11 ** 2
-          + M22 * ((G1 + G3) * M22 + (G2 + G4) * (M22 + M11))
-          + M11 * ((G1 + G3) * (M22 + M11) + 2 * M22 * 1.0))
-    d5 = (M11 * (G1 * M11 + G2 * M22 + G3 * M11 + G4 * M22)
-          + M22 * (G1 * M11 + G2 * M22 + G3 * M11 + G4 * M22)
-          + (M22 + M11) * (G1 * M22 + G2 * M11 + G3 * M22 + G4 * M11))
-    return ExtensionCoefficients(
-        M11=M11, M14=M14, M22=M22, M23=M23,
-        M32=M23, M33=M22, M41=M14, M44=M11,
-        N11=N11, N14=N14, N22=N22, N23=N23,
-        N32=N23, N33=N22, N41=N14, N44=N11,
-        delta1=N11 + N22, delta2=N22 + N11,
-        delta3=N11 + N22 + N22 + N11,
-        delta4=d4, delta5=d5)
+def _weights(params: XStateParams) -> np.ndarray:
+    return np.array([1.0, params.a, params.b, params.c])
 
 
-def rho18_closed(ext: ExtensionCoefficients,
-                 cf_bridge: ClosedFormCoefficients) -> DensityMatrix:
-    """Terminal channel of the eight-node network: the hop's terminal
-    channel sent once more across the bridge coupling, trace-normalized."""
-    sigma = ext.hop_channel_params()
-    rho = _damped_x_state(sigma, cross_pair_damping(cf_bridge.gammas()))
-    m = rho.mat / rho.mat.trace()
-    return DensityMatrix(m, 2)
-
-
-def _network_coeffs(cfg: NetworkConfig, p: DipolarParams) -> ClosedFormCoefficients:
-    p1, p2 = cfg.pair_params()
-    return coeffs(p1, p2, propagator_coeffs(p))
+def channel_state(channel: str, pair1: XStateParams, pair2: XStateParams,
+                  gammas, bridge_gammas=None) -> DensityMatrix:
+    """Closed-form state of a channel for any two Pauli-diagonal pairs
+    coupled through the propagator entries `gammas`; channel "18" crosses a
+    bridge coupling with entries `bridge_gammas` (default: `gammas`)."""
+    if channel == "18":
+        hop = _damped(pair1, cross_pair_damping(gammas))
+        bridge = gammas if bridge_gammas is None else bridge_gammas
+        return x_state(_damped(hop, cross_pair_damping(bridge)))
+    if channel in ("13", "24"):
+        # no correlations are ever generated on these channels
+        return DensityMatrix(np.eye(4, dtype=complex) / 4.0, 2)
+    if channel in TWO_NODE_DAMPING:
+        pair, damping = TWO_NODE_DAMPING[channel]
+        return x_state(_damped((pair1, pair2)[pair], damping(gammas)))
+    return DensityMatrix(
+        _three_node_matrix(channel, _weights(pair1), _weights(pair2), gammas),
+        3)
 
 
 def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
                          p_bridge: DipolarParams | None = None) -> DensityMatrix:
     """Closed-form reduced state of a named channel."""
-    cf = _network_coeffs(cfg, p)
-    if channel == "18":
-        cfb = _network_coeffs(cfg, p_bridge if p_bridge is not None else p)
-        return rho18_closed(extension_coefficients(cf), cfb)
-    if channel in ("13", "24"):
-        # no correlations are ever generated on these channels
-        return DensityMatrix(np.eye(4, dtype=complex) / 4.0, 2)
-    fn = {"12": rho12_closed, "34": rho34_closed, "14": rho14_closed,
-          "23": rho23_closed, "123": rho123_closed, "234": rho234_closed,
-          "124": rho124_closed}[channel]
-    return fn(cf)
+    bridge_gammas = None
+    if channel == "18" and p_bridge is not None:
+        bridge_gammas = propagator_coeffs(p_bridge).gammas()
+    return channel_state(channel, *cfg.pair_params(),
+                         propagator_coeffs(p).gammas(), bridge_gammas)
 
 
 def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,
@@ -301,136 +157,3 @@ def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,
                              closed.mat[r, c], dense.mat[r, c],
                              where=f"tau={p.tau} eps={p.eps_tilde}")
     return closed
-
-
-# ---------------------------------------------------------------------------
-# Printed-formula evaluators and the typo ledger.
-#
-# The source equations are reproduced literally (including their defects) so
-# each repaired coordinate can be reported as printed-value vs oracle-value.
-# Comparisons are made in the source's own conventions: its maximally
-# entangled pair is the (a, b, c) = (1, -1, 1) triplet state (this package's
-# MM network uses the singlet (-1, -1, -1); the two give locally equivalent
-# dynamics and identical quantifiers).
-# ---------------------------------------------------------------------------
-
-SOURCE_FRAME_MAX_ENTANGLED = XStateParams(1.0, -1.0, 1.0)
-LEDGER_REFERENCE = DipolarParams(eps_tilde=0.3, tau=0.7)
-
-CAUSE_DUPLICATED_COEFF = "duplicated-pair-coefficient-definition"
-CAUSE_MALFORMED_KETBRA = "malformed-diagonal-ketbra-term"
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    channel: str
-    row: int
-    col: int
-    printed_value: complex
-    oracle_value: complex
-    cause: str
-
-
-def _printed_pair_corner_naive(cf: ClosedFormCoefficients,
-                              pc: PropagatorCoeffs) -> complex:
-    # literal reading: the second duplicated "A3" definition shadows the
-    # first, leaving the undefined A4 symbol to collapse onto A3
-    R = [abs(r) ** 2 for r in (pc.r1, pc.r2, pc.r3, pc.r4)]
-    A3 = cf.A3
-    A4_naive = cf.A3
-    return A3 * R[0] + A4_naive * R[1] - A4_naive * R[2] - A3 * R[3]
-
-
-def _printed_pair_inner_naive(cf: ClosedFormCoefficients,
-                             pc: PropagatorCoeffs) -> complex:
-    R = [abs(r) ** 2 for r in (pc.r1, pc.r2, pc.r3, pc.r4)]
-    A4_naive = cf.A3
-    return A4_naive * R[0] + cf.A3 * R[1] - cf.A3 * R[2] - A4_naive * R[3]
-
-
-def _printed_malformed_diag(cf: ClosedFormCoefficients) -> complex:
-    # the malformed trio (|011><000| + |100><111| + |111><111|) puts an
-    # off-diagonal coefficient onto the (7,7) diagonal entry
-    g = cf.gammas()
-    cc = lambda i, j: g[i - 1] * np.conj(g[j - 1])
-    return (cf.A2 * cf.B3 * cc(4, 1) + cf.A2 * cf.B4 * cc(3, 2)
-            + cf.A1 * cf.B4 * cc(2, 3) + cf.A1 * cf.B3 * cc(1, 4))
-
-
-def typo_ledger(p: DipolarParams = LEDGER_REFERENCE) -> list[LedgerEntry]:
-    """Per-coordinate repairs of the printed formulas, evaluated at the
-    reference point in the source's own pair convention."""
-    pair = SOURCE_FRAME_MAX_ENTANGLED
-    pc = propagator_coeffs(p)
-    cf = coeffs(pair, pair, pc)
-    u = propagator_matrix(p)
-    rho0 = kron(x_state(pair).mat, x_state(pair).mat)
-    uf = np.kron(np.kron(np.eye(2, dtype=complex), u), np.eye(2, dtype=complex))
-    rho_t = DensityMatrix(uf @ rho0 @ uf.conj().T, 4)
-
-    entries: list[LedgerEntry] = []
-
-    oracle12 = partial_trace(rho_t, (0, 1)).mat
-    corner = _printed_pair_corner_naive(cf, pc)
-    inner = _printed_pair_inner_naive(cf, pc)
-    for (r, c), val in [((0, 3), corner), ((3, 0), corner),
-                        ((1, 2), inner), ((2, 1), inner)]:
-        entries.append(LedgerEntry("12", r, c, complex(val),
-                                   complex(oracle12[r, c]),
-                                   CAUSE_DUPLICATED_COEFF))
-
-    oracle124 = partial_trace(rho_t, (0, 1, 2)).mat
-    entries.append(LedgerEntry("124", 7, 7, complex(_printed_malformed_diag(cf)),
-                               complex(oracle124[7, 7]),
-                               CAUSE_MALFORMED_KETBRA))
-    return entries
-
-
-REPORT_NOTES = """\
-# Closed-form repair report.
-#
-# Coordinate rows below list every repaired matrix element: the value the
-# printed formula yields (under its most literal reading) against the dense
-# oracle value, evaluated at the reference point tau={tau}, eps_tilde={eps}
-# with both pairs maximally entangled in the source's own convention
-# (a, b, c) = (1, -1, 1).
-#
-# Repairs applied coordinate-wise:
-#  - channel 12 off-diagonals: the source defines A3 twice and never A4;
-#    the second definition is read as A4 = (a1+b1)/4 (same for B3/B4).
-#  - channel 124 entry (7,7): the source attaches an off-diagonal
-#    coefficient to |111><111| inside a malformed ket-bra trio; the oracle
-#    fixes the diagonal value (it pairs with |000><000|).
-#
-# Convention notes (whole-formula facts, not coordinate repairs):
-#  - The propagator as printed places r2+r3 on the anti-diagonal corners and
-#    r2-r3 on the inner off-diagonals; that matrix is not unitary. The
-#    corners must carry r2-r3. The repaired placement equals the matrix
-#    exponential of the dipolar Hamiltonian at t = -12*tau/delta.
-#  - The printed two-node forms under the "14" and "23" headings exactly
-#    describe, respectively, this package's "23" and "14" channels when
-#    every pair coefficient uses the (1,-1,1) convention; both reduce to the
-#    same matrix for maximally entangled pairs. The "23" form as printed
-#    carries no pair dependence and is exact only for maximally entangled
-#    pairs; the general form damps the carried pair's (a,b,c).
-#  - The three-node channel printed last ("234" family) repeats the
-#    coefficient of its 15th term on its 16th; the oracle fixes entries
-#    (1,4)/(6,3) and their conjugates.
-#  - The printed terminal-channel formula for the extension is quadratic in
-#    the hop elements and does not coincide with any reduced state of a
-#    single round of couplings; the package's closed form sends the hop's
-#    terminal channel across the bridge coupling once, which matches the
-#    dense extension path exactly.
-"""
-
-
-def render_typo_report(p: DipolarParams = LEDGER_REFERENCE) -> str:
-    lines = [REPORT_NOTES.format(tau=p.tau, eps=p.eps_tilde)]
-    lines.append("channel row col printed oracle cause")
-    for e in typo_ledger(p):
-        lines.append(
-            f"{e.channel} {e.row} {e.col} "
-            f"{e.printed_value.real:+.9f}{e.printed_value.imag:+.9f}j "
-            f"{e.oracle_value.real:+.9f}{e.oracle_value.imag:+.9f}j "
-            f"{e.cause}")
-    return "\n".join(lines) + "\n"

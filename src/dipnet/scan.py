@@ -15,6 +15,7 @@ ZERO_TOL = 1e-6
 PEAK_PROMINENCE_FRACTION = 0.05
 BISECTION_RESOLUTION = 1e-4
 BISECTION_MAX_ITER = 40
+MIN_TAU_STEPS = 3  # count_peaks needs both neighbours of a point
 
 MODES = ("closed_form", "dense", "validate")
 QUANTIFIERS = ("negativity", "naqc", "tangle")
@@ -38,10 +39,12 @@ class ScanGrid:
     quantifiers: tuple[str, ...] = ("negativity",)
 
     def __post_init__(self):
-        if not self.tau_min < self.tau_max:
-            raise ValueError("tau_min must be < tau_max")
-        if self.tau_steps < 2:
-            raise ValueError("tau_steps must be >= 2")
+        if not np.isfinite((self.tau_min, self.tau_max) + self.eps_values).all():
+            raise ValueError("tau range and eps_values must be finite")
+        if not 0.0 <= self.tau_min < self.tau_max:
+            raise ValueError("need 0 <= tau_min < tau_max")
+        if self.tau_steps < MIN_TAU_STEPS:
+            raise ValueError(f"tau_steps must be >= {MIN_TAU_STEPS}")
         if not self.eps_values:
             raise ValueError("eps_values must be nonempty")
         for ch in self.channels:

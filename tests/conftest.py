@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dipnet import DensityMatrix
+from dipnet.qmat import DensityMatrix
 
 
 @pytest.fixture

@@ -8,16 +8,18 @@ tangle (see the expected-failure test and its companion report).
 import numpy as np
 import pytest
 
-from dipnet import (DipolarParams, ExtensionSpec, NetworkConfig, ScanGrid,
-                    closed_channel_state, density_matrix, naqc_degree,
-                    negativity, network_channel_state, evolved_network,
-                    partial_trace, pi_tangle, propagator_matrix, sweep,
-                    typo_ledger, x_state)
 from dipnet.cli import EXIT_OK, parse_scenario, run
-from dipnet.closedform import CAUSE_DUPLICATED_COEFF, CAUSE_MALFORMED_KETBRA
-from dipnet.measures import global_negativity, naqc_average, pairwise_negativity
-from dipnet.netmodel import SINGLET_PARAMS, werner_params
-from dipnet.scan import ZERO_TOL, detect_zero_intervals
+from dipnet.closedform import closed_channel_state
+from dipnet.ledger import (CAUSE_DUPLICATED_COEFF, CAUSE_MALFORMED_KETBRA,
+                           typo_ledger)
+from dipnet.measures import (global_negativity, naqc_degree, negativity,
+                             pairwise_negativity, pi_tangle)
+from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, NetworkConfig,
+                             evolved_network, network_channel_state,
+                             propagator_matrix, werner_params, x_state)
+from dipnet.qmat import density_matrix, partial_trace
+from dipnet.scan import (ZERO_TOL, ExtensionSpec, ScanGrid,
+                         detect_zero_intervals, sweep)
 
 from conftest import random_pure
 

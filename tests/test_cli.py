@@ -1,3 +1,8 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +14,9 @@ from dipnet.cli import (EXIT_OK, EXIT_ORACLE, EXIT_USAGE, ParseError,
                         parse_scenario, render_csv, run)
 from dipnet.closedform import OracleMismatch
 
-SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIOS_DIR = REPO / "scenarios"
+TYPO_LEDGER_GOLDEN = Path(__file__).resolve().parent / "data" / "typo_ledger.txt"
 
 MINIMAL = """
 name = tiny
@@ -128,7 +135,7 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.scn")]) == EXIT_USAGE
     good = tmp_path / "good.scn"
     good.write_text(MINIMAL)
-    assert main(["--seed", "7", "run", str(good),
+    assert main(["run", str(good),
                  "--output-dir", str(tmp_path / "out")]) == EXIT_OK
     assert (tmp_path / "out" / "tiny.csv").exists()
 
@@ -137,6 +144,36 @@ def test_main_typo_ledger(capsys):
     assert main(["typo-ledger"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "channel row col printed oracle cause" in out
+    assert out == TYPO_LEDGER_GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("module", ["dipnet", "dipnet.cli"])
+def test_python_m_entry_points(module):
+    src = str(Path(dipnet.scan.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", module, "typo-ledger"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("# Closed-form repair report.")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("line", [
+    "tau_steps = 2", "eps_values = 0,nan", "eps_values = inf",
+    "tau_max = inf", "tau_min = -1", "zero_tol = nan",
+    "peak_prominence = -1", "slope_jump_tol = -0.5",
+    "extension = fixed\nbridge_eps_tilde = 0.1\nbridge_tau = -1",
+    "extension = fixed\nbridge_tau = 1\nbridge_eps_tilde = nan",
+], ids=lambda line: line.rsplit("\n", 1)[-1])
+def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
+    # the offending assignment is always the last line of the file
+    text = "name = bad\nnetwork = MM\n" + line + "\n"
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert f"line {len(text.splitlines())}:" in capsys.readouterr().err
 
 
 def test_validate_subcommand_forces_mode(tmp_path):
@@ -161,6 +198,19 @@ def test_render_csv_significant_digits():
                       points=((0.123456789012345, 0.987654321098765),))
     text = render_csv("x", [s])
     assert "0.123456789012" in text and "0.987654321099" in text
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig9", "fig10"])
+def test_bundled_scenarios_match_pinned_digests(tmp_path, name):
+    # fig5 covers the two-node channels, fig9 the three-node assembly and
+    # fig10 the extension's channel 18
+    pins = json.loads((REPO / "perfbench" / "pinned_digests.json").read_text())
+    assert main(["run", str(SCENARIOS_DIR / f"{name}.scn"),
+                 "--output-dir", str(tmp_path)]) == EXIT_OK
+    for kind, path in (("csv", tmp_path / f"{name}.csv"),
+                       ("events", tmp_path / f"{name}_events.txt")):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == pins["scenarios"][name][kind], kind
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS_DIR.glob("fig*.scn")),

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from dipnet import (DensityMatrix, DipolarParams, NetworkConfig,
-                    OracleMismatch, closed_channel_state, coeffs,
-                    extension_coefficients, network_channel_state, pi_tangle,
-                    propagator_coeffs, rho12_closed, rho14_closed,
-                    rho18_closed, rho23_closed, rho34_closed, rho123_closed,
-                    rho124_closed, rho234_closed, typo_ledger,
-                    validate_channel)
-from dipnet.closedform import (CAUSE_DUPLICATED_COEFF, CAUSE_MALFORMED_KETBRA,
-                               render_typo_report)
-from dipnet.netmodel import SINGLET_PARAMS, XStateParams
+from dipnet.closedform import (OracleMismatch, channel_state,
+                               closed_channel_state, cross_pair_damping,
+                               kept_pair_damping, validate_channel)
+from dipnet.ledger import (CAUSE_DUPLICATED_COEFF, CAUSE_MALFORMED_KETBRA,
+                           render_typo_report, typo_ledger)
+from dipnet.measures import pi_tangle
+from dipnet.netmodel import (PAULIS, DipolarParams, NetworkConfig,
+                             XStateParams, channel_qubits, evolve_pair,
+                             extend_to_eight, network_channel_state,
+                             propagator_coeffs, propagator_matrix, x_state)
+from dipnet.qmat import DensityMatrix, kron, partial_trace
 
 MM = NetworkConfig("MM")
 WW = NetworkConfig("WW", werner_x1=0.7, werner_x2=0.7)
@@ -20,33 +21,46 @@ KINDS = (MM, WW, MW)
 CLOSED_CHANNELS = ("12", "34", "14", "23", "123", "234", "124")
 
 
-def _cf(cfg, tau, eps):
-    p1, p2 = cfg.pair_params()
-    return coeffs(p1, p2, propagator_coeffs(DipolarParams(eps_tilde=eps, tau=tau)))
+def _closed(cfg, tau, eps, channel):
+    return closed_channel_state(cfg, DipolarParams(eps_tilde=eps, tau=tau),
+                                channel)
+
+
+def _pauli_coeffs(rho):
+    """(a, b, c) = (<XX>, <YY>, <ZZ>) of a two-qubit state."""
+    return np.array([np.trace(rho.mat @ kron(s, s)).real for s in PAULIS[1:]])
 
 
 def test_coeffs_singlet_pairs():
-    cf = _cf(MM, 0.9, 0.2)
-    assert cf.A1 == 0.0 and cf.B1 == 0.0
-    assert cf.A2 == 0.5 and cf.B2 == 0.5
-    assert cf.A3 == 0.0 and cf.B3 == 0.0
-    assert cf.A4 == -0.5 and cf.B4 == -0.5
+    # singlet pairs carry (a, b, c) = (-1, -1, -1); each two-node channel
+    # holds it damped elementwise by its pair's damping
+    gammas = propagator_coeffs(DipolarParams(eps_tilde=0.2, tau=0.9)).gammas()
+    lam = np.array(kept_pair_damping(gammas))
+    eta = np.array(cross_pair_damping(gammas))
+    for channel, damping in (("12", lam), ("34", lam), ("14", eta),
+                             ("23", eta)):
+        got = _pauli_coeffs(_closed(MM, 0.9, 0.2, channel))
+        assert np.abs(got + damping).max() < 1e-14, channel
 
 
 def test_coeffs_gammas_at_tau_zero():
-    cf = _cf(MM, 0.0, 0.35)
-    assert cf.gammas() == (0.0, 0.0, 1.0, 1.0)
+    gammas = propagator_coeffs(DipolarParams(eps_tilde=0.35, tau=0.0)).gammas()
+    assert gammas == (0.0, 0.0, 1.0, 1.0)
+    # no evolution: kept pairs are untouched and nothing crosses
+    assert kept_pair_damping(gammas) == (1.0, 1.0, 1.0)
+    assert cross_pair_damping(gammas) == (0.0, 0.0, 0.0)
 
 
 def test_coeffs_maximally_mixed_pairs():
-    cf = coeffs(XStateParams(0, 0, 0), XStateParams(0, 0, 0),
-                propagator_coeffs(DipolarParams(eps_tilde=0.1, tau=0.4)))
-    assert cf.A3 == cf.A4 == cf.B3 == cf.B4 == 0.0
+    mixed = XStateParams(0.0, 0.0, 0.0)
+    gammas = propagator_coeffs(DipolarParams(eps_tilde=0.1, tau=0.4)).gammas()
+    for channel in CLOSED_CHANNELS + ("13", "24", "18"):
+        rho = channel_state(channel, mixed, mixed, gammas)
+        assert np.abs(rho.mat - np.eye(rho.dim) / rho.dim).max() < 1e-14
 
 
 def test_rho12_closed_no_evolution_is_singlet():
-    cf = _cf(MM, 0.0, 0.1)
-    rho = rho12_closed(cf)
+    rho = _closed(MM, 0.0, 0.1, "12")
     singlet = np.array([[0, 0, 0, 0], [0, .5, -.5, 0],
                         [0, -.5, .5, 0], [0, 0, 0, 0]])
     assert np.abs(rho.mat - singlet).max() < 1e-14
@@ -54,46 +68,44 @@ def test_rho12_closed_no_evolution_is_singlet():
 
 def test_rho12_closed_matches_dense():
     p = DipolarParams(eps_tilde=0.1, tau=0.5)
-    closed = rho12_closed(_cf(MM, 0.5, 0.1))
+    closed = closed_channel_state(MM, p, "12")
     dense = network_channel_state(MM, p, "12")
     assert np.abs(closed.mat - dense.mat).max() < 1e-12
     assert abs(closed.mat.trace() - 1.0) < 1e-14
 
 
 def test_rho14_rho23_uncorrelated_at_tau_zero():
-    cf = _cf(MM, 0.0, 0.2)
-    for fn in (rho14_closed, rho23_closed):
-        assert np.abs(fn(cf).mat - np.eye(4) / 4).max() < 1e-14
+    for channel in ("14", "23"):
+        rho = _closed(MM, 0.0, 0.2, channel)
+        assert np.abs(rho.mat - np.eye(4) / 4).max() < 1e-14
 
 
 def test_rho14_rho23_match_dense():
     p = DipolarParams(eps_tilde=-0.2, tau=1.0)
-    cf = _cf(MM, 1.0, -0.2)
-    for fn, channel in ((rho14_closed, "14"), (rho23_closed, "23")):
+    for channel in ("14", "23"):
+        closed = closed_channel_state(MM, p, channel)
         dense = network_channel_state(MM, p, channel)
-        assert np.abs(fn(cf).mat - dense.mat).max() < 1e-10
+        assert np.abs(closed.mat - dense.mat).max() < 1e-10
 
 
 def test_three_node_product_structure_at_tau_zero():
-    cf = _cf(MM, 0.0, 0.1)
-    singlet = rho12_closed(cf).mat
+    singlet = _closed(MM, 0.0, 0.1, "12").mat
     expect = np.kron(singlet, np.eye(2) / 2)
     # both channels keeping pair 1 plus one second-pair node factorize
-    assert np.abs(rho124_closed(cf).mat - expect).max() < 1e-14
-    assert np.abs(rho123_closed(cf).mat - expect).max() < 1e-14
+    for channel in ("124", "123"):
+        rho = _closed(MM, 0.0, 0.1, channel)
+        assert np.abs(rho.mat - expect).max() < 1e-14
 
 
 def test_three_node_hermitian_and_traced():
-    cf = _cf(MW, 0.5, 0.1)
-    for fn in (rho123_closed, rho234_closed, rho124_closed):
-        m = fn(cf).mat
+    for channel in ("123", "234", "124"):
+        m = _closed(MW, 0.5, 0.1, channel).mat
         assert np.abs(m - m.conj().T).max() < 1e-12
         assert abs(m.trace() - 1.0) < 1e-12
 
 
 def test_tangle_of_124_vanishes_at_tau_zero():
-    cf = _cf(MM, 0.0, 0.1)
-    assert abs(pi_tangle(rho124_closed(cf)).pi) < 1e-10
+    assert abs(pi_tangle(_closed(MM, 0.0, 0.1, "124")).pi) < 1e-10
 
 
 @pytest.mark.parametrize("cfg", KINDS, ids=lambda c: c.kind)
@@ -106,32 +118,27 @@ def test_closed_forms_match_dense_all_kinds(cfg, channel):
         assert np.abs(closed.mat - dense.mat).max() < 1e-10
 
 
-def test_closed_forms_match_dense_random_params(rng):
+def _random_pair(rng):
     # the closed forms hold for every valid pair, not just the MM/WW/MW
     # presets: sample Bell weights from the simplex and map back to (a,b,c)
-    from dipnet.netmodel import (channel_qubits, evolve_pair,
-                                 propagator_matrix, x_state)
-    from dipnet.qmat import DensityMatrix, kron, partial_trace
+    w = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
+    return XStateParams(a=w[0] - w[1] + w[2] - w[3],
+                        b=-w[0] + w[1] + w[2] - w[3],
+                        c=w[0] + w[1] - w[2] - w[3])
 
-    def random_params():
-        w = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-        return XStateParams(a=w[0] - w[1] + w[2] - w[3],
-                            b=-w[0] + w[1] + w[2] - w[3],
-                            c=w[0] + w[1] - w[2] - w[3])
 
+def test_closed_forms_match_dense_random_params(rng):
     for _ in range(20):
-        p1, p2 = random_params(), random_params()
+        p1, p2 = _random_pair(rng), _random_pair(rng)
         p = DipolarParams(eps_tilde=float(rng.uniform(-0.4, 0.5)),
                           tau=float(rng.uniform(0.0, 8.0)))
-        cf = coeffs(p1, p2, propagator_coeffs(p))
+        gammas = propagator_coeffs(p).gammas()
         net = DensityMatrix(kron(x_state(p1).mat, x_state(p2).mat), 4)
         net = evolve_pair(net, propagator_matrix(p), (1, 2), check=False)
-        for channel, fn in (("12", rho12_closed), ("34", rho34_closed),
-                            ("14", rho14_closed), ("23", rho23_closed),
-                            ("123", rho123_closed), ("234", rho234_closed),
-                            ("124", rho124_closed)):
+        for channel in CLOSED_CHANNELS + ("13", "24"):
             dense = partial_trace(net, channel_qubits(channel))
-            assert np.abs(fn(cf).mat - dense.mat).max() < 1e-12, channel
+            closed = channel_state(channel, p1, p2, gammas)
+            assert np.abs(closed.mat - dense.mat).max() < 1e-12, channel
 
 
 def test_dead_channels_are_maximally_mixed():
@@ -143,22 +150,24 @@ def test_dead_channels_are_maximally_mixed():
         assert np.abs(dense.mat - np.eye(4) / 4).max() < 1e-12
 
 
-def test_extension_coefficients_invariants():
-    cf = _cf(MM, 0.83, 0.17)
-    ext = extension_coefficients(cf)
-    assert ext.M32 == ext.M23 and ext.M33 == ext.M22
-    assert ext.M41 == ext.M14 and ext.M44 == ext.M11
-    assert abs(ext.delta3 - (ext.N11 + ext.N22 + ext.N33 + ext.N44)) < 1e-14
-    assert abs(ext.delta3 - 1.0) < 1e-12
-    # N elements are the "23" channel's matrix elements
-    n = rho23_closed(cf).mat
-    assert abs(ext.N11 - n[0, 0].real) < 1e-14
-    assert abs(ext.N23 - n[1, 2].real) < 1e-14
+def test_rho18_closed_matches_extend_to_eight_random(rng):
+    # unequal Werner pairs and a bridge independent of the inner coupling
+    for i in range(12):
+        x1, x2 = rng.uniform(0.0, 1.0, size=2)
+        cfg = NetworkConfig("WW" if i % 2 else "MW", werner_x1=float(x1),
+                            werner_x2=float(x2))
+        p_inner, p_bridge = (
+            DipolarParams(eps_tilde=float(rng.uniform(-0.4, 0.5)),
+                          tau=float(rng.uniform(0.0, 8.0)))
+            for _ in range(2))
+        closed = closed_channel_state(cfg, p_inner, "18", p_bridge)
+        dense = extend_to_eight(cfg, p_inner, p_bridge)
+        assert np.abs(closed.mat - dense.mat).max() < 1e-12
 
 
 def test_rho18_closed_identity_couplings():
-    cf0 = _cf(MM, 0.0, 0.0)
-    rho = rho18_closed(extension_coefficients(cf0), cf0)
+    p0 = DipolarParams(eps_tilde=0.0, tau=0.0)
+    rho = closed_channel_state(MM, p0, "18", p0)
     assert np.abs(rho.mat - np.eye(4) / 4).max() < 1e-14
 
 

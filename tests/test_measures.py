@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from dipnet import (DensityMatrix, ZeroProbability, conditional_states,
-                    density_matrix, global_negativity, kron, l1_coherence,
-                    naqc_average, naqc_degree, negativity,
-                    pairwise_negativity, partial_transpose, pi_tangle,
-                    trace_norm, x_state)
-from dipnet.measures import NAQC_CRITICAL
-from dipnet.netmodel import SINGLET_PARAMS, XStateParams, werner_params
+from dipnet.measures import (NAQC_CRITICAL, ZeroProbability,
+                             conditional_states, global_negativity,
+                             l1_coherence, naqc_average, naqc_degree,
+                             negativity, pairwise_negativity, pi_tangle)
+from dipnet.netmodel import SINGLET_PARAMS, werner_params, x_state
+from dipnet.qmat import density_matrix, kron, partial_transpose, trace_norm
 
 from conftest import charpoly_eigenvalues, ginibre_density, random_product_pure, random_pure
 

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from dipnet import (DipolarParams, NetworkConfig, XStateParams, NotPositive,
-                    dipolar_hamiltonian, evolve_pair, evolved_network,
-                    extend_to_eight, initial_network, kron,
-                    matrix_exp_hermitian, negativity, partial_trace,
-                    propagator_coeffs, propagator_matrix, tau_to_time,
-                    network_channel_state, x_state)
-from dipnet.netmodel import SINGLET_PARAMS, _embed_two_qubit, werner_params
-from dipnet.closedform import coeffs, rho12_closed
-from dipnet.qmat import BadSubsystem, NotUnitary, hermitian_eigenvalues
+from dipnet.closedform import kept_pair_damping
+from dipnet.measures import negativity
+from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, NetworkConfig,
+                             XStateParams, _embed_two_qubit,
+                             dipolar_hamiltonian, evolve_pair,
+                             evolved_network, extend_to_eight,
+                             initial_network, network_channel_state,
+                             propagator_coeffs, propagator_matrix,
+                             tau_to_time, werner_params, x_state)
+from dipnet.qmat import (BadSubsystem, NotPositive, NotUnitary,
+                         hermitian_eigenvalues, kron, matrix_exp_hermitian,
+                         partial_trace)
 
 from conftest import charpoly_eigenvalues
 
@@ -182,13 +185,13 @@ def test_evolve_pair_rejects_bad_input():
 
 def test_evolved_network_matches_pair_closed_form():
     # evolving on (1,2) and keeping (0,1) reproduces the closed form of the
-    # first pair's channel
+    # first pair's channel: the singlet damped by the kept-pair damping
     cfg = NetworkConfig("MM")
     for tau, eps in [(0.5, 0.1), (1.4, -0.2), (3.3, 0.3)]:
         p = DipolarParams(eps_tilde=eps, tau=tau)
         dense = partial_trace(evolved_network(cfg, p), (0, 1))
-        p1, p2 = cfg.pair_params()
-        closed = rho12_closed(coeffs(p1, p2, propagator_coeffs(p)))
+        lx, ly, lz = kept_pair_damping(propagator_coeffs(p).gammas())
+        closed = x_state(XStateParams(-lx, -ly, -lz))
         assert np.abs(dense.mat - closed.mat).max() < 1e-12
 
 

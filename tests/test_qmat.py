@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dipnet import (BadSubsystem, DensityMatrix, NotHermitian, NotPositive,
-                    density_matrix, hermitian_eigenvalues, kron,
-                    matrix_exp_hermitian, partial_trace, partial_transpose,
-                    trace_norm)
+from dipnet.qmat import (BadSubsystem, DensityMatrix, NotHermitian,
+                         NotPositive, density_matrix, hermitian_eigenvalues,
+                         kron, matrix_exp_hermitian, partial_trace,
+                         partial_transpose, trace_norm)
 from dipnet.netmodel import SINGLET_PARAMS, dipolar_hamiltonian, x_state
 
 from conftest import charpoly_eigenvalues, ginibre_density

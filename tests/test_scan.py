@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from dipnet import (DipolarParams, EventRecord, ExtensionSpec, MeasureSeries,
-                    NetworkConfig, ScanGrid, count_peaks,
-                    detect_sudden_changes, detect_zero_intervals,
-                    evaluate_point, sweep)
-from dipnet.scan import series_evaluator
+from dipnet.netmodel import DipolarParams, NetworkConfig
+from dipnet.scan import (ExtensionSpec, MeasureSeries, ScanGrid, count_peaks,
+                         detect_sudden_changes, detect_zero_intervals,
+                         evaluate_point, series_evaluator, sweep)
 
 MM = NetworkConfig("MM")
 
@@ -20,7 +19,13 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         ScanGrid(tau_min=1.0, tau_max=0.5)
     with pytest.raises(ValueError):
-        ScanGrid(tau_steps=1)
+        ScanGrid(tau_steps=2)
+    with pytest.raises(ValueError):
+        ScanGrid(tau_min=-1.0)
+    with pytest.raises(ValueError):
+        ScanGrid(eps_values=(0.0, float("nan")))
+    with pytest.raises(ValueError):
+        ScanGrid(tau_max=float("inf"))
     with pytest.raises(ValueError):
         ScanGrid(channels=("99",))
     with pytest.raises(ValueError):
