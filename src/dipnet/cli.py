@@ -15,8 +15,8 @@ from typing import Optional
 from .closedform import OracleMismatch
 from .ledger import render_typo_report
 from .netmodel import DipolarParams, NetworkConfig
-from .scan import (MIN_TAU_STEPS, ExtensionSpec, MeasureSeries, ScanGrid,
-                   ZERO_TOL, count_peaks, detect_sudden_changes,
+from .scan import (MIN_TAU_STEPS, ExtensionSpec, GridError, MeasureSeries,
+                   ScanGrid, ZERO_TOL, count_peaks, detect_sudden_changes,
                    detect_zero_intervals, series_evaluator, sweep)
 
 EXIT_OK = 0
@@ -154,8 +154,11 @@ def parse_scenario(text: str) -> Scenario:
             channels=tuple(s.strip() for s in channels_raw.split(",") if s.strip()),
             quantifiers=tuple(s.strip() for s in quant_raw.split(",") if s.strip()),
         )
-    except ValueError as exc:
-        raise ValidationError(f"grid: {exc}") from None
+    except GridError as exc:
+        # blame the first of the named keys the file sets
+        key = next((k for k in exc.keys if k in raw), exc.keys[0])
+        line = raw[key][1] if key in raw else None
+        raise ValidationError(f"key {key}: {exc}", line) from None
 
     mode, mode_line = get("mode", "closed_form")
     if mode not in ("closed_form", "dense", "validate"):

@@ -18,13 +18,31 @@ three-node channels conjugate the Pauli words of the coupled qubits by the
 The closed form never builds the 16x16 or 256x256 network state; that is
 the dense path's route (`netmodel.network_channel_state`), and
 `validate_channel` compares the two.
+
+`channel_states` is array-first: it evaluates a whole vector of tau at
+once as an (N, d, d) stack, and the one-point functions are its N = 1 case.
+A sweep's CSV and events bytes must not depend on N, so every elementwise
+formula here and in `measures` rounds exactly as the per-point scalar code
+it replaced. Keep these rules when editing:
+
+ - write Re(u conj(v)) as u.real*v.real + u.imag*v.imag; numpy's array
+   complex multiply rounds differently from its scalar one;
+ - write |z|^2 as np.float_power(np.hypot(z.real, z.imag), 2.0) and a
+   square x**2 as np.float_power(x, 2.0): array np.abs on complex input is
+   not hypot, and array x**2 is x*x, not libm pow;
+ - array cos/sin, stacked eigvalsh and stacked matmul already round as
+   their one-matrix forms; keep products in the same left-to-right order;
+ - do not swap in the analytic Bell-diagonal quantifiers (2 w_max - 1,
+   |a| + |b| + |c|): they agree to ~5e-15 but move 12-digit CSV text.
 """
 
 import numpy as np
 
-from .qmat import BadSubsystem, DensityMatrix, ORACLE_TOL
-from .netmodel import (PAULIS, DipolarParams, NetworkConfig, XStateParams,
-                       network_channel_state, propagator_coeffs, x_state)
+from .qmat import (BadSubsystem, DensityMatrix, ORACLE_TOL, density_matrix,
+                   require_density_stack)
+from .netmodel import (IDENTITY_4, PAULIS, DipolarParams, NetworkConfig,
+                       XStateParams, coupling_matrices, network_channel_state,
+                       propagator_gammas, x_states)
 
 
 class OracleMismatch(AssertionError):
@@ -40,27 +58,32 @@ class OracleMismatch(AssertionError):
             f"vs dense {dense_value}")
 
 
-def kept_pair_damping(gammas) -> tuple[float, float, float]:
-    """Pauli damping (lx, ly, lz) seen by a pair that keeps both qubits."""
-    g1, g2, g3, g4 = gammas
-    lx = (g4 * np.conj(g3) + g1 * np.conj(g2)).real
-    ly = (g4 * np.conj(g3) - g1 * np.conj(g2)).real
-    lz = 0.5 * (abs(g4) ** 2 + abs(g3) ** 2 - abs(g1) ** 2 - abs(g2) ** 2)
-    return lx, ly, lz
+def _re_conj(u, v):
+    """Re(u conj(v)), written out (see the module docstring)."""
+    return u.real * v.real + u.imag * v.imag
 
 
-def cross_pair_damping(gammas) -> tuple[float, float, float]:
-    """Pauli damping (ex, ey, ez) for correlations sent across the coupling."""
-    g1, g2, g3, g4 = gammas
-    ex = (g4 * np.conj(g2) + g1 * np.conj(g3)).real
-    ey = (g4 * np.conj(g2) - g1 * np.conj(g3)).real
-    ez = 0.5 * (abs(g4) ** 2 + abs(g2) ** 2 - abs(g1) ** 2 - abs(g3) ** 2)
-    return ex, ey, ez
+def _abs2(z):
+    """|z|^2 as libm pow(hypot(re, im), 2) (see the module docstring)."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def _damped(params: XStateParams, damping) -> XStateParams:
-    dx, dy, dz = damping
-    return XStateParams(params.a * dx, params.b * dy, params.c * dz)
+def kept_pair_damping(gammas):
+    """Pauli damping (lx, ly, lz) seen by a pair that keeps both qubits,
+    elementwise in the entries g1..g4."""
+    g1, g2, g3, g4 = g = np.asarray(gammas)
+    s1, s2, s3, s4 = _abs2(g)
+    p43, p12 = _re_conj(g4, g3), _re_conj(g1, g2)
+    return p43 + p12, p43 - p12, 0.5 * (s4 + s3 - s1 - s2)
+
+
+def cross_pair_damping(gammas):
+    """Pauli damping (ex, ey, ez) for correlations sent across the coupling,
+    elementwise in the entries g1..g4."""
+    g1, g2, g3, g4 = g = np.asarray(gammas)
+    s1, s2, s3, s4 = _abs2(g)
+    p42, p13 = _re_conj(g4, g2), _re_conj(g1, g3)
+    return p42 + p13, p42 - p13, 0.5 * (s4 + s2 - s1 - s3)
 
 
 # two-node channel -> (index of the pair it carries, damping that pair sees)
@@ -74,63 +97,74 @@ TWO_NODE_DAMPING = {
 # P_k (x) P_l on the coupled qubits, indexed [k, l]
 _WORDS = np.array([[np.kron(pk, pl) for pl in PAULIS] for pk in PAULIS])
 _PAULI_STACK = np.array(PAULIS)
+_MIXED_PAIR = IDENTITY_4 / 4.0
 
 
-def _coupling_matrix(gammas) -> np.ndarray:
-    g1, g2, g3, g4 = gammas
-    return np.array([[g4, 0, 0, g1],
-                     [0, g3, g2, 0],
-                     [0, g2, g3, 0],
-                     [g1, 0, 0, g4]])
-
-
-def _three_node_matrix(channel: str, w1: np.ndarray, w2: np.ndarray,
-                       gammas) -> np.ndarray:
-    """8x8 state of a three-node channel from the Pauli weights (1, a, b, c)
-    of both pairs.
+def _three_node_states(channel: str, w1: np.ndarray, w2: np.ndarray,
+                       gammas: np.ndarray) -> np.ndarray:
+    """(N, 8, 8) states of a three-node channel from the Pauli weights
+    (1, a, b, c) of both pairs.
 
     The network state is 1/16 sum_kl w1[k] w2[l] P_k (x) u (P_k (x) P_l) u^+
     (x) P_l; each channel keeps one such sum with the dropped qubit traced.
     """
-    u = _coupling_matrix(gammas)
-    # conj[k, l, a, m, b, n]: coupled qubits (a, m) out, (b, n) in
-    conj = (u @ _WORDS @ u.conj().T).reshape(4, 4, 2, 2, 2, 2)
+    u = coupling_matrices(gammas)[:, None, None]
+    # conj[N, k, l, a, m, b, n]: coupled qubits (a, m) out, (b, n) in
+    conj = (u @ _WORDS @ u.conj().swapaxes(-1, -2)).reshape(
+        -1, 4, 4, 2, 2, 2, 2)
     p = _PAULI_STACK
     if channel == "124":  # pair 1 and both coupled qubits; qubit 3 traced
-        m = np.einsum("k,kij,kambn->iamjbn", w1, p, conj[:, 0]) / 8.0
+        m = np.einsum("k,kij,Nkambn->Niamjbn", w1, p, conj[:, :, 0]) / 8.0
     elif channel == "234":  # both coupled qubits and pair 2; qubit 0 traced
-        m = np.einsum("l,lambn,lcd->amcbnd", w2, conj[0], p) / 8.0
+        m = np.einsum("l,Nlambn,lcd->Namcbnd", w2, conj[:, 0], p) / 8.0
     elif channel == "123":  # far nodes and the first coupled qubit
-        psi = np.trace(conj, axis1=3, axis2=5)
-        m = np.einsum("kl,kij,klab,lcd->iacjbd", np.outer(w1, w2), p, psi,
+        psi = np.trace(conj, axis1=4, axis2=6)
+        m = np.einsum("kl,kij,Nklab,lcd->Niacjbd", np.outer(w1, w2), p, psi,
                       p) / 16.0
     else:
         raise BadSubsystem(f"unknown channel {channel!r}")
-    return m.reshape(8, 8)
+    return m.reshape(-1, 8, 8)
 
 
 def _weights(params: XStateParams) -> np.ndarray:
     return np.array([1.0, params.a, params.b, params.c])
 
 
-def channel_state(channel: str, pair1: XStateParams, pair2: XStateParams,
-                  gammas, bridge_gammas=None) -> DensityMatrix:
-    """Closed-form state of a channel for any two Pauli-diagonal pairs
-    coupled through the propagator entries `gammas`; channel "18" crosses a
-    bridge coupling with entries `bridge_gammas` (default: `gammas`)."""
+def channel_states(channel: str, pair1: XStateParams, pair2: XStateParams,
+                   gammas: np.ndarray, bridge_gammas=None) -> np.ndarray:
+    """(N, d, d) closed-form states of a channel, one per column of the
+    (4, N) propagator entries `gammas`, for any two Pauli-diagonal pairs;
+    channel "18" crosses a bridge coupling with entries `bridge_gammas`
+    (4, N) or (4, 1) (default: `gammas`). Every assembled state is
+    validated; channels "13" and "24" are the constant I/4."""
     if channel == "18":
-        hop = _damped(pair1, cross_pair_damping(gammas))
-        bridge = gammas if bridge_gammas is None else bridge_gammas
-        return x_state(_damped(hop, cross_pair_damping(bridge)))
+        ex, ey, ez = cross_pair_damping(gammas)
+        bx, by, bz = cross_pair_damping(
+            gammas if bridge_gammas is None else bridge_gammas)
+        return x_states(pair1.a * ex * bx, pair1.b * ey * by,
+                        pair1.c * ez * bz)
     if channel in ("13", "24"):
         # no correlations are ever generated on these channels
-        return DensityMatrix(np.eye(4, dtype=complex) / 4.0, 2)
+        return np.broadcast_to(_MIXED_PAIR, (gammas.shape[1], 4, 4))
     if channel in TWO_NODE_DAMPING:
         pair, damping = TWO_NODE_DAMPING[channel]
-        return x_state(_damped((pair1, pair2)[pair], damping(gammas)))
-    return DensityMatrix(
-        _three_node_matrix(channel, _weights(pair1), _weights(pair2), gammas),
+        params = (pair1, pair2)[pair]
+        dx, dy, dz = damping(gammas)
+        return x_states(params.a * dx, params.b * dy, params.c * dz)
+    return require_density_stack(
+        _three_node_states(channel, _weights(pair1), _weights(pair2), gammas),
         3)
+
+
+def channel_state(channel: str, pair1: XStateParams, pair2: XStateParams,
+                  gammas, bridge_gammas=None) -> DensityMatrix:
+    """`channel_states` at one point: `gammas` (and `bridge_gammas`) are the
+    four entries g1..g4."""
+    if bridge_gammas is not None:
+        bridge_gammas = np.reshape(bridge_gammas, (4, 1))
+    return density_matrix(channel_states(channel, pair1, pair2,
+                                         np.reshape(gammas, (4, 1)),
+                                         bridge_gammas)[0])
 
 
 def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
@@ -138,9 +172,11 @@ def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
     """Closed-form reduced state of a named channel."""
     bridge_gammas = None
     if channel == "18" and p_bridge is not None:
-        bridge_gammas = propagator_coeffs(p_bridge).gammas()
+        bridge_gammas = propagator_gammas(p_bridge.eps_tilde,
+                                          np.array([p_bridge.tau]))
     return channel_state(channel, *cfg.pair_params(),
-                         propagator_coeffs(p).gammas(), bridge_gammas)
+                         propagator_gammas(p.eps_tilde, np.array([p.tau])),
+                         bridge_gammas)
 
 
 def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,

@@ -22,13 +22,17 @@ import numpy as np
 
 from .qmat import (BadSubsystem, ComplexMatrix, DensityMatrix, HERM_TOL,
                    NotPositive, as_complex_matrix, kron, partial_trace,
-                   require_unitary)
+                   require_density_stack, require_unitary)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+IDENTITY_4 = np.eye(4, dtype=complex)
+XX = kron(SIGMA_X, SIGMA_X)
+YY = kron(SIGMA_Y, SIGMA_Y)
+ZZ = kron(SIGMA_Z, SIGMA_Z)
 
 XSTATE_PSD_TOL = 1e-12
 
@@ -49,6 +53,25 @@ THREE_NODE_CHANNELS = ("123", "234", "124")
 ALL_CHANNELS = TWO_NODE_CHANNELS + THREE_NODE_CHANNELS + ("18",)
 
 
+def bell_weights(a, b, c) -> tuple:
+    """Bell-basis weights of the Pauli-diagonal state (a, b, c), elementwise."""
+    return ((1 + a - b + c) / 4, (1 - a + b + c) / 4,
+            (1 + a + b - c) / 4, (1 - a - b - c) / 4)
+
+
+def _require_bell_weights(a, b, c) -> None:
+    """NotPositive for the first element whose Bell weights dip below
+    -XSTATE_PSD_TOL."""
+    weights = np.array(bell_weights(a, b, c), dtype=float).reshape(4, -1)
+    bad = weights < -XSTATE_PSD_TOL
+    if np.count_nonzero(bad):
+        i = int(bad.any(axis=0).argmax())
+        params = tuple(float(np.ravel(x)[i]) for x in (a, b, c))
+        raise NotPositive(
+            f"X-state params {params} give negative Bell weights "
+            f"{tuple(weights[:, i].tolist())}")
+
+
 @dataclass(frozen=True)
 class XStateParams:
     """Correlation coefficients (a, b, c) of the Pauli-diagonal pair state."""
@@ -58,16 +81,7 @@ class XStateParams:
     c: float
 
     def bell_weights(self) -> tuple[float, float, float, float]:
-        a, b, c = self.a, self.b, self.c
-        return ((1 + a - b + c) / 4, (1 - a + b + c) / 4,
-                (1 + a + b - c) / 4, (1 - a - b - c) / 4)
-
-    def validate(self) -> "XStateParams":
-        if min(self.bell_weights()) < -XSTATE_PSD_TOL:
-            raise NotPositive(
-                f"X-state params {(self.a, self.b, self.c)} give negative "
-                f"Bell weights {self.bell_weights()}")
-        return self
+        return bell_weights(self.a, self.b, self.c)
 
 
 SINGLET_PARAMS = XStateParams(-1.0, -1.0, -1.0)
@@ -80,9 +94,15 @@ def werner_params(x: float) -> XStateParams:
     return XStateParams(-x, -x, -x)
 
 
+def kappas(eps_tilde: float) -> tuple[float, float, float]:
+    """Phase rates of the propagator's three Pauli-pair terms."""
+    return (1 - 3 * eps_tilde, 1 + 3 * eps_tilde, -2.0)
+
+
 @dataclass(frozen=True)
 class DipolarParams:
-    """Dimensionless coupling parameters; kappas are always derived."""
+    """Dimensionless coupling parameters; the phase rates are always derived
+    (`kappas`)."""
 
     eps_tilde: float
     tau: float
@@ -92,10 +112,6 @@ class DipolarParams:
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-
-    @property
-    def kappas(self) -> tuple[float, float, float]:
-        return (1 - 3 * self.eps_tilde, 1 + 3 * self.eps_tilde, -2.0)
 
 
 @dataclass(frozen=True)
@@ -161,7 +177,7 @@ def tau_to_time(tau: float, delta: float) -> float:
 
 
 def propagator_coeffs(p: DipolarParams) -> PropagatorCoeffs:
-    kx, ky, kz = p.kappas
+    kx, ky, kz = kappas(p.eps_tilde)
     c1, c2, c3 = np.cos(kx * p.tau), np.cos(ky * p.tau), np.cos(kz * p.tau)
     s1, s2, s3 = np.sin(kx * p.tau), np.sin(ky * p.tau), np.sin(kz * p.tau)
     return PropagatorCoeffs(
@@ -173,29 +189,82 @@ def propagator_coeffs(p: DipolarParams) -> PropagatorCoeffs:
         s1=float(s1), s2=float(s2), s3=float(s3))
 
 
-def propagator_matrix(p: DipolarParams) -> ComplexMatrix:
-    """The two-qubit dipolar propagator.
+# Factor indices into (c1, c2, c3, s1, s2, s3) of the products, taken left
+# to right, that form Re r1..r4 and -Im r1..r4 in `propagator_coeffs`.
+_R_FACTORS = np.array([[0, 1, 2], [0, 4, 5], [1, 3, 5], [2, 3, 4],
+                       [3, 4, 5], [1, 2, 3], [0, 2, 4], [0, 1, 5]]).T
 
-    Outer diagonal r1+r4, inner diagonal r1-r4, corners r2-r3, inner
-    off-diagonals r2+r3. This corner/inner placement is the unitary one and
-    equals the matrix exponential of the Hamiltonian; swapping the two (as
-    one reading of the source equations suggests) breaks unitarity.
+
+def propagator_gammas(eps_tilde: float, taus: np.ndarray) -> np.ndarray:
+    """(4, N) propagator entries g1..g4 = (r2 - r3, r2 + r3, r1 - r4,
+    r1 + r4) at every tau of the 1-d array `taus`: the closed-form kernel's
+    vectorised `propagator_coeffs(p).gammas()`, rounding as it does, with
+    tau >= 0 and sum |r_k|^2 = 1 checked for every element. The dense path
+    keeps the scalar `propagator_coeffs`, so each route computes the
+    propagator's phases on its own."""
+    if np.count_nonzero(taus < 0):
+        raise ValueError(f"tau must be >= 0, got {taus.min()}")
+    phases = np.multiply.outer(kappas(eps_tilde), taus)
+    cs = np.concatenate([np.cos(phases), np.sin(phases)])
+    f = cs[_R_FACTORS]
+    prod = f[0] * f[1] * f[2]
+    r = np.empty((4, len(taus)), dtype=complex)
+    r.real = prod[:4]
+    np.negative(prod[4:], out=r.imag)
+    norm = np.float_power(np.hypot(r.real, r.imag), 2.0).sum(axis=0)
+    bad = np.abs(norm - 1.0) > 1e-12
+    if np.count_nonzero(bad):
+        raise ValueError(f"sum |r_k|^2 = {norm[bad.argmax()]} deviates from 1")
+    head, tail = r[[1, 0]], r[[2, 3]]
+    return np.concatenate([head - tail, head + tail])[[0, 2, 1, 3]]
+
+
+# Entry of (g1, g2, g3, g4, 0) at each position of the 4x4 propagator.
+_COUPLING_LAYOUT = np.array([[3, 4, 4, 0],
+                             [4, 2, 1, 4],
+                             [4, 1, 2, 4],
+                             [0, 4, 4, 3]])
+
+
+def coupling_matrices(gammas: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) propagators from (4, N) entries g1..g4.
+
+    Outer diagonal g4 = r1+r4, inner diagonal g3 = r1-r4, corners
+    g1 = r2-r3, inner off-diagonals g2 = r2+r3. This corner/inner placement
+    is the unitary one and equals the matrix exponential of the Hamiltonian;
+    swapping the two (as one reading of the source equations suggests)
+    breaks unitarity.
     """
-    g1, g2, g3, g4 = propagator_coeffs(p).gammas()
-    return np.array([[g4, 0, 0, g1],
-                     [0, g3, g2, 0],
-                     [0, g2, g3, 0],
-                     [g1, 0, 0, g4]])
+    entries = np.concatenate([gammas, np.zeros((1, gammas.shape[1]))])
+    return np.ascontiguousarray(entries[_COUPLING_LAYOUT].transpose(2, 0, 1))
+
+
+def propagator_matrix(p: DipolarParams) -> ComplexMatrix:
+    """The two-qubit dipolar propagator (layout: `coupling_matrices`)."""
+    return coupling_matrices(np.reshape(propagator_coeffs(p).gammas(),
+                                        (4, 1)))[0]
+
+
+def _x_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    _require_bell_weights(a, b, c)
+    return 0.25 * (IDENTITY_4
+                   + a[:, None, None] * XX
+                   + b[:, None, None] * YY
+                   + c[:, None, None] * ZZ)
+
+
+def x_states(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) stack of Pauli-diagonal states 1/4 (I + a XX + b YY + c ZZ)
+    from 1-d coefficient arrays; every element's Bell weights and density
+    invariants are checked."""
+    return require_density_stack(_x_matrices(a, b, c), 2)
 
 
 def x_state(params: XStateParams) -> DensityMatrix:
     """Two-qubit Pauli-diagonal state 1/4 (I + a XX + b YY + c ZZ)."""
-    params.validate()
-    m = 0.25 * (np.eye(4, dtype=complex)
-                + params.a * kron(SIGMA_X, SIGMA_X)
-                + params.b * kron(SIGMA_Y, SIGMA_Y)
-                + params.c * kron(SIGMA_Z, SIGMA_Z))
-    return DensityMatrix(m, 2)
+    m = _x_matrices(*(np.array([x], dtype=float)
+                      for x in (params.a, params.b, params.c)))
+    return DensityMatrix(m[0], 2)
 
 
 def initial_network(cfg: NetworkConfig) -> DensityMatrix:

@@ -42,24 +42,65 @@ def as_complex_matrix(a) -> ComplexMatrix:
     return m
 
 
-def _herm_deviation(m: ComplexMatrix) -> float:
-    return float(np.abs(m - m.conj().T).max())
+def _adjoint(mats: np.ndarray) -> np.ndarray:
+    return mats.conj().swapaxes(-1, -2)
+
+
+def require_hermitian_stack(mats: np.ndarray,
+                            tol: float = TRACE_TOL) -> np.ndarray:
+    """Check every matrix of an (N, d, d) stack for Hermiticity within tol;
+    the lowest-index offender raises NotHermitian."""
+    dev = np.abs(mats - _adjoint(mats))
+    if np.count_nonzero(dev > tol):
+        dev = dev.max(axis=(-2, -1))
+        i = int((dev > tol).argmax())
+        raise NotHermitian(
+            f"Hermitian deviation {dev[i]:.3e} exceeds {tol:.1e}")
+    return mats
 
 
 def require_hermitian(m: ComplexMatrix, tol: float = TRACE_TOL) -> ComplexMatrix:
     m = as_complex_matrix(m)
-    dev = _herm_deviation(m)
-    if dev > tol:
-        raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds {tol:.1e}")
+    require_hermitian_stack(m[None], tol)
     return m
+
+
+def require_density_stack(mats: np.ndarray, nqubits: int) -> np.ndarray:
+    """Check every matrix of an (N, d, d) stack as DensityMatrix checks one:
+    d = 2**nqubits, Hermiticity within HERM_TOL, unit trace within
+    TRACE_TOL, eigenvalues >= -PSD_TOL (one batched eigvalsh). As in a loop
+    over the stack, the lowest-index failing matrix raises, with the first
+    check it fails."""
+    if nqubits < 1 or mats.shape[-1] != 2 ** nqubits:
+        raise ValueError(
+            f"dim {mats.shape[-1]} does not match 2**{nqubits} qubits")
+    adj = _adjoint(mats)
+    dev = np.abs(mats - adj)
+    tr = mats.diagonal(0, -2, -1).sum(axis=-1)
+    lo = np.linalg.eigvalsh(0.5 * (mats + adj))[:, 0]
+    if (np.count_nonzero(dev > HERM_TOL)
+            or np.count_nonzero(np.abs(tr - 1.0) > TRACE_TOL)
+            or np.count_nonzero(lo < -PSD_TOL)):
+        dev = dev.max(axis=(-2, -1))
+        bad = (dev > HERM_TOL) | (np.abs(tr - 1.0) > TRACE_TOL) | (lo < -PSD_TOL)
+        i = int(bad.argmax())
+        if dev[i] > HERM_TOL:
+            raise NotHermitian(
+                f"Hermitian deviation {dev[i]:.3e} exceeds {HERM_TOL:.1e}")
+        if abs(tr[i] - 1.0) > TRACE_TOL:
+            raise ValueError(
+                f"trace {tr[i]} deviates from 1 by more than {TRACE_TOL:.1e}")
+        raise NotPositive(f"minimum eigenvalue {lo[i]:.3e} below -{PSD_TOL:.1e}")
+    return mats
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated multi-qubit density matrix.
 
-    Invariants checked on construction: dim = 2**nqubits, Hermiticity within
-    HERM_TOL, unit trace within TRACE_TOL, eigenvalues >= -PSD_TOL.
+    Invariants checked on construction (`require_density_stack` on a
+    1-stack): dim = 2**nqubits, Hermiticity within HERM_TOL, unit trace
+    within TRACE_TOL, eigenvalues >= -PSD_TOL.
     """
 
     mat: ComplexMatrix
@@ -67,18 +108,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat)
-        if self.nqubits < 1 or m.shape[0] != 2 ** self.nqubits:
-            raise ValueError(
-                f"dim {m.shape[0]} does not match 2**{self.nqubits} qubits")
-        dev = _herm_deviation(m)
-        if dev > HERM_TOL:
-            raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL:.1e}")
-        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if lo < -PSD_TOL:
-            raise NotPositive(f"minimum eigenvalue {lo:.3e} below -{PSD_TOL:.1e}")
+        require_density_stack(m[None], self.nqubits)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
@@ -122,9 +152,15 @@ def hermitian_eigenvalues(a: ComplexMatrix, check_tol: float = TRACE_TOL,
     return w
 
 
+def trace_norm_stack(mats: np.ndarray, check_tol: float = TRACE_TOL) -> np.ndarray:
+    """Sum of |eigenvalues| of every Hermitian matrix of an (N, d, d) stack."""
+    require_hermitian_stack(mats, check_tol)
+    return np.abs(np.linalg.eigvalsh(mats)).sum(axis=-1)
+
+
 def trace_norm(a: ComplexMatrix, check_tol: float = TRACE_TOL) -> float:
     """Sum of |eigenvalues| of a Hermitian matrix (its trace norm)."""
-    return float(np.abs(hermitian_eigenvalues(a, check_tol)).sum())
+    return float(trace_norm_stack(as_complex_matrix(a)[None], check_tol)[0])
 
 
 def _check_keep(indices, nqubits: int, require_sorted: bool) -> tuple:
@@ -143,28 +179,40 @@ def _check_keep(indices, nqubits: int, require_sorted: bool) -> tuple:
     return idx
 
 
+def partial_trace_stack(mats: np.ndarray, nqubits: int, keep) -> np.ndarray:
+    """Trace out, in every matrix of an (N, d, d) stack, all qubits not in
+    `keep` (strictly increasing indices); the result is not validated."""
+    keep = _check_keep(keep, nqubits, require_sorted=True)
+    t = mats.reshape((-1,) + (2,) * (2 * nqubits))
+    for q in sorted((q for q in range(nqubits) if q not in keep), reverse=True):
+        half = (t.ndim - 1) // 2
+        t = np.trace(t, axis1=1 + q, axis2=1 + q + half)
+    k = len(keep)
+    return t.reshape(-1, 2 ** k, 2 ** k)
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all qubits not in `keep` (strictly increasing indices)."""
-    n = rho.nqubits
-    keep = _check_keep(keep, n, require_sorted=True)
-    t = rho.mat.reshape([2] * (2 * n))
-    for q in sorted((q for q in range(n) if q not in keep), reverse=True):
-        half = t.ndim // 2
-        t = np.trace(t, axis1=q, axis2=q + half)
-    k = len(keep)
-    return DensityMatrix(t.reshape(2 ** k, 2 ** k), k)
+    out = partial_trace_stack(rho.mat[None], rho.nqubits, keep)[0]
+    return DensityMatrix(out, out.shape[0].bit_length() - 1)
+
+
+def partial_transpose_stack(mats: np.ndarray, nqubits: int,
+                            subsystem) -> np.ndarray:
+    """Transpose the named qubits' indices in every matrix of an (N, d, d)
+    stack."""
+    subsystem = _check_keep(subsystem, nqubits, require_sorted=False)
+    t = mats.reshape((-1,) + (2,) * (2 * nqubits))
+    perm = list(range(1 + 2 * nqubits))
+    for q in subsystem:
+        perm[1 + q], perm[1 + q + nqubits] = perm[1 + q + nqubits], perm[1 + q]
+    return t.transpose(perm).reshape(mats.shape)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem) -> ComplexMatrix:
     """Transpose the named qubits' indices; returns a plain matrix (the
     result is Hermitian but usually not positive)."""
-    n = rho.nqubits
-    subsystem = _check_keep(subsystem, n, require_sorted=False)
-    t = rho.mat.reshape([2] * (2 * n))
-    perm = list(range(2 * n))
-    for q in subsystem:
-        perm[q], perm[q + n] = perm[q + n], perm[q]
-    return t.transpose(perm).reshape(rho.dim, rho.dim)
+    return partial_transpose_stack(rho.mat[None], rho.nqubits, subsystem)[0]
 
 
 def matrix_exp_hermitian(h: ComplexMatrix, t: float,

@@ -6,10 +6,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .closedform import closed_channel_state, validate_channel
-from .measures import naqc_degree, negativity, pi_tangle
+from .closedform import channel_states, validate_channel
+from .measures import naqc_degree_stack, negativity_stack, pi_tangle_stack
 from .netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS, DipolarParams,
-                       NetworkConfig, network_channel_state)
+                       NetworkConfig, network_channel_state, propagator_gammas)
 
 ZERO_TOL = 1e-6
 PEAK_PROMINENCE_FRACTION = 0.05
@@ -29,6 +29,15 @@ def _pairing_valid(channel: str, quantifier: str) -> bool:
     return quantifier in _TWO_NODE_QUANTIFIERS
 
 
+class GridError(ValueError):
+    """An invalid ScanGrid field; `keys` names the fields to blame, most
+    specific first."""
+
+    def __init__(self, keys: tuple[str, ...], message: str):
+        self.keys = keys
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class ScanGrid:
     tau_min: float = 0.0
@@ -39,24 +48,29 @@ class ScanGrid:
     quantifiers: tuple[str, ...] = ("negativity",)
 
     def __post_init__(self):
-        if not np.isfinite((self.tau_min, self.tau_max) + self.eps_values).all():
-            raise ValueError("tau range and eps_values must be finite")
+        for key in ("tau_min", "tau_max", "eps_values"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise GridError((key,), "tau range and eps_values must be finite")
         if not 0.0 <= self.tau_min < self.tau_max:
-            raise ValueError("need 0 <= tau_min < tau_max")
+            keys = ("tau_min",) if self.tau_min < 0 else ("tau_max", "tau_min")
+            raise GridError(keys, "need 0 <= tau_min < tau_max")
         if self.tau_steps < MIN_TAU_STEPS:
-            raise ValueError(f"tau_steps must be >= {MIN_TAU_STEPS}")
-        if not self.eps_values:
-            raise ValueError("eps_values must be nonempty")
+            raise GridError(("tau_steps",),
+                            f"tau_steps must be >= {MIN_TAU_STEPS}")
+        for key in ("eps_values", "channels", "quantifiers"):
+            if not getattr(self, key):
+                raise GridError((key,), f"{key} must be nonempty")
         for ch in self.channels:
             if ch not in ALL_CHANNELS:
-                raise ValueError(f"unknown channel {ch!r}")
+                raise GridError(("channels",), f"unknown channel {ch!r}")
         for q in self.quantifiers:
             if q not in QUANTIFIERS:
-                raise ValueError(f"unknown quantifier {q!r}")
+                raise GridError(("quantifiers",), f"unknown quantifier {q!r}")
         for ch in self.channels:
             for q in self.quantifiers:
                 if not _pairing_valid(ch, q):
-                    raise ValueError(
+                    raise GridError(
+                        ("channels", "quantifiers"),
                         f"quantifier {q!r} cannot be evaluated on channel {ch!r}")
 
     def taus(self) -> np.ndarray:
@@ -110,37 +124,60 @@ class ExtensionSpec:
         return p if self.mode == "track" else self.bridge
 
 
-_QUANTIFIER_FN = {
-    "negativity": negativity,
-    "naqc": naqc_degree,
-    "tangle": lambda rho: pi_tangle(rho).pi,
+_QUANTIFIER_STACK = {
+    "negativity": negativity_stack,
+    "naqc": naqc_degree_stack,
+    "tangle": lambda mats: pi_tangle_stack(mats).pi,
 }
+
+
+def _clamped(values: np.ndarray) -> np.ndarray:
+    """Round values in (-1e-10, 0] up to +0.0; keep every other value."""
+    return np.where((values > -1e-10) & (values <= 0.0), 0.0, values)
+
+
+def closed_form_values(cfg: NetworkConfig, channel: str, quantifier: str,
+                       eps_tilde: float, taus: np.ndarray,
+                       extension: Optional[ExtensionSpec] = None) -> np.ndarray:
+    """The closed-form kernel: quantifier values of one (channel,
+    quantifier, eps_tilde) series at every tau of the 1-d array `taus`, as
+    one stack evaluation. `evaluate_point` is its N = 1 case."""
+    gammas = propagator_gammas(eps_tilde, taus)
+    bridge = None
+    if channel == "18":
+        if extension is None:
+            raise ValueError("channel 18 requires an ExtensionSpec")
+        if extension.mode == "fixed":
+            bridge = propagator_gammas(extension.bridge.eps_tilde,
+                                       np.array([extension.bridge.tau]))
+    states = channel_states(channel, *cfg.pair_params(), gammas, bridge)
+    return _clamped(_QUANTIFIER_STACK[quantifier](states))
 
 
 def evaluate_point(cfg: NetworkConfig, p: DipolarParams, channel: str,
                    quantifier: str, mode: str = "closed_form",
                    extension: Optional[ExtensionSpec] = None) -> float:
     """Single quantifier value at one parameter point."""
-    p_bridge = None
-    if channel == "18":
-        if extension is None:
-            raise ValueError("channel 18 requires an ExtensionSpec")
-        p_bridge = extension.bridge_for(p)
+    if channel == "18" and extension is None:
+        raise ValueError("channel 18 requires an ExtensionSpec")
     if mode == "closed_form":
-        rho = closed_channel_state(cfg, p, channel, p_bridge)
-    elif mode == "dense":
+        return float(closed_form_values(cfg, channel, quantifier, p.eps_tilde,
+                                        np.array([p.tau]), extension)[0])
+    p_bridge = extension.bridge_for(p) if channel == "18" else None
+    if mode == "dense":
         rho = network_channel_state(cfg, p, channel, p_bridge)
     elif mode == "validate":
         rho = validate_channel(cfg, p, channel, p_bridge)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    value = _QUANTIFIER_FN[quantifier](rho)
-    return max(0.0, float(value)) if value > -1e-10 else float(value)
+    return float(_clamped(_QUANTIFIER_STACK[quantifier](rho.mat[None]))[0])
 
 
 def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
           extension: Optional[ExtensionSpec] = None) -> list[MeasureSeries]:
-    """One series per (channel, quantifier, eps) triple, grid order."""
+    """One series per (channel, quantifier, eps) triple, grid order. The
+    closed form evaluates each series as one stack; dense and validate
+    modes go point by point."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if "18" in grid.channels and extension is None:
@@ -150,14 +187,16 @@ def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
     for channel in grid.channels:
         for quantifier in grid.quantifiers:
             for eps in grid.eps_values:
-                pts = []
-                for tau in taus:
-                    p = DipolarParams(eps_tilde=eps, tau=float(tau))
-                    pts.append((float(tau),
-                                evaluate_point(cfg, p, channel, quantifier,
-                                               mode, extension)))
-                out.append(MeasureSeries(channel=channel, quantifier=quantifier,
-                                         eps_tilde=eps, points=tuple(pts)))
+                if mode == "closed_form":
+                    values = closed_form_values(cfg, channel, quantifier, eps,
+                                                taus, extension).tolist()
+                else:
+                    values = [evaluate_point(
+                        cfg, DipolarParams(eps_tilde=eps, tau=tau), channel,
+                        quantifier, mode, extension) for tau in taus.tolist()]
+                out.append(MeasureSeries(
+                    channel=channel, quantifier=quantifier, eps_tilde=eps,
+                    points=tuple(zip(taus.tolist(), values))))
     return out
 
 

@@ -176,6 +176,26 @@ def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     assert f"line {len(text.splitlines())}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, bad_line", [
+    (["tau_min = 5", "tau_max = 1"], 4),
+    (["tau_max = 1", "tau_min = 5"], 3),
+    (["tau_min = 20"], 3),  # tau_max left at its default: blame tau_min
+    (["channels = 12,99"], 3),
+    (["channels = 123", "quantifiers = negativity"], 3),
+    (["quantifiers = negativity", "channels = 14,124"], 4),
+    (["quantifiers = negativity,bogus"], 3),
+    (["eps_values = ,"], 3),
+    (["channels = ,"], 3),
+    (["quantifiers = ,", "tau_max = 2"], 3),
+], ids=lambda v: "|".join(v) if isinstance(v, list) else str(v))
+def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line):
+    text = "name = bad\nnetwork = MM\n" + "\n".join(lines) + "\n"
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert f"line {bad_line}:" in capsys.readouterr().err
+
+
 def test_validate_subcommand_forces_mode(tmp_path):
     good = tmp_path / "good.scn"
     good.write_text(MINIMAL)
@@ -200,10 +220,10 @@ def test_render_csv_significant_digits():
     assert "0.123456789012" in text and "0.987654321099" in text
 
 
-@pytest.mark.parametrize("name", ["fig5", "fig9", "fig10"])
+@pytest.mark.parametrize("name", [f"fig{k}" for k in range(2, 11)])
 def test_bundled_scenarios_match_pinned_digests(tmp_path, name):
-    # fig5 covers the two-node channels, fig9 the three-node assembly and
-    # fig10 the extension's channel 18
+    # fig2-fig8 cover the two-node negativity/NAQC surfaces, fig9 the
+    # three-node assembly and fig10 the extension's channel 18
     pins = json.loads((REPO / "perfbench" / "pinned_digests.json").read_text())
     assert main(["run", str(SCENARIOS_DIR / f"{name}.scn"),
                  "--output-dir", str(tmp_path)]) == EXIT_OK

@@ -27,6 +27,10 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         ScanGrid(tau_max=float("inf"))
     with pytest.raises(ValueError):
+        ScanGrid(channels=())
+    with pytest.raises(ValueError):
+        ScanGrid(quantifiers=())
+    with pytest.raises(ValueError):
         ScanGrid(channels=("99",))
     with pytest.raises(ValueError):
         ScanGrid(channels=("12",), quantifiers=("tangle",))
