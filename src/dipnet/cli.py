@@ -15,9 +15,10 @@ from typing import Optional
 from .closedform import OracleMismatch
 from .ledger import render_typo_report
 from .netmodel import DipolarParams, NetworkConfig
-from .scan import (MIN_TAU_STEPS, ExtensionSpec, GridError, MeasureSeries,
-                   ScanGrid, ZERO_TOL, count_peaks, detect_sudden_changes,
-                   detect_zero_intervals, series_evaluator, sweep)
+from .scan import (MIN_TAU_STEPS, MODES, ExtensionSpec, GridError,
+                   MeasureSeries, ScanGrid, ZERO_TOL, count_peaks,
+                   detect_sudden_changes, detect_zero_intervals,
+                   series_evaluator, sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,12 +138,20 @@ def parse_scenario(text: str) -> Scenario:
         key = "network" if "kind" in str(exc) else "werner_x1/werner_x2"
         raise ValidationError(f"key {key}: {exc}", line) from None
 
+    mode, mode_line = get("mode", "closed_form")
+    if mode not in MODES:
+        raise ValidationError(f"key mode: unknown mode {mode!r}", mode_line)
+
     tau_min_raw, l1 = get("tau_min", "0.0")
     tau_max_raw, l2 = get("tau_max", "10.0")
     steps_raw, l3 = get("tau_steps", "1001")
     eps_raw, l4 = get("eps_values", "-0.2,0,0.1,0.3")
     channels_raw, l5 = get("channels", "12")
     quant_raw, l6 = get("quantifiers", "negativity")
+    ext_raw, ext_line = get("extension", "none")
+    bt_raw, bt_line = get("bridge_tau")
+    be_raw, be_line = get("bridge_eps_tilde")
+    extension: Optional[ExtensionSpec] = None
     try:
         grid = ScanGrid(
             tau_min=_parse_float(tau_min_raw, "tau_min", l1, minimum=0.0),
@@ -154,35 +163,25 @@ def parse_scenario(text: str) -> Scenario:
             channels=tuple(s.strip() for s in channels_raw.split(",") if s.strip()),
             quantifiers=tuple(s.strip() for s in quant_raw.split(",") if s.strip()),
         )
+        if ext_raw == "track":
+            extension = ExtensionSpec(mode="track")
+        elif ext_raw == "fixed":
+            if bt_raw is None or be_raw is None:
+                raise ValidationError("extension = fixed requires bridge_tau "
+                                      "and bridge_eps_tilde", ext_line)
+            extension = ExtensionSpec(
+                mode="fixed",
+                bridge=DipolarParams(
+                    eps_tilde=_parse_float(be_raw, "bridge_eps_tilde", be_line),
+                    tau=_parse_float(bt_raw, "bridge_tau", bt_line, minimum=0.0)))
+        elif ext_raw != "none":
+            raise ValidationError(f"key extension: expected none|track|fixed, "
+                                  f"got {ext_raw!r}", ext_line)
     except GridError as exc:
         # blame the first of the named keys the file sets
         key = next((k for k in exc.keys if k in raw), exc.keys[0])
         line = raw[key][1] if key in raw else None
         raise ValidationError(f"key {key}: {exc}", line) from None
-
-    mode, mode_line = get("mode", "closed_form")
-    if mode not in ("closed_form", "dense", "validate"):
-        raise ValidationError(f"key mode: unknown mode {mode!r}", mode_line)
-
-    ext_raw, ext_line = get("extension", "none")
-    extension: Optional[ExtensionSpec] = None
-    if ext_raw == "track":
-        extension = ExtensionSpec(mode="track")
-    elif ext_raw == "fixed":
-        bt_raw, bt_line = get("bridge_tau")
-        be_raw, be_line = get("bridge_eps_tilde")
-        if bt_raw is None or be_raw is None:
-            raise ValidationError(
-                "extension = fixed requires bridge_tau and bridge_eps_tilde",
-                ext_line)
-        extension = ExtensionSpec(
-            mode="fixed",
-            bridge=DipolarParams(
-                eps_tilde=_parse_float(be_raw, "bridge_eps_tilde", be_line),
-                tau=_parse_float(bt_raw, "bridge_tau", bt_line, minimum=0.0)))
-    elif ext_raw != "none":
-        raise ValidationError(
-            f"key extension: expected none|track|fixed, got {ext_raw!r}", ext_line)
 
     if "18" in grid.channels and extension is None:
         raise ValidationError("channels include 18 but no extension block given")

@@ -17,10 +17,12 @@ three-node channels conjugate the Pauli words of the coupled qubits by the
 
 The closed form never builds the 16x16 or 256x256 network state; that is
 the dense path's route (`netmodel.network_channel_state`), and
-`validate_channel` compares the two.
+`require_oracle_agreement` compares a series' closed and dense stacks
+(`validate_channel` is its one-point case).
 
 `channel_states` is array-first: it evaluates a whole vector of tau at
-once as an (N, d, d) stack, and the one-point functions are its N = 1 case.
+once as an (N, d, d) stack (`closed_channel_states` for a named network
+channel), and the one-point functions are its N = 1 case.
 A sweep's CSV and events bytes must not depend on N, so every elementwise
 formula here and in `measures` rounds exactly as the per-point scalar code
 it replaced. Keep these rules when editing:
@@ -156,40 +158,48 @@ def channel_states(channel: str, pair1: XStateParams, pair2: XStateParams,
         3)
 
 
-def channel_state(channel: str, pair1: XStateParams, pair2: XStateParams,
-                  gammas, bridge_gammas=None) -> DensityMatrix:
-    """`channel_states` at one point: `gammas` (and `bridge_gammas`) are the
-    four entries g1..g4."""
-    if bridge_gammas is not None:
-        bridge_gammas = np.reshape(bridge_gammas, (4, 1))
-    return density_matrix(channel_states(channel, pair1, pair2,
-                                         np.reshape(gammas, (4, 1)),
-                                         bridge_gammas)[0])
-
-
-def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
-                         p_bridge: DipolarParams | None = None) -> DensityMatrix:
-    """Closed-form reduced state of a named channel."""
+def closed_channel_states(cfg: NetworkConfig, channel: str, eps_tilde: float,
+                          taus: np.ndarray,
+                          p_bridge: DipolarParams | None = None) -> np.ndarray:
+    """(N, d, d) closed-form states of a named channel at every tau of the
+    1-d array `taus`; channel "18" crosses a bridge coupling at `p_bridge`
+    (default: the inner coupling at each tau)."""
     bridge_gammas = None
     if channel == "18" and p_bridge is not None:
         bridge_gammas = propagator_gammas(p_bridge.eps_tilde,
                                           np.array([p_bridge.tau]))
-    return channel_state(channel, *cfg.pair_params(),
-                         propagator_gammas(p.eps_tilde, np.array([p.tau])),
-                         bridge_gammas)
+    return channel_states(channel, *cfg.pair_params(),
+                          propagator_gammas(eps_tilde, taus), bridge_gammas)
+
+
+def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
+                         p_bridge: DipolarParams | None = None) -> DensityMatrix:
+    """Closed-form reduced state of a named channel at one point."""
+    return density_matrix(closed_channel_states(
+        cfg, channel, p.eps_tilde, np.array([p.tau]), p_bridge)[0])
+
+
+def require_oracle_agreement(channel: str, closed: np.ndarray,
+                             dense: np.ndarray, eps_tilde: float, taus,
+                             tol: float = ORACLE_TOL) -> None:
+    """Assert elementwise agreement of a series' closed and dense (N, d, d)
+    state stacks; raises OracleMismatch at the first offending tau, naming
+    its largest deviation."""
+    diff = np.abs(closed - dense)
+    bad = diff.max(axis=(-2, -1)) > tol
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
+        r, c = np.unravel_index(int(diff[i].argmax()), diff.shape[1:])
+        raise OracleMismatch(channel, (int(r), int(c)), closed[i, r, c],
+                             dense[i, r, c], f"tau={float(taus[i])} eps={eps_tilde}")
 
 
 def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,
                      p_bridge: DipolarParams | None = None,
                      tol: float = ORACLE_TOL) -> DensityMatrix:
-    """Compute the closed form and assert elementwise agreement with the
-    dense path; raises OracleMismatch at the first offending coordinate."""
+    """`require_oracle_agreement` at one point; returns the closed state."""
     closed = closed_channel_state(cfg, p, channel, p_bridge)
     dense = network_channel_state(cfg, p, channel, p_bridge)
-    diff = np.abs(closed.mat - dense.mat)
-    if diff.max() > tol:
-        r, c = np.unravel_index(int(diff.argmax()), diff.shape)
-        raise OracleMismatch(channel, (int(r), int(c)),
-                             closed.mat[r, c], dense.mat[r, c],
-                             where=f"tau={p.tau} eps={p.eps_tilde}")
+    require_oracle_agreement(channel, closed.mat[None], dense.mat[None],
+                             p.eps_tilde, [p.tau], tol)
     return closed

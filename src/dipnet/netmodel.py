@@ -22,7 +22,7 @@ import numpy as np
 
 from .qmat import (BadSubsystem, ComplexMatrix, DensityMatrix, HERM_TOL,
                    NotPositive, as_complex_matrix, kron, partial_trace,
-                   require_density_stack, require_unitary)
+                   partial_trace_stack, require_density_stack, require_unitary)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -106,8 +106,6 @@ class DipolarParams:
 
     eps_tilde: float
     tau: float
-    delta: float | None = None
-    eps: float | None = None
 
     def __post_init__(self):
         if self.tau < 0:
@@ -120,12 +118,6 @@ class PropagatorCoeffs:
     r2: complex
     r3: complex
     r4: complex
-    c1: float
-    c2: float
-    c3: float
-    s1: float
-    s2: float
-    s3: float
 
     def __post_init__(self):
         norm = sum(abs(r) ** 2 for r in (self.r1, self.r2, self.r3, self.r4))
@@ -184,9 +176,7 @@ def propagator_coeffs(p: DipolarParams) -> PropagatorCoeffs:
         r1=complex(c1 * c2 * c3, -s1 * s2 * s3),
         r2=complex(c1 * s2 * s3, -c2 * c3 * s1),
         r3=complex(c2 * s1 * s3, -c1 * c3 * s2),
-        r4=complex(c3 * s1 * s2, -c1 * c2 * s3),
-        c1=float(c1), c2=float(c2), c3=float(c3),
-        s1=float(s1), s2=float(s2), s3=float(s3))
+        r4=complex(c3 * s1 * s2, -c1 * c2 * s3))
 
 
 # Factor indices into (c1, c2, c3, s1, s2, s3) of the products, taken left
@@ -326,10 +316,7 @@ def extend_to_eight(cfg: NetworkConfig, p_inner: DipolarParams,
     rho8 = kron(hop.mat, hop.mat)
     uf = _embed_two_qubit(propagator_matrix(p_bridge), 2, 4, 8)
     rho8 = uf @ rho8 @ uf.conj().T
-    t = rho8.reshape([2] * 16)
-    for q in (7, 6, 5, 3, 2, 1):
-        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
-    return DensityMatrix(t.reshape(4, 4), 2)
+    return DensityMatrix(partial_trace_stack(rho8[None], 8, (0, 4))[0], 2)
 
 
 def channel_qubits(channel: str) -> tuple[int, ...]:

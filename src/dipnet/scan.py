@@ -1,41 +1,52 @@
 """Parameter sweeps over (tau, eps_tilde) and series post-processing:
-sudden death/birth intervals, peaks, sudden slope changes."""
+sudden death/birth intervals, peaks, sudden slope changes. In every mode a
+series is one (N, d, d) state stack, built and scored by `series_values`."""
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .closedform import channel_states, validate_channel
+from .closedform import closed_channel_states, require_oracle_agreement
 from .measures import naqc_degree_stack, negativity_stack, pi_tangle_stack
 from .netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS, DipolarParams,
-                       NetworkConfig, network_channel_state, propagator_gammas)
+                       NetworkConfig, kappas, network_channel_state)
 
 ZERO_TOL = 1e-6
 PEAK_PROMINENCE_FRACTION = 0.05
 BISECTION_RESOLUTION = 1e-4
 BISECTION_MAX_ITER = 40
 MIN_TAU_STEPS = 3  # count_peaks needs both neighbours of a point
+SPACING_TOL = 1e-9  # relative spread of tau steps that still counts as uniform
 
 MODES = ("closed_form", "dense", "validate")
 QUANTIFIERS = ("negativity", "naqc", "tangle")
 
-_TWO_NODE_QUANTIFIERS = ("negativity", "naqc")
-
-
-def _pairing_valid(channel: str, quantifier: str) -> bool:
-    if channel in THREE_NODE_CHANNELS:
-        return quantifier == "tangle"
-    return quantifier in _TWO_NODE_QUANTIFIERS
-
 
 class GridError(ValueError):
-    """An invalid ScanGrid field; `keys` names the fields to blame, most
-    specific first."""
+    """An invalid ScanGrid or ExtensionSpec field; `keys` names the fields
+    to blame, most specific first."""
 
     def __init__(self, keys: tuple[str, ...], message: str):
         self.keys = keys
         super().__init__(message)
+
+
+def _require_finite_phases(eps_tilde: float, tau: float, eps_key: str,
+                           tau_key: str) -> None:
+    """GridError unless every propagator phase kappa * tau is finite. As
+    kappa_z = -2 for any eps_tilde, an overflow there is the tau's fault."""
+    tau = float(tau)
+    if all(math.isfinite(k * tau) for k in kappas(float(eps_tilde))):
+        return
+    raise GridError((tau_key,) if not math.isfinite(2.0 * tau) else (eps_key,),
+                    f"propagator phase kappa * tau is not finite at "
+                    f"eps_tilde = {eps_tilde}, tau = {tau}")
+
+
+def _uneven(steps: np.ndarray) -> bool:
+    return steps.size > 0 and steps.max() - steps.min() > SPACING_TOL * steps.max()
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,16 @@ class ScanGrid:
         for key in ("eps_values", "channels", "quantifiers"):
             if not getattr(self, key):
                 raise GridError((key,), f"{key} must be nonempty")
+        for eps in self.eps_values:
+            _require_finite_phases(eps, self.tau_max, "eps_values", "tau_max")
+        steps = np.diff(self.taus())
+        # tangle series are scanned for sudden changes, which need even steps
+        if (steps <= 0).any() or ("tangle" in self.quantifiers
+                                  and _uneven(steps)):
+            raise GridError(("tau_steps", "tau_max", "tau_min"),
+                            f"{self.tau_steps} tau points over [tau_min, "
+                            f"tau_max] are not strictly increasing (evenly, "
+                            f"for tangle) at float resolution")
         for ch in self.channels:
             if ch not in ALL_CHANNELS:
                 raise GridError(("channels",), f"unknown channel {ch!r}")
@@ -68,7 +89,8 @@ class ScanGrid:
                 raise GridError(("quantifiers",), f"unknown quantifier {q!r}")
         for ch in self.channels:
             for q in self.quantifiers:
-                if not _pairing_valid(ch, q):
+                # tangle is the three-node quantifier, and the only one
+                if (q == "tangle") != (ch in THREE_NODE_CHANNELS):
                     raise GridError(
                         ("channels", "quantifiers"),
                         f"quantifier {q!r} cannot be evaluated on channel {ch!r}")
@@ -117,11 +139,11 @@ class ExtensionSpec:
     def __post_init__(self):
         if self.mode not in ("track", "fixed"):
             raise ValueError(f"extension mode must be track or fixed, got {self.mode!r}")
-        if self.mode == "fixed" and self.bridge is None:
-            raise ValueError("fixed extension mode needs explicit bridge parameters")
-
-    def bridge_for(self, p: DipolarParams) -> DipolarParams:
-        return p if self.mode == "track" else self.bridge
+        if self.mode == "fixed":
+            if self.bridge is None:
+                raise ValueError("fixed extension mode needs explicit bridge parameters")
+            _require_finite_phases(self.bridge.eps_tilde, self.bridge.tau,
+                                   "bridge_eps_tilde", "bridge_tau")
 
 
 _QUANTIFIER_STACK = {
@@ -136,21 +158,31 @@ def _clamped(values: np.ndarray) -> np.ndarray:
     return np.where((values > -1e-10) & (values <= 0.0), 0.0, values)
 
 
-def closed_form_values(cfg: NetworkConfig, channel: str, quantifier: str,
-                       eps_tilde: float, taus: np.ndarray,
-                       extension: Optional[ExtensionSpec] = None) -> np.ndarray:
-    """The closed-form kernel: quantifier values of one (channel,
-    quantifier, eps_tilde) series at every tau of the 1-d array `taus`, as
-    one stack evaluation. `evaluate_point` is its N = 1 case."""
-    gammas = propagator_gammas(eps_tilde, taus)
-    bridge = None
+def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
+                  eps_tilde: float, taus: np.ndarray, mode: str = "closed_form",
+                  extension: Optional[ExtensionSpec] = None) -> np.ndarray:
+    """Quantifier values of one (channel, quantifier, eps_tilde) series at
+    every tau of the 1-d array `taus`, scored once as an (N, d, d) stack of
+    states: closed-form, dense, or (validate) both, required to agree, with
+    the closed one scored. `sweep` and `evaluate_point` (N = 1) evaluate
+    through here only."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    p_bridge = None
     if channel == "18":
         if extension is None:
             raise ValueError("channel 18 requires an ExtensionSpec")
         if extension.mode == "fixed":
-            bridge = propagator_gammas(extension.bridge.eps_tilde,
-                                       np.array([extension.bridge.tau]))
-    states = channel_states(channel, *cfg.pair_params(), gammas, bridge)
+            p_bridge = extension.bridge
+    if mode != "dense":
+        closed = closed_channel_states(cfg, channel, eps_tilde, taus, p_bridge)
+    if mode != "closed_form":
+        dense = np.array([network_channel_state(
+            cfg, DipolarParams(eps_tilde=eps_tilde, tau=tau), channel,
+            p_bridge).mat for tau in taus.tolist()])
+    if mode == "validate":
+        require_oracle_agreement(channel, closed, dense, eps_tilde, taus)
+    states = dense if mode == "dense" else closed
     return _clamped(_QUANTIFIER_STACK[quantifier](states))
 
 
@@ -158,45 +190,24 @@ def evaluate_point(cfg: NetworkConfig, p: DipolarParams, channel: str,
                    quantifier: str, mode: str = "closed_form",
                    extension: Optional[ExtensionSpec] = None) -> float:
     """Single quantifier value at one parameter point."""
-    if channel == "18" and extension is None:
-        raise ValueError("channel 18 requires an ExtensionSpec")
-    if mode == "closed_form":
-        return float(closed_form_values(cfg, channel, quantifier, p.eps_tilde,
-                                        np.array([p.tau]), extension)[0])
-    p_bridge = extension.bridge_for(p) if channel == "18" else None
-    if mode == "dense":
-        rho = network_channel_state(cfg, p, channel, p_bridge)
-    elif mode == "validate":
-        rho = validate_channel(cfg, p, channel, p_bridge)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return float(_clamped(_QUANTIFIER_STACK[quantifier](rho.mat[None]))[0])
+    return float(series_values(cfg, channel, quantifier, p.eps_tilde,
+                               np.array([p.tau]), mode, extension)[0])
 
 
 def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
           extension: Optional[ExtensionSpec] = None) -> list[MeasureSeries]:
-    """One series per (channel, quantifier, eps) triple, grid order. The
-    closed form evaluates each series as one stack; dense and validate
-    modes go point by point."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if "18" in grid.channels and extension is None:
-        raise ValueError("grid includes channel 18 but no ExtensionSpec given")
+    """One series per (channel, quantifier, eps) triple, grid order, each
+    evaluated as one stack."""
     taus = grid.taus()
     out = []
     for channel in grid.channels:
         for quantifier in grid.quantifiers:
             for eps in grid.eps_values:
-                if mode == "closed_form":
-                    values = closed_form_values(cfg, channel, quantifier, eps,
-                                                taus, extension).tolist()
-                else:
-                    values = [evaluate_point(
-                        cfg, DipolarParams(eps_tilde=eps, tau=tau), channel,
-                        quantifier, mode, extension) for tau in taus.tolist()]
+                values = series_values(cfg, channel, quantifier, eps, taus,
+                                       mode, extension)
                 out.append(MeasureSeries(
                     channel=channel, quantifier=quantifier, eps_tilde=eps,
-                    points=tuple(zip(taus.tolist(), values))))
+                    points=tuple(zip(taus.tolist(), values.tolist()))))
     return out
 
 
@@ -307,8 +318,7 @@ def detect_sudden_changes(series: MeasureSeries,
     slope_jump_tol * (series range); requires uniform tau spacing."""
     taus = series.tau_array()
     vals = series.values()
-    steps = np.diff(taus)
-    if steps.size and (steps.max() - steps.min()) > 1e-9 * steps.max():
+    if _uneven(np.diff(taus)):
         raise ValueError("detect_sudden_changes requires uniform tau spacing")
     rng = float(vals.max() - vals.min())
     if rng == 0.0:

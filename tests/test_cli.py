@@ -166,6 +166,8 @@ def test_python_m_entry_points(module):
     "peak_prominence = -1", "slope_jump_tol = -0.5",
     "extension = fixed\nbridge_eps_tilde = 0.1\nbridge_tau = -1",
     "extension = fixed\nbridge_tau = 1\nbridge_eps_tilde = nan",
+    "extension = fixed\nbridge_eps_tilde = 0.1\nbridge_tau = 1e308",
+    "extension = fixed\nbridge_tau = 1\nbridge_eps_tilde = 1e308",
 ], ids=lambda line: line.rsplit("\n", 1)[-1])
 def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     # the offending assignment is always the last line of the file
@@ -187,6 +189,15 @@ def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     (["eps_values = ,"], 3),
     (["channels = ,"], 3),
     (["quantifiers = ,", "tau_max = 2"], 3),
+    # propagator phases kappa * tau_max that overflow
+    (["tau_max = 1e308"], 3),
+    (["tau_max = 1e10", "eps_values = 1e300"], 4),
+    # tau points that float resolution cannot space evenly
+    (["tau_min = 1e16", "tau_max = 1.0000000000000002e16", "tau_steps = 5"],
+     5),
+    (["tau_max = 5e-324", "tau_steps = 12"], 4),
+    (["channels = 123", "quantifiers = tangle", "tau_min = 1e16",
+      "tau_max = 1.00000000000001e16", "tau_steps = 7"], 7),
 ], ids=lambda v: "|".join(v) if isinstance(v, list) else str(v))
 def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line):
     text = "name = bad\nnetwork = MM\n" + "\n".join(lines) + "\n"
@@ -194,6 +205,16 @@ def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line):
     bad.write_text(text)
     assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert f"line {bad_line}:" in capsys.readouterr().err
+
+
+def test_main_accepts_two_node_zoom_grid(tmp_path):
+    # the 1000 steps of this zoom differ by one ulp of 10, a relative
+    # spread of 1.8e-9: strictly increasing, and only tangle series (for
+    # their sudden changes) need even steps
+    zoom = tmp_path / "zoom.scn"
+    zoom.write_text("name = zoom\nnetwork = MM\ntau_min = 9.999\n"
+                    "tau_max = 10\ntau_steps = 1001\nchannels = 12\n")
+    assert main(["run", str(zoom), "--output-dir", str(tmp_path)]) == EXIT_OK
 
 
 def test_validate_subcommand_forces_mode(tmp_path):
@@ -207,7 +228,7 @@ def test_oracle_mismatch_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise OracleMismatch("12", (0, 0), 1.0, 0.0)
 
-    monkeypatch.setattr(dipnet.scan, "validate_channel", boom)
+    monkeypatch.setattr(dipnet.scan, "require_oracle_agreement", boom)
     s = parse_scenario(MINIMAL + f"output_dir = {tmp_path}\nmode = validate\n")
     assert run(s) == EXIT_ORACLE
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dipnet.closedform import (OracleMismatch, channel_state,
+from dipnet.closedform import (OracleMismatch, channel_states,
                                closed_channel_state, cross_pair_damping,
                                kept_pair_damping, validate_channel)
 from dipnet.ledger import (CAUSE_DUPLICATED_COEFF, CAUSE_MALFORMED_KETBRA,
@@ -55,8 +55,9 @@ def test_coeffs_maximally_mixed_pairs():
     mixed = XStateParams(0.0, 0.0, 0.0)
     gammas = propagator_coeffs(DipolarParams(eps_tilde=0.1, tau=0.4)).gammas()
     for channel in CLOSED_CHANNELS + ("13", "24", "18"):
-        rho = channel_state(channel, mixed, mixed, gammas)
-        assert np.abs(rho.mat - np.eye(rho.dim) / rho.dim).max() < 1e-14
+        rho = channel_states(channel, mixed, mixed,
+                             np.reshape(gammas, (4, 1)))[0]
+        assert np.abs(rho - np.eye(len(rho)) / len(rho)).max() < 1e-14
 
 
 def test_rho12_closed_no_evolution_is_singlet():
@@ -137,8 +138,9 @@ def test_closed_forms_match_dense_random_params(rng):
         net = evolve_pair(net, propagator_matrix(p), (1, 2), check=False)
         for channel in CLOSED_CHANNELS + ("13", "24"):
             dense = partial_trace(net, channel_qubits(channel))
-            closed = channel_state(channel, p1, p2, gammas)
-            assert np.abs(closed.mat - dense.mat).max() < 1e-12, channel
+            closed = channel_states(channel, p1, p2,
+                                    np.reshape(gammas, (4, 1)))[0]
+            assert np.abs(closed - dense.mat).max() < 1e-12, channel
 
 
 def test_dead_channels_are_maximally_mixed():

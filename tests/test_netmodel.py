@@ -54,8 +54,6 @@ def test_propagator_coeffs_tau_pi_eps_zero():
     pc = propagator_coeffs(DipolarParams(eps_tilde=0.0, tau=np.pi))
     assert abs(pc.r1 - 1.0) < 1e-12
     assert max(abs(pc.r2), abs(pc.r3), abs(pc.r4)) < 1e-12
-    assert abs(pc.c1 + 1) < 1e-12 and abs(pc.c2 + 1) < 1e-12
-    assert abs(pc.c3 - 1) < 1e-12
 
 
 def test_propagator_coeffs_normalization():

@@ -2,29 +2,36 @@
 (any kind, x1 != x2), couplings and tau vectors.
 
  - A sweep's stack evaluation equals `evaluate_point` (its N = 1 case)
-   exactly, on every two- and three-node channel and both bridge modes.
+   exactly, in every mode, on every two- and three-node channel and both
+   bridge modes.
  - The stack quantifiers on a stack of dense states equal the scalar ones.
  - The analytic Bell-diagonal negativity and NAQC of the dense state agree
    with the kernel to 1e-12 (an oracle independent of both its state
    assembly and its quantifiers).
  - The stack validator raises what DensityMatrix raises for a bad matrix.
+ - Any scenario text (tiny grids) gives exit 0 or 2 from `dipnet run`:
+   every invalid input is a parse error, never a compute error.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dipnet.cli import _KNOWN_KEYS, main
 from dipnet.measures import (NAQC_CRITICAL, NAQC_MAX, naqc_degree,
                              naqc_degree_stack, negativity, negativity_stack,
                              pi_tangle, pi_tangle_stack)
-from dipnet.netmodel import (XX, YY, ZZ, DipolarParams, NetworkConfig,
-                             bell_weights, network_channel_state)
+from dipnet.netmodel import (ALL_CHANNELS, XX, YY, ZZ, DipolarParams,
+                             NetworkConfig, bell_weights,
+                             network_channel_state)
 from dipnet.qmat import (DensityMatrix, NotHermitian, NotPositive,
                          require_density_stack)
-from dipnet.scan import (ExtensionSpec, ScanGrid, closed_form_values,
-                         evaluate_point, sweep)
+from dipnet.scan import (MODES, QUANTIFIERS, ExtensionSpec, ScanGrid,
+                         evaluate_point, series_values, sweep)
 
 from conftest import ginibre_density
 
@@ -59,6 +66,15 @@ series_kinds = st.one_of(
     st.tuples(st.sampled_from(THREE_NODE), st.just("tangle")))
 
 
+def _assert_sweep_equals_points(cfg, grid, mode, ext):
+    for series in sweep(cfg, grid, mode, ext):
+        for t, value in series.points:
+            p = DipolarParams(eps_tilde=series.eps_tilde, tau=t)
+            assert value == evaluate_point(cfg, p, series.channel,
+                                           series.quantifier, mode,
+                                           ext), (t, value)
+
+
 @PROPERTY
 @given(cfg=networks(), kind=series_kinds, ext=extensions(),
        tau_min=st.floats(0.0, 10.0), span=st.floats(1e-3, 10.0),
@@ -68,11 +84,22 @@ def test_sweep_equals_evaluate_point(cfg, kind, ext, tau_min, span, steps, eps):
     grid = ScanGrid(tau_min=tau_min, tau_max=tau_min + span, tau_steps=steps,
                     eps_values=tuple(eps), channels=(channel,),
                     quantifiers=(quantifier,))
-    for series in sweep(cfg, grid, extension=ext):
-        for t, value in series.points:
-            p = DipolarParams(eps_tilde=series.eps_tilde, tau=t)
-            assert value == evaluate_point(cfg, p, channel, quantifier,
-                                           extension=ext), (t, value)
+    _assert_sweep_equals_points(cfg, grid, "closed_form", ext)
+
+
+@pytest.mark.parametrize("mode", ["dense", "validate"])
+@PROPERTY
+@given(cfg=networks(), kind=series_kinds, ext=extensions(),
+       tau_min=st.floats(0.0, 10.0), span=st.floats(1e-3, 10.0),
+       steps=st.integers(3, 4), eps=st.lists(eps_tilde, min_size=1, max_size=2))
+def test_oracle_sweep_equals_evaluate_point(mode, cfg, kind, ext, tau_min,
+                                            span, steps, eps):
+    # the dense route costs up to 20 ms a point on channel 18: small grids
+    channel, quantifier = kind
+    grid = ScanGrid(tau_min=tau_min, tau_max=tau_min + span, tau_steps=steps,
+                    eps_values=tuple(eps), channels=(channel,),
+                    quantifiers=(quantifier,))
+    _assert_sweep_equals_points(cfg, grid, mode, ext)
 
 
 @PROPERTY
@@ -81,8 +108,8 @@ def test_sweep_equals_evaluate_point(cfg, kind, ext, tau_min, span, steps, eps):
 def test_kernel_on_any_tau_vector_equals_points(cfg, kind, ext, eps, taus):
     # unsorted and repeated taus included
     channel, quantifier = kind
-    values = closed_form_values(cfg, channel, quantifier, eps, np.array(taus),
-                                ext)
+    values = series_values(cfg, channel, quantifier, eps, np.array(taus),
+                           extension=ext)
     points = [evaluate_point(cfg, DipolarParams(eps_tilde=eps, tau=t), channel,
                              quantifier, extension=ext) for t in taus]
     assert values.tolist() == points
@@ -123,10 +150,9 @@ def _bell_diagonal_oracle(rho: DensityMatrix, quantifier: str) -> float:
        eps=eps_tilde, t=tau)
 def test_analytic_bell_diagonal_oracle(cfg, channel, quantifier, ext, eps, t):
     p = DipolarParams(eps_tilde=eps, tau=t)
-    bridge = ext.bridge_for(p) if channel == "18" else None
-    dense = network_channel_state(cfg, p, channel, bridge)
-    kernel = closed_form_values(cfg, channel, quantifier, eps, np.array([t]),
-                                ext)[0]
+    dense = network_channel_state(cfg, p, channel, ext.bridge)
+    kernel = series_values(cfg, channel, quantifier, eps, np.array([t]),
+                           extension=ext)[0]
     assert math.isclose(kernel, _bell_diagonal_oracle(dense, quantifier),
                         rel_tol=0.0, abs_tol=1e-12)
 
@@ -167,3 +193,52 @@ def test_stack_validator_matches_density_matrix(seed, nqubits, size, data,
     assert type(single.value) is EXPECTED[defect]
     assert type(stacked.value) is type(single.value)
     assert str(stacked.value) == str(single.value)
+
+
+# scenario values: extremes the float parser accepts, and junk
+NUMBERS = ("0", "0.1", "-0.2", "1", "10", "1e10", "1e16",
+           "1.0000000000000002e16", "1e300", "1e308", "-1e308", "5e-324")
+JUNK = ("nan", "inf", "-inf", "-1", ",", "bogus")
+
+
+def _listed(words):
+    return st.lists(st.sampled_from(words), min_size=1,
+                    max_size=2).map(",".join)
+
+
+VALUES = {
+    "name": st.sampled_from(("fz", "nan")),
+    "network": st.sampled_from(("MM", "WW", "MW")),
+    "tau_steps": st.sampled_from(("3", "5", "7")),
+    "eps_values": _listed(NUMBERS),
+    "channels": _listed(ALL_CHANNELS),
+    "quantifiers": _listed(QUANTIFIERS),
+    "mode": st.sampled_from(MODES),
+    "extension": st.sampled_from(("none", "track", "fixed")),
+    "emit_plot_script": st.sampled_from(("yes", "no")),
+}
+
+
+@st.composite
+def scenario_texts(draw):
+    # tau_steps and eps_values are always set, so every grid stays tiny
+    keys = draw(st.sets(st.sampled_from(sorted(_KNOWN_KEYS))))
+    keys |= {"tau_steps", "eps_values"}
+    if draw(st.integers(0, 3)):
+        keys |= {"name", "network"}
+    lines = []
+    for key in draw(st.permutations(sorted(keys))):
+        value = draw(st.one_of(VALUES.get(key, st.sampled_from(NUMBERS)),
+                               st.sampled_from(JUNK)))
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(PROPERTY, max_examples=300)
+@given(text=scenario_texts())
+def test_any_scenario_text_exits_0_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scn"
+        path.write_text(text)
+        code = main(["run", str(path), "--output-dir", str(Path(tmp) / "out")])
+    assert code in (0, 2), text
