@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 compute error,
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -70,6 +71,10 @@ _KNOWN_KEYS = {
 _BOOL_WORDS = {"yes": True, "true": True, "1": True,
                "no": False, "false": False, "0": False}
 
+# a name becomes file names in the output directory, the CSV's first column
+# and quoted gnuplot strings: no separators, commas, quotes or leading dots
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]*")
+
 
 def _parse_float(raw: str, key: str, line: int,
                  minimum: Optional[float] = None) -> float:
@@ -124,6 +129,9 @@ def parse_scenario(text: str) -> Scenario:
     name, line = get("name")
     if name is None or not name:
         raise ValidationError("missing required key 'name'")
+    if not _NAME.fullmatch(name):
+        raise ValidationError(f"key name: {name!r} does not match "
+                              f"{_NAME.pattern}", line)
 
     kind, line = get("network")
     if kind is None:
@@ -151,6 +159,11 @@ def parse_scenario(text: str) -> Scenario:
     ext_raw, ext_line = get("extension", "none")
     bt_raw, bt_line = get("bridge_tau")
     be_raw, be_line = get("bridge_eps_tilde")
+    if ext_raw in ("none", "track"):
+        for key in ("bridge_tau", "bridge_eps_tilde"):
+            if key in raw:
+                raise ValidationError(f"key {key}: only extension = fixed "
+                                      f"takes bridge parameters", raw[key][1])
     extension: Optional[ExtensionSpec] = None
     try:
         grid = ScanGrid(

@@ -137,8 +137,9 @@ def channel_states(channel: str, pair1: XStateParams, pair2: XStateParams,
     """(N, d, d) closed-form states of a channel, one per column of the
     (4, N) propagator entries `gammas`, for any two Pauli-diagonal pairs;
     channel "18" crosses a bridge coupling with entries `bridge_gammas`
-    (4, N) or (4, 1) (default: `gammas`). Every assembled state is
-    validated; channels "13" and "24" are the constant I/4."""
+    (4, N) or (4, 1) (default: `gammas`). Channels "13" and "24" are the
+    constant I/4. Only the Pauli pairs' Bell weights are checked here; the
+    callers validate the assembled states."""
     if channel == "18":
         ex, ey, ez = cross_pair_damping(gammas)
         bx, by, bz = cross_pair_damping(
@@ -153,17 +154,13 @@ def channel_states(channel: str, pair1: XStateParams, pair2: XStateParams,
         params = (pair1, pair2)[pair]
         dx, dy, dz = damping(gammas)
         return x_states(params.a * dx, params.b * dy, params.c * dz)
-    return require_density_stack(
-        _three_node_states(channel, _weights(pair1), _weights(pair2), gammas),
-        3)
+    return _three_node_states(channel, _weights(pair1), _weights(pair2),
+                              gammas)
 
 
-def closed_channel_states(cfg: NetworkConfig, channel: str, eps_tilde: float,
-                          taus: np.ndarray,
-                          p_bridge: DipolarParams | None = None) -> np.ndarray:
-    """(N, d, d) closed-form states of a named channel at every tau of the
-    1-d array `taus`; channel "18" crosses a bridge coupling at `p_bridge`
-    (default: the inner coupling at each tau)."""
+def _assembled_states(cfg: NetworkConfig, channel: str, eps_tilde: float,
+                      taus: np.ndarray,
+                      p_bridge: DipolarParams | None) -> np.ndarray:
     bridge_gammas = None
     if channel == "18" and p_bridge is not None:
         bridge_gammas = propagator_gammas(p_bridge.eps_tilde,
@@ -172,21 +169,31 @@ def closed_channel_states(cfg: NetworkConfig, channel: str, eps_tilde: float,
                           propagator_gammas(eps_tilde, taus), bridge_gammas)
 
 
+def closed_channel_states(cfg: NetworkConfig, channel: str, eps_tilde: float,
+                          taus: np.ndarray,
+                          p_bridge: DipolarParams | None = None) -> np.ndarray:
+    """(N, d, d) closed-form states of a named channel at every tau of the
+    1-d array `taus`, validated as one stack; channel "18" crosses a bridge
+    coupling at `p_bridge` (default: the inner coupling at each tau)."""
+    states = _assembled_states(cfg, channel, eps_tilde, taus, p_bridge)
+    return require_density_stack(states, states.shape[-1].bit_length() - 1)
+
+
 def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
                          p_bridge: DipolarParams | None = None) -> DensityMatrix:
     """Closed-form reduced state of a named channel at one point."""
-    return density_matrix(closed_channel_states(
+    return density_matrix(_assembled_states(
         cfg, channel, p.eps_tilde, np.array([p.tau]), p_bridge)[0])
 
 
 def require_oracle_agreement(channel: str, closed: np.ndarray,
-                             dense: np.ndarray, eps_tilde: float, taus,
-                             tol: float = ORACLE_TOL) -> None:
-    """Assert elementwise agreement of a series' closed and dense (N, d, d)
-    state stacks; raises OracleMismatch at the first offending tau, naming
-    its largest deviation."""
+                             dense: np.ndarray, eps_tilde: float,
+                             taus) -> None:
+    """Assert elementwise agreement, within ORACLE_TOL, of a series' closed
+    and dense (N, d, d) state stacks; raises OracleMismatch at the first
+    offending tau, naming its largest deviation."""
     diff = np.abs(closed - dense)
-    bad = diff.max(axis=(-2, -1)) > tol
+    bad = diff.max(axis=(-2, -1)) > ORACLE_TOL
     if np.count_nonzero(bad):
         i = int(bad.argmax())
         r, c = np.unravel_index(int(diff[i].argmax()), diff.shape[1:])
@@ -195,11 +202,10 @@ def require_oracle_agreement(channel: str, closed: np.ndarray,
 
 
 def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,
-                     p_bridge: DipolarParams | None = None,
-                     tol: float = ORACLE_TOL) -> DensityMatrix:
+                     p_bridge: DipolarParams | None = None) -> DensityMatrix:
     """`require_oracle_agreement` at one point; returns the closed state."""
     closed = closed_channel_state(cfg, p, channel, p_bridge)
     dense = network_channel_state(cfg, p, channel, p_bridge)
     require_oracle_agreement(channel, closed.mat[None], dense.mat[None],
-                             p.eps_tilde, [p.tau], tol)
+                             p.eps_tilde, [p.tau])
     return closed

@@ -68,12 +68,12 @@ def _printed_malformed_diag(pair1: XStateParams, pair2: XStateParams,
             + A1 * B4 * cc(2, 3) + A1 * B3 * cc(1, 4))
 
 
-def typo_ledger(p: DipolarParams = LEDGER_REFERENCE) -> list[LedgerEntry]:
+def typo_ledger() -> list[LedgerEntry]:
     """Per-coordinate repairs of the printed formulas, evaluated at the
-    reference point in the source's own pair convention."""
+    reference point LEDGER_REFERENCE in the source's own pair convention."""
     pair = SOURCE_FRAME_MAX_ENTANGLED
-    pc = propagator_coeffs(p)
-    u = propagator_matrix(p)
+    pc = propagator_coeffs(LEDGER_REFERENCE)
+    u = propagator_matrix(LEDGER_REFERENCE)
     rho0 = kron(x_state(pair).mat, x_state(pair).mat)
     uf = np.kron(np.kron(np.eye(2, dtype=complex), u), np.eye(2, dtype=complex))
     rho_t = DensityMatrix(uf @ rho0 @ uf.conj().T, 4)
@@ -135,10 +135,11 @@ REPORT_NOTES = """\
 """
 
 
-def render_typo_report(p: DipolarParams = LEDGER_REFERENCE) -> str:
-    lines = [REPORT_NOTES.format(tau=p.tau, eps=p.eps_tilde)]
+def render_typo_report() -> str:
+    lines = [REPORT_NOTES.format(tau=LEDGER_REFERENCE.tau,
+                                 eps=LEDGER_REFERENCE.eps_tilde)]
     lines.append("channel row col printed oracle cause")
-    for e in typo_ledger(p):
+    for e in typo_ledger():
         lines.append(
             f"{e.channel} {e.row} {e.col} "
             f"{e.printed_value.real:+.9f}{e.printed_value.imag:+.9f}j "

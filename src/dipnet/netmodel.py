@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import (BadSubsystem, ComplexMatrix, DensityMatrix, HERM_TOL,
-                   NotPositive, as_complex_matrix, kron, partial_trace,
-                   partial_trace_stack, require_density_stack, require_unitary)
+from .qmat import (BadSubsystem, ComplexMatrix, DensityMatrix, NotPositive,
+                   as_complex_matrix, kron, partial_trace, partial_trace_stack,
+                   require_unitary)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -235,7 +235,10 @@ def propagator_matrix(p: DipolarParams) -> ComplexMatrix:
                                         (4, 1)))[0]
 
 
-def _x_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def x_states(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) stack of Pauli-diagonal states 1/4 (I + a XX + b YY + c ZZ)
+    from 1-d coefficient arrays; every element's Bell weights are checked,
+    the density invariants are left to the caller."""
     _require_bell_weights(a, b, c)
     return 0.25 * (IDENTITY_4
                    + a[:, None, None] * XX
@@ -243,17 +246,10 @@ def _x_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
                    + c[:, None, None] * ZZ)
 
 
-def x_states(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(N, 4, 4) stack of Pauli-diagonal states 1/4 (I + a XX + b YY + c ZZ)
-    from 1-d coefficient arrays; every element's Bell weights and density
-    invariants are checked."""
-    return require_density_stack(_x_matrices(a, b, c), 2)
-
-
 def x_state(params: XStateParams) -> DensityMatrix:
     """Two-qubit Pauli-diagonal state 1/4 (I + a XX + b YY + c ZZ)."""
-    m = _x_matrices(*(np.array([x], dtype=float)
-                      for x in (params.a, params.b, params.c)))
+    m = x_states(*(np.array([x], dtype=float)
+                   for x in (params.a, params.b, params.c)))
     return DensityMatrix(m[0], 2)
 
 
@@ -279,25 +275,24 @@ def _embed_two_qubit(u: ComplexMatrix, i: int, j: int, n: int) -> ComplexMatrix:
     return full.transpose(out_axes + in_axes).reshape(2 ** n, 2 ** n)
 
 
-def evolve_pair(rho: DensityMatrix, u: ComplexMatrix, qubits: tuple[int, int],
-                check: bool = True) -> DensityMatrix:
-    """Conjugate rho by u acting on the ordered qubit pair (i, j)."""
+def evolve_pair(rho: DensityMatrix, u: ComplexMatrix,
+                qubits: tuple[int, int]) -> DensityMatrix:
+    """Conjugate rho by the 4x4 unitary u acting on the ordered qubit pair
+    (i, j); u is checked for unitarity."""
     i, j = qubits
     if not (0 <= i < j < rho.nqubits):
         raise BadSubsystem(f"need 0 <= i < j < {rho.nqubits}, got {(i, j)}")
     u = as_complex_matrix(u)
     if u.shape != (4, 4):
         raise BadSubsystem(f"expected a 4x4 unitary, got shape {u.shape}")
-    if check:
-        require_unitary(u, HERM_TOL)
+    require_unitary(u)
     uf = _embed_two_qubit(u, i, j, rho.nqubits)
     return DensityMatrix(uf @ rho.mat @ uf.conj().T, rho.nqubits)
 
 
 def evolved_network(cfg: NetworkConfig, p: DipolarParams) -> DensityMatrix:
     """Initial network evolved by the dipolar coupling on qubits (1, 2)."""
-    return evolve_pair(initial_network(cfg), propagator_matrix(p), (1, 2),
-                       check=False)
+    return evolve_pair(initial_network(cfg), propagator_matrix(p), (1, 2))
 
 
 def extend_to_eight(cfg: NetworkConfig, p_inner: DipolarParams,

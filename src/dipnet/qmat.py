@@ -46,22 +46,21 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
     return mats.conj().swapaxes(-1, -2)
 
 
-def require_hermitian_stack(mats: np.ndarray,
-                            tol: float = TRACE_TOL) -> np.ndarray:
-    """Check every matrix of an (N, d, d) stack for Hermiticity within tol;
-    the lowest-index offender raises NotHermitian."""
+def require_hermitian_stack(mats: np.ndarray) -> np.ndarray:
+    """Check every matrix of an (N, d, d) stack for Hermiticity within
+    TRACE_TOL; the lowest-index offender raises NotHermitian."""
     dev = np.abs(mats - _adjoint(mats))
-    if np.count_nonzero(dev > tol):
+    if np.count_nonzero(dev > TRACE_TOL):
         dev = dev.max(axis=(-2, -1))
-        i = int((dev > tol).argmax())
+        i = int((dev > TRACE_TOL).argmax())
         raise NotHermitian(
-            f"Hermitian deviation {dev[i]:.3e} exceeds {tol:.1e}")
+            f"Hermitian deviation {dev[i]:.3e} exceeds {TRACE_TOL:.1e}")
     return mats
 
 
-def require_hermitian(m: ComplexMatrix, tol: float = TRACE_TOL) -> ComplexMatrix:
+def require_hermitian(m: ComplexMatrix) -> ComplexMatrix:
     m = as_complex_matrix(m)
-    require_hermitian_stack(m[None], tol)
+    require_hermitian_stack(m[None])
     return m
 
 
@@ -118,15 +117,13 @@ class DensityMatrix:
         return 2 ** self.nqubits
 
 
-def density_matrix(mat, nqubits: int | None = None) -> DensityMatrix:
+def density_matrix(mat) -> DensityMatrix:
     """Build a DensityMatrix, inferring the qubit count from the dimension."""
     m = as_complex_matrix(mat)
-    if nqubits is None:
-        n = int(round(np.log2(m.shape[0])))
-        if 2 ** n != m.shape[0]:
-            raise ValueError(f"dim {m.shape[0]} is not a power of two")
-        nqubits = n
-    return DensityMatrix(m, nqubits)
+    n = int(round(np.log2(m.shape[0])))
+    if 2 ** n != m.shape[0]:
+        raise ValueError(f"dim {m.shape[0]} is not a power of two")
+    return DensityMatrix(m, n)
 
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
@@ -134,33 +131,21 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
-def hermitian_eigenvalues(a: ComplexMatrix, check_tol: float = TRACE_TOL,
-                          verify: bool = False) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    With verify=True an explicit backward-error pass checks every
-    eigenpair residual ||a v - w v|| against 1e-10 * ||a||.
-    """
-    a = require_hermitian(a, check_tol)
-    if not verify:
-        return np.linalg.eigvalsh(a)
-    w, v = np.linalg.eigh(a)
-    scale = max(float(np.abs(a).max()), 1.0)
-    resid = np.abs(a @ v - v * w).max()
-    if resid > 1e-10 * scale:
-        raise ArithmeticError(f"eigenpair backward error {resid:.3e} too large")
-    return w
+def hermitian_eigenvalues(a: ComplexMatrix) -> np.ndarray:
+    """Ascending real eigenvalues (`eigvalsh`) of a matrix that is Hermitian
+    within TRACE_TOL; any other matrix raises NotHermitian."""
+    return np.linalg.eigvalsh(require_hermitian(a))
 
 
-def trace_norm_stack(mats: np.ndarray, check_tol: float = TRACE_TOL) -> np.ndarray:
+def trace_norm_stack(mats: np.ndarray) -> np.ndarray:
     """Sum of |eigenvalues| of every Hermitian matrix of an (N, d, d) stack."""
-    require_hermitian_stack(mats, check_tol)
+    require_hermitian_stack(mats)
     return np.abs(np.linalg.eigvalsh(mats)).sum(axis=-1)
 
 
-def trace_norm(a: ComplexMatrix, check_tol: float = TRACE_TOL) -> float:
+def trace_norm(a: ComplexMatrix) -> float:
     """Sum of |eigenvalues| of a Hermitian matrix (its trace norm)."""
-    return float(trace_norm_stack(as_complex_matrix(a)[None], check_tol)[0])
+    return float(trace_norm_stack(as_complex_matrix(a)[None])[0])
 
 
 def _check_keep(indices, nqubits: int, require_sorted: bool) -> tuple:
@@ -215,17 +200,17 @@ def partial_transpose(rho: DensityMatrix, subsystem) -> ComplexMatrix:
     return partial_transpose_stack(rho.mat[None], rho.nqubits, subsystem)[0]
 
 
-def matrix_exp_hermitian(h: ComplexMatrix, t: float,
-                         check_tol: float = TRACE_TOL) -> ComplexMatrix:
+def matrix_exp_hermitian(h: ComplexMatrix, t: float) -> ComplexMatrix:
     """exp(-i h t) for Hermitian h via spectral decomposition; unitary."""
-    h = require_hermitian(h, check_tol)
+    h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def require_unitary(u: ComplexMatrix, tol: float = HERM_TOL) -> ComplexMatrix:
+def require_unitary(u: ComplexMatrix) -> ComplexMatrix:
+    """NotUnitary unless u u^+ equals the identity within HERM_TOL."""
     u = as_complex_matrix(u)
     dev = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
-    if dev > tol:
-        raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERM_TOL:
+        raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
     return u

@@ -131,7 +131,8 @@ class EventRecord:
 @dataclass(frozen=True)
 class ExtensionSpec:
     """Bridge coupling for channel "18": either tracking the swept inner
-    parameters or fixed at an explicit (tau, eps_tilde)."""
+    parameters (no `bridge` given) or fixed at an explicit (tau,
+    eps_tilde)."""
 
     mode: str = "track"
     bridge: Optional[DipolarParams] = None
@@ -144,6 +145,9 @@ class ExtensionSpec:
                 raise ValueError("fixed extension mode needs explicit bridge parameters")
             _require_finite_phases(self.bridge.eps_tilde, self.bridge.tau,
                                    "bridge_eps_tilde", "bridge_tau")
+        elif self.bridge is not None:
+            raise ValueError("track extension mode couples the bridge to the "
+                             "swept parameters and takes no bridge parameters")
 
 
 _QUANTIFIER_STACK = {
@@ -222,10 +226,10 @@ def series_evaluator(cfg: NetworkConfig, series: MeasureSeries,
     return fn
 
 
-def _bisect_crossing(fn: Callable[[float], float], lo: float, hi: float,
-                     tol: float) -> float:
-    """tau where fn crosses `tol` inside (lo, hi), to BISECTION_RESOLUTION."""
-    f_lo = fn(lo) - tol
+def _bisect_crossing(fn: Callable[[float], float], lo: float, f_lo: float,
+                     hi: float, tol: float) -> float:
+    """tau where fn crosses `tol` inside (lo, hi), to BISECTION_RESOLUTION;
+    f_lo is the known value fn(lo) - tol."""
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= BISECTION_RESOLUTION:
             break
@@ -243,7 +247,9 @@ def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
                           ) -> list[EventRecord]:
     """Maximal runs of values <= zero_tol become death intervals; the first
     point above zero_tol after a run is a birth. With a quantifier callable
-    the interval edges are refined by bisection."""
+    the interval edges are refined by bisection. The callable must equal
+    the series at its taus (as `series_evaluator` does): each bracket's grid
+    end is read from the series, so the callable never runs at a grid tau."""
     if not series.points:
         raise ValueError("series is empty")
     taus = series.tau_array()
@@ -261,9 +267,11 @@ def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
             j += 1
         start, end = float(taus[i]), float(taus[j])
         if quantifier is not None and i > 0:
-            start = _bisect_crossing(quantifier, float(taus[i - 1]), start, zero_tol)
+            start = _bisect_crossing(quantifier, float(taus[i - 1]),
+                                     vals[i - 1] - zero_tol, start, zero_tol)
         if quantifier is not None and j + 1 < n:
-            end = _bisect_crossing(quantifier, end, float(taus[j + 1]), zero_tol)
+            end = _bisect_crossing(quantifier, end, vals[j] - zero_tol,
+                                   float(taus[j + 1]), zero_tol)
         events.append(EventRecord(kind="death", tau=start, value=float(vals[i]),
                                   interval_end=end))
         if j + 1 < n:

@@ -168,6 +168,9 @@ def test_python_m_entry_points(module):
     "extension = fixed\nbridge_tau = 1\nbridge_eps_tilde = nan",
     "extension = fixed\nbridge_eps_tilde = 0.1\nbridge_tau = 1e308",
     "extension = fixed\nbridge_tau = 1\nbridge_eps_tilde = 1e308",
+    # only extension = fixed reads the bridge keys; elsewhere they are inert
+    "extension = track\nbridge_tau = bogus", "bridge_eps_tilde = 0.1",
+    "channels = 18\nquantifiers = naqc\nextension = track\nbridge_tau = 0.5",
 ], ids=lambda line: line.rsplit("\n", 1)[-1])
 def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     # the offending assignment is always the last line of the file
@@ -205,6 +208,17 @@ def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line):
     bad.write_text(text)
     assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert f"line {bad_line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["a/b", "../escaped", "a,b", "it's"])
+def test_main_refuses_unsafe_names(tmp_path, capsys, name):
+    # the name becomes file names, the CSV's first column and gnuplot quotes
+    scenario = tmp_path / "bad.scn"
+    scenario.write_text(MINIMAL.replace("name = tiny", f"name = {name}"))
+    out = tmp_path / "out" / "sub"
+    assert main(["run", str(scenario), "--output-dir", str(out)]) == EXIT_USAGE
+    assert "line 2: key name:" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scenario]
 
 
 def test_main_accepts_two_node_zoom_grid(tmp_path):

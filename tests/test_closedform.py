@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import dipnet.closedform
+import dipnet.netmodel
+import dipnet.qmat
 from dipnet.closedform import (OracleMismatch, channel_states,
-                               closed_channel_state, cross_pair_damping,
-                               kept_pair_damping, validate_channel)
+                               closed_channel_state, closed_channel_states,
+                               cross_pair_damping, kept_pair_damping,
+                               require_oracle_agreement, validate_channel)
 from dipnet.ledger import (CAUSE_DUPLICATED_COEFF, CAUSE_MALFORMED_KETBRA,
                            render_typo_report, typo_ledger)
 from dipnet.measures import pi_tangle
@@ -11,7 +15,7 @@ from dipnet.netmodel import (PAULIS, DipolarParams, NetworkConfig,
                              XStateParams, channel_qubits, evolve_pair,
                              extend_to_eight, network_channel_state,
                              propagator_coeffs, propagator_matrix, x_state)
-from dipnet.qmat import DensityMatrix, kron, partial_trace
+from dipnet.qmat import ORACLE_TOL, DensityMatrix, kron, partial_trace
 
 MM = NetworkConfig("MM")
 WW = NetworkConfig("WW", werner_x1=0.7, werner_x2=0.7)
@@ -135,7 +139,7 @@ def test_closed_forms_match_dense_random_params(rng):
                           tau=float(rng.uniform(0.0, 8.0)))
         gammas = propagator_coeffs(p).gammas()
         net = DensityMatrix(kron(x_state(p1).mat, x_state(p2).mat), 4)
-        net = evolve_pair(net, propagator_matrix(p), (1, 2), check=False)
+        net = evolve_pair(net, propagator_matrix(p), (1, 2))
         for channel in CLOSED_CHANNELS + ("13", "24"):
             dense = partial_trace(net, channel_qubits(channel))
             closed = channel_states(channel, p1, p2,
@@ -185,9 +189,32 @@ def test_rho18_closed_matches_dense(cfg):
 
 def test_validate_channel_passes_and_raises():
     p = DipolarParams(eps_tilde=0.3, tau=0.7)
-    validate_channel(MM, p, "12")
-    with pytest.raises(OracleMismatch):
-        validate_channel(MM, p, "12", tol=-1.0)
+    closed = validate_channel(MM, p, "12")
+    dense = network_channel_state(MM, p, "12").mat.copy()
+    dense[1, 2] += 2 * ORACLE_TOL
+    with pytest.raises(OracleMismatch) as err:
+        require_oracle_agreement("12", closed.mat[None], dense[None],
+                                 p.eps_tilde, [p.tau])
+    assert err.value.coord == (1, 2)
+
+
+@pytest.mark.parametrize("channel", ["12", "14", "18", "123", "234"])
+def test_closed_states_are_validated_once(monkeypatch, channel):
+    calls = []
+    validate = dipnet.qmat.require_density_stack
+
+    def spy(mats, nqubits):
+        calls.append(nqubits)
+        return validate(mats, nqubits)
+
+    for module in (dipnet.qmat, dipnet.netmodel, dipnet.closedform):
+        monkeypatch.setattr(module, "require_density_stack", spy,
+                            raising=False)
+    p = DipolarParams(eps_tilde=0.17, tau=0.83)
+    closed_channel_state(WW, p, channel, p)
+    assert len(calls) == 1
+    closed_channel_states(WW, channel, p.eps_tilde, np.array([0.1, p.tau]), p)
+    assert len(calls) == 2
 
 
 def test_typo_ledger_contents():

@@ -9,6 +9,8 @@
    with the kernel to 1e-12 (an oracle independent of both its state
    assembly and its quantifiers).
  - The stack validator raises what DensityMatrix raises for a bad matrix.
+ - The propagator obeys the group law U(t1) U(t2) = U(t1 + t2) and is
+   unitary, on the dense route and the closed (vectorised) one.
  - Any scenario text (tiny grids) gives exit 0 or 2 from `dipnet run`:
    every invalid input is a parse error, never a compute error.
 """
@@ -26,8 +28,9 @@ from dipnet.measures import (NAQC_CRITICAL, NAQC_MAX, naqc_degree,
                              naqc_degree_stack, negativity, negativity_stack,
                              pi_tangle, pi_tangle_stack)
 from dipnet.netmodel import (ALL_CHANNELS, XX, YY, ZZ, DipolarParams,
-                             NetworkConfig, bell_weights,
-                             network_channel_state)
+                             NetworkConfig, bell_weights, coupling_matrices,
+                             network_channel_state, propagator_gammas,
+                             propagator_matrix)
 from dipnet.qmat import (DensityMatrix, NotHermitian, NotPositive,
                          require_density_stack)
 from dipnet.scan import (MODES, QUANTIFIERS, ExtensionSpec, ScanGrid,
@@ -195,6 +198,20 @@ def test_stack_validator_matches_density_matrix(seed, nqubits, size, data,
     assert str(stacked.value) == str(single.value)
 
 
+@PROPERTY
+@given(eps=st.floats(-1.0, 1.0), t1=st.floats(0.0, 10.0),
+       t2=st.floats(0.0, 10.0))
+def test_propagator_group_law(eps, t1, t2):
+    taus = (t1, t2, t1 + t2)
+    dense = [propagator_matrix(DipolarParams(eps_tilde=eps, tau=t))
+             for t in taus]
+    closed = coupling_matrices(propagator_gammas(eps, np.array(taus)))
+    for u1, u2, u12 in (dense, closed):
+        assert np.abs(u1 @ u2 - u12).max() < 1e-10
+        for u in (u1, u2, u12):
+            assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
+
+
 # scenario values: extremes the float parser accepts, and junk
 NUMBERS = ("0", "0.1", "-0.2", "1", "10", "1e10", "1e16",
            "1.0000000000000002e16", "1e300", "1e308", "-1e308", "5e-324")
@@ -207,7 +224,9 @@ def _listed(words):
 
 
 VALUES = {
-    "name": st.sampled_from(("fz", "nan")),
+    # the last four escape the output directory or break CSV/gnuplot text
+    "name": st.sampled_from(("fz", "nan", "a/b", "../escaped", "a,b",
+                             "it's")),
     "network": st.sampled_from(("MM", "WW", "MW")),
     "tau_steps": st.sampled_from(("3", "5", "7")),
     "eps_values": _listed(NUMBERS),

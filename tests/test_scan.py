@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dipnet.netmodel import DipolarParams, NetworkConfig
-from dipnet.scan import (ExtensionSpec, MeasureSeries, ScanGrid, count_peaks,
-                         detect_sudden_changes, detect_zero_intervals,
-                         evaluate_point, series_evaluator, series_values,
-                         sweep)
+from dipnet.scan import (ZERO_TOL, ExtensionSpec, MeasureSeries, ScanGrid,
+                         count_peaks, detect_sudden_changes,
+                         detect_zero_intervals, evaluate_point,
+                         series_evaluator, series_values, sweep)
 
 MM = NetworkConfig("MM")
 
@@ -104,6 +104,13 @@ def test_sweep_channel_18_needs_extension():
     assert out[0].points[0][1] == 0.0
 
 
+def test_track_extension_refuses_a_bridge():
+    # track mode couples the bridge to the swept parameters; a given bridge
+    # would be ignored
+    with pytest.raises(ValueError, match="track"):
+        ExtensionSpec("track", bridge=DipolarParams(eps_tilde=0.1, tau=0.5))
+
+
 def test_sweep_matches_single_point_evaluation():
     grid = ScanGrid(tau_max=2.0, tau_steps=9, eps_values=(0.1,),
                     channels=("14",), quantifiers=("negativity",))
@@ -146,6 +153,24 @@ def test_zero_intervals_bisection_refinement():
     assert len(deaths) == 1
     assert abs(deaths[0].tau - 1.0) < 2e-4
     assert abs(deaths[0].interval_end - 2.0) < 2e-4
+
+
+def test_refinement_never_evaluates_a_grid_tau():
+    # the series already holds the value at each bracket's grid end
+    grid = ScanGrid(tau_steps=101, eps_values=(0.3,), channels=("12",),
+                    quantifiers=("negativity",))
+    series = sweep(MM, grid)[0]
+    fn = series_evaluator(MM, series)
+    calls = []
+
+    def spy(tau):
+        calls.append(tau)
+        return fn(tau)
+
+    events = detect_zero_intervals(series, ZERO_TOL, spy)
+    assert [e.kind for e in events].count("birth") >= 2
+    assert calls
+    assert not set(calls) & set(series.tau_array().tolist())
 
 
 def test_negativity_death_and_birth_measured_network():
