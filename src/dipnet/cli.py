@@ -11,14 +11,13 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .closedform import OracleMismatch
 from .ledger import render_typo_report
-from .netmodel import DipolarParams, NetworkConfig
-from .scan import (MIN_TAU_STEPS, MODES, ExtensionSpec, GridError,
-                   MeasureSeries, ScanGrid, ZERO_TOL, count_peaks,
-                   detect_sudden_changes, detect_zero_intervals,
+from .netmodel import DipolarParams, FieldError, NetworkConfig
+from .scan import (MODES, ExtensionSpec, MeasureSeries, ScanGrid, ZERO_TOL,
+                   count_peaks, detect_sudden_changes, detect_zero_intervals,
                    series_evaluator, sweep)
 
 EXIT_OK = 0
@@ -46,8 +45,17 @@ class UnknownKey(ScenarioError):
     pass
 
 
+# a name becomes file names in the output directory, the CSV's first column
+# and quoted gnuplot strings: no separators, commas, quotes or leading dots
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]*")
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """What a scenario file means. Its defaults and range rules, with those
+    of the parts it holds, are the only ones: a hand-built or `replace`d
+    Scenario is refused exactly as `parse_scenario` refuses the text."""
+
     name: str
     network: NetworkConfig
     grid: ScanGrid
@@ -59,52 +67,86 @@ class Scenario:
     peak_prominence: Optional[float] = None
     slope_jump_tol: float = 0.01
 
+    def __post_init__(self):
+        if not _NAME.fullmatch(self.name):
+            raise FieldError(("name",), f"{self.name!r} does not match "
+                                        f"{_NAME.pattern}")
+        if self.mode not in MODES:
+            raise FieldError(("mode",), f"unknown mode {self.mode!r}")
+        if "18" in self.grid.channels and self.extension is None:
+            raise FieldError(("channels", "extension"),
+                             "channel 18 needs an extension")
+        for key in ("zero_tol", "peak_prominence", "slope_jump_tol"):
+            value = getattr(self, key)
+            if value is not None and not value >= 0.0:
+                raise FieldError((key,), f"{key} must be >= 0, got {value}")
 
-_KNOWN_KEYS = {
-    "name", "network", "werner_x1", "werner_x2",
-    "tau_min", "tau_max", "tau_steps", "eps_values",
-    "channels", "quantifiers", "mode", "output_dir", "emit_plot_script",
-    "extension", "bridge_tau", "bridge_eps_tilde",
-    "zero_tol", "peak_prominence", "slope_jump_tol",
-}
+
+def _number(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"not an integer: {raw!r}") from None
+
+
+def _listed(convert: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda raw: tuple(convert(s.strip()) for s in raw.split(",")
+                             if s.strip())
+
 
 _BOOL_WORDS = {"yes": True, "true": True, "1": True,
                "no": False, "false": False, "0": False}
 
-# a name becomes file names in the output directory, the CSV's first column
-# and quoted gnuplot strings: no separators, commas, quotes or leading dots
-_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]*")
 
-
-def _parse_float(raw: str, key: str, line: int,
-                 minimum: Optional[float] = None) -> float:
+def _yes_no(raw: str) -> bool:
     try:
-        value = float(raw)
-    except ValueError:
-        raise ValidationError(f"key {key}: not a number: {raw!r}", line) from None
-    if not math.isfinite(value):
-        raise ValidationError(f"key {key}: not a finite number: {raw!r}", line)
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"key {key}: must be >= {minimum:g}, got {raw!r}",
-                              line)
-    return value
+        return _BOOL_WORDS[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected yes/no, got {raw!r}") from None
 
 
-def _parse_int(raw: str, key: str, line: int, minimum: int) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"key {key}: not an integer: {raw!r}", line) from None
-    if value < minimum:
-        raise ValidationError(f"key {key}: must be >= {minimum}, got {raw!r}",
-                              line)
-    return value
+# text -> value per key; defaults and range rules belong to the dataclasses
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "name": str, "network": str, "werner_x1": _number, "werner_x2": _number,
+    "tau_min": _number, "tau_max": _number, "tau_steps": _integer,
+    "eps_values": _listed(_number), "channels": _listed(str),
+    "quantifiers": _listed(str), "mode": str, "output_dir": Path,
+    "emit_plot_script": _yes_no,
+    "extension": lambda raw: None if raw == "none" else raw,
+    "bridge_tau": _number, "bridge_eps_tilde": _number,
+    "zero_tol": _number, "peak_prominence": _number,
+    "slope_jump_tol": _number,
+}
+_KNOWN_KEYS = frozenset(_CONVERTERS)
+
+# scenario key -> field, for each dataclass the parser builds
+_NETWORK = {"network": "kind", "werner_x1": "werner_x1",
+            "werner_x2": "werner_x2"}
+_GRID = {k: k for k in ("tau_min", "tau_max", "tau_steps", "eps_values",
+                        "channels", "quantifiers")}
+_BRIDGE = {"bridge_eps_tilde": "eps_tilde", "bridge_tau": "tau"}
+_EXTENSION = {"extension": "mode"}
+_SCENARIO = {k: k for k in ("name", "mode", "output_dir", "emit_plot_script",
+                            "zero_tol", "peak_prominence", "slope_jump_tol")}
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse flat `key = value` lines; `#` starts a comment, lists are
-    comma-separated."""
-    raw: dict[str, tuple[str, int]] = {}
+    comma-separated. Only the keys the file sets reach the dataclasses,
+    which supply every default; their FieldError is reported on the line
+    of the first blamed key the file sets."""
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -117,110 +159,43 @@ def parse_scenario(text: str) -> Scenario:
             raise ParseError(f"malformed assignment {stripped!r}", lineno)
         if key not in _KNOWN_KEYS:
             raise UnknownKey(f"unknown key {key!r}", lineno)
-        if key in raw:
+        if key in lines:
             raise ParseError(f"duplicate key {key!r}", lineno)
-        raw[key] = (value, lineno)
+        try:
+            values[key] = _CONVERTERS[key](value)
+        except ValueError as exc:
+            raise ValidationError(f"key {key}: {exc}", lineno) from None
+        lines[key] = lineno
 
-    def get(key: str, default: Optional[str] = None) -> tuple[Optional[str], int]:
-        if key in raw:
-            return raw[key]
-        return default, 0
+    for key in ("name", "network"):
+        if key not in values:
+            raise ValidationError(f"missing required key {key!r}")
 
-    name, line = get("name")
-    if name is None or not name:
-        raise ValidationError("missing required key 'name'")
-    if not _NAME.fullmatch(name):
-        raise ValidationError(f"key name: {name!r} does not match "
-                              f"{_NAME.pattern}", line)
+    def build(cls, fields: dict[str, str], **given):
+        try:
+            return cls(**given, **{field: values[key]
+                                   for key, field in fields.items()
+                                   if key in values})
+        except FieldError as exc:
+            key_of = {field: key for key, field in fields.items()}
+            keys = [key_of.get(k, k) for k in exc.keys]
+            key = next((k for k in keys if k in lines), keys[0])
+            raise ValidationError(f"key {key}: {exc}", lines.get(key)) from None
 
-    kind, line = get("network")
-    if kind is None:
-        raise ValidationError("missing required key 'network'")
-    x1_raw, x1_line = get("werner_x1", "0.7")
-    x2_raw, x2_line = get("werner_x2", "0.7")
-    x1 = _parse_float(x1_raw, "werner_x1", x1_line)
-    x2 = _parse_float(x2_raw, "werner_x2", x2_line)
-    try:
-        network = NetworkConfig(kind=kind, werner_x1=x1, werner_x2=x2)
-    except ValueError as exc:
-        key = "network" if "kind" in str(exc) else "werner_x1/werner_x2"
-        raise ValidationError(f"key {key}: {exc}", line) from None
-
-    mode, mode_line = get("mode", "closed_form")
-    if mode not in MODES:
-        raise ValidationError(f"key mode: unknown mode {mode!r}", mode_line)
-
-    tau_min_raw, l1 = get("tau_min", "0.0")
-    tau_max_raw, l2 = get("tau_max", "10.0")
-    steps_raw, l3 = get("tau_steps", "1001")
-    eps_raw, l4 = get("eps_values", "-0.2,0,0.1,0.3")
-    channels_raw, l5 = get("channels", "12")
-    quant_raw, l6 = get("quantifiers", "negativity")
-    ext_raw, ext_line = get("extension", "none")
-    bt_raw, bt_line = get("bridge_tau")
-    be_raw, be_line = get("bridge_eps_tilde")
-    if ext_raw in ("none", "track"):
-        for key in ("bridge_tau", "bridge_eps_tilde"):
-            if key in raw:
-                raise ValidationError(f"key {key}: only extension = fixed "
-                                      f"takes bridge parameters", raw[key][1])
-    extension: Optional[ExtensionSpec] = None
-    try:
-        grid = ScanGrid(
-            tau_min=_parse_float(tau_min_raw, "tau_min", l1, minimum=0.0),
-            tau_max=_parse_float(tau_max_raw, "tau_max", l2),
-            tau_steps=_parse_int(steps_raw, "tau_steps", l3,
-                                 minimum=MIN_TAU_STEPS),
-            eps_values=tuple(_parse_float(s.strip(), "eps_values", l4)
-                             for s in eps_raw.split(",") if s.strip()),
-            channels=tuple(s.strip() for s in channels_raw.split(",") if s.strip()),
-            quantifiers=tuple(s.strip() for s in quant_raw.split(",") if s.strip()),
-        )
-        if ext_raw == "track":
-            extension = ExtensionSpec(mode="track")
-        elif ext_raw == "fixed":
-            if bt_raw is None or be_raw is None:
-                raise ValidationError("extension = fixed requires bridge_tau "
-                                      "and bridge_eps_tilde", ext_line)
-            extension = ExtensionSpec(
-                mode="fixed",
-                bridge=DipolarParams(
-                    eps_tilde=_parse_float(be_raw, "bridge_eps_tilde", be_line),
-                    tau=_parse_float(bt_raw, "bridge_tau", bt_line, minimum=0.0)))
-        elif ext_raw != "none":
-            raise ValidationError(f"key extension: expected none|track|fixed, "
-                                  f"got {ext_raw!r}", ext_line)
-    except GridError as exc:
-        # blame the first of the named keys the file sets
-        key = next((k for k in exc.keys if k in raw), exc.keys[0])
-        line = raw[key][1] if key in raw else None
-        raise ValidationError(f"key {key}: {exc}", line) from None
-
-    if "18" in grid.channels and extension is None:
-        raise ValidationError("channels include 18 but no extension block given")
-
-    plot_raw, plot_line = get("emit_plot_script", "yes")
-    if plot_raw.lower() not in _BOOL_WORDS:
-        raise ValidationError(
-            f"key emit_plot_script: expected yes/no, got {plot_raw!r}", plot_line)
-
-    prom_raw, prom_line = get("peak_prominence")
-    zero_raw, zero_line = get("zero_tol", str(ZERO_TOL))
-    jump_raw, jump_line = get("slope_jump_tol", "0.01")
-    return Scenario(
-        name=name,
-        network=network,
-        grid=grid,
-        mode=mode,
-        output_dir=Path(get("output_dir", "out")[0]),
-        emit_plot_script=_BOOL_WORDS[plot_raw.lower()],
-        extension=extension,
-        zero_tol=_parse_float(zero_raw, "zero_tol", zero_line, minimum=0.0),
-        peak_prominence=None if prom_raw is None
-        else _parse_float(prom_raw, "peak_prominence", prom_line, minimum=0.0),
-        slope_jump_tol=_parse_float(jump_raw, "slope_jump_tol", jump_line,
-                                    minimum=0.0),
-    )
+    network = build(NetworkConfig, _NETWORK)
+    grid = build(ScanGrid, _GRID)
+    extension = None
+    if values.get("extension") is not None:
+        bridge = None
+        if _BRIDGE.keys() <= values.keys():
+            bridge = build(DipolarParams, _BRIDGE)
+        extension = build(ExtensionSpec, _EXTENSION, bridge=bridge)
+    for key in _BRIDGE:
+        if key in values and (extension is None or extension.bridge is None):
+            raise ValidationError(f"key {key}: only extension = fixed takes "
+                                  f"bridge parameters", lines[key])
+    return build(Scenario, _SCENARIO, network=network, grid=grid,
+                 extension=extension)
 
 
 def _fmt(value: float) -> str:

@@ -36,6 +36,17 @@ ZZ = kron(SIGMA_Z, SIGMA_Z)
 
 XSTATE_PSD_TOL = 1e-12
 
+
+class FieldError(ValueError):
+    """An invalid dataclass field. `keys` names the fields to blame, most
+    specific first; a field of a held part goes by its scenario key
+    (`bridge_tau`, `channels`)."""
+
+    def __init__(self, keys: tuple[str, ...], message: str):
+        self.keys = keys
+        super().__init__(message)
+
+
 CHANNEL_QUBITS = {
     "12": (0, 1),
     "34": (2, 3),
@@ -109,7 +120,7 @@ class DipolarParams:
 
     def __post_init__(self):
         if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+            raise FieldError(("tau",), f"tau must be >= 0, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -140,10 +151,11 @@ class NetworkConfig:
 
     def __post_init__(self):
         if self.kind not in ("MM", "WW", "MW"):
-            raise ValueError(f"unknown network kind {self.kind!r}")
-        for x in (self.werner_x1, self.werner_x2):
+            raise FieldError(("kind",), f"unknown network kind {self.kind!r}")
+        for key in ("werner_x1", "werner_x2"):
+            x = getattr(self, key)
             if not 0.0 <= x <= 1.0:
-                raise ValueError(f"werner parameter {x} outside [0, 1]")
+                raise FieldError((key,), f"werner parameter {x} outside [0, 1]")
 
     def pair_params(self) -> tuple[XStateParams, XStateParams]:
         if self.kind == "MM":

@@ -11,7 +11,8 @@ import numpy as np
 from .closedform import closed_channel_states, require_oracle_agreement
 from .measures import naqc_degree_stack, negativity_stack, pi_tangle_stack
 from .netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS, DipolarParams,
-                       NetworkConfig, kappas, network_channel_state)
+                       FieldError, NetworkConfig, kappas,
+                       network_channel_state)
 
 ZERO_TOL = 1e-6
 PEAK_PROMINENCE_FRACTION = 0.05
@@ -24,25 +25,16 @@ MODES = ("closed_form", "dense", "validate")
 QUANTIFIERS = ("negativity", "naqc", "tangle")
 
 
-class GridError(ValueError):
-    """An invalid ScanGrid or ExtensionSpec field; `keys` names the fields
-    to blame, most specific first."""
-
-    def __init__(self, keys: tuple[str, ...], message: str):
-        self.keys = keys
-        super().__init__(message)
-
-
 def _require_finite_phases(eps_tilde: float, tau: float, eps_key: str,
                            tau_key: str) -> None:
-    """GridError unless every propagator phase kappa * tau is finite. As
+    """FieldError unless every propagator phase kappa * tau is finite. As
     kappa_z = -2 for any eps_tilde, an overflow there is the tau's fault."""
     tau = float(tau)
     if all(math.isfinite(k * tau) for k in kappas(float(eps_tilde))):
         return
-    raise GridError((tau_key,) if not math.isfinite(2.0 * tau) else (eps_key,),
-                    f"propagator phase kappa * tau is not finite at "
-                    f"eps_tilde = {eps_tilde}, tau = {tau}")
+    raise FieldError((tau_key,) if not math.isfinite(2.0 * tau) else (eps_key,),
+                     f"propagator phase kappa * tau is not finite at "
+                     f"eps_tilde = {eps_tilde}, tau = {tau}")
 
 
 def _uneven(steps: np.ndarray) -> bool:
@@ -61,37 +53,37 @@ class ScanGrid:
     def __post_init__(self):
         for key in ("tau_min", "tau_max", "eps_values"):
             if not np.isfinite(getattr(self, key)).all():
-                raise GridError((key,), "tau range and eps_values must be finite")
+                raise FieldError((key,), "tau range and eps_values must be finite")
         if not 0.0 <= self.tau_min < self.tau_max:
             keys = ("tau_min",) if self.tau_min < 0 else ("tau_max", "tau_min")
-            raise GridError(keys, "need 0 <= tau_min < tau_max")
+            raise FieldError(keys, "need 0 <= tau_min < tau_max")
         if self.tau_steps < MIN_TAU_STEPS:
-            raise GridError(("tau_steps",),
-                            f"tau_steps must be >= {MIN_TAU_STEPS}")
+            raise FieldError(("tau_steps",),
+                             f"tau_steps must be >= {MIN_TAU_STEPS}")
         for key in ("eps_values", "channels", "quantifiers"):
             if not getattr(self, key):
-                raise GridError((key,), f"{key} must be nonempty")
+                raise FieldError((key,), f"{key} must be nonempty")
         for eps in self.eps_values:
             _require_finite_phases(eps, self.tau_max, "eps_values", "tau_max")
         steps = np.diff(self.taus())
         # tangle series are scanned for sudden changes, which need even steps
         if (steps <= 0).any() or ("tangle" in self.quantifiers
                                   and _uneven(steps)):
-            raise GridError(("tau_steps", "tau_max", "tau_min"),
-                            f"{self.tau_steps} tau points over [tau_min, "
-                            f"tau_max] are not strictly increasing (evenly, "
-                            f"for tangle) at float resolution")
+            raise FieldError(("tau_steps", "tau_max", "tau_min"),
+                             f"{self.tau_steps} tau points over [tau_min, "
+                             f"tau_max] are not strictly increasing (evenly, "
+                             f"for tangle) at float resolution")
         for ch in self.channels:
             if ch not in ALL_CHANNELS:
-                raise GridError(("channels",), f"unknown channel {ch!r}")
+                raise FieldError(("channels",), f"unknown channel {ch!r}")
         for q in self.quantifiers:
             if q not in QUANTIFIERS:
-                raise GridError(("quantifiers",), f"unknown quantifier {q!r}")
+                raise FieldError(("quantifiers",), f"unknown quantifier {q!r}")
         for ch in self.channels:
             for q in self.quantifiers:
                 # tangle is the three-node quantifier, and the only one
                 if (q == "tangle") != (ch in THREE_NODE_CHANNELS):
-                    raise GridError(
+                    raise FieldError(
                         ("channels", "quantifiers"),
                         f"quantifier {q!r} cannot be evaluated on channel {ch!r}")
 
@@ -139,15 +131,19 @@ class ExtensionSpec:
 
     def __post_init__(self):
         if self.mode not in ("track", "fixed"):
-            raise ValueError(f"extension mode must be track or fixed, got {self.mode!r}")
+            raise FieldError(("mode",), f"extension mode must be track or "
+                                        f"fixed, got {self.mode!r}")
         if self.mode == "fixed":
             if self.bridge is None:
-                raise ValueError("fixed extension mode needs explicit bridge parameters")
+                raise FieldError(("mode",), "fixed extension mode needs "
+                                            "bridge_tau and bridge_eps_tilde")
             _require_finite_phases(self.bridge.eps_tilde, self.bridge.tau,
                                    "bridge_eps_tilde", "bridge_tau")
         elif self.bridge is not None:
-            raise ValueError("track extension mode couples the bridge to the "
-                             "swept parameters and takes no bridge parameters")
+            raise FieldError(("bridge_tau", "bridge_eps_tilde"),
+                             "track extension mode couples the "
+                             "bridge to the swept parameters and takes no "
+                             "bridge parameters")
 
 
 _QUANTIFIER_STACK = {

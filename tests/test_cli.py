@@ -1,18 +1,22 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dipnet.scan
-from dipnet.cli import (EXIT_OK, EXIT_ORACLE, EXIT_USAGE, ParseError,
-                        Scenario, UnknownKey, ValidationError, main,
-                        parse_scenario, render_csv, run)
+from dipnet.cli import (_KNOWN_KEYS, EXIT_OK, EXIT_ORACLE, EXIT_USAGE,
+                        ParseError, Scenario, UnknownKey, ValidationError,
+                        main, parse_scenario, render_csv, run)
 from dipnet.closedform import OracleMismatch
+from dipnet.netmodel import NetworkConfig
+from dipnet.scan import ScanGrid
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS_DIR = REPO / "scenarios"
@@ -36,6 +40,21 @@ def test_parse_minimal_defaults():
     assert s.grid.eps_values == (-0.2, 0.0, 0.1, 0.3)
     assert s.mode == "closed_form"
     assert s.extension is None
+    # the dataclasses are the one source of defaults
+    assert s == Scenario(name="t", network=NetworkConfig("MM"), grid=ScanGrid())
+
+
+def test_readme_key_table_matches_the_dataclasses():
+    # every key is listed, and each listed default is the one a file that
+    # leaves the key out gets
+    rows = re.findall(r"^\| `(\w+)` \|[^|]*\| ([^|]*) \|",
+                      (REPO / "README.md").read_text(), re.MULTILINE)
+    assert {key for key, _ in rows} == _KNOWN_KEYS
+    base = "name = t\nnetwork = MM\n"
+    for key, default in rows:
+        if default.startswith("`"):
+            text = f"{base}{key} = {default.strip('`')}\n"
+            assert parse_scenario(text) == parse_scenario(base), key
 
 
 def test_parse_comments_and_lists():
@@ -112,7 +131,6 @@ def test_events_report_format(tmp_path):
     assert run(s) == EXIT_OK
     report = (tmp_path / "tiny_events.txt").read_text().splitlines()
     assert report[0].startswith("# channel=12 quantifier=negativity")
-    import re
     pat = re.compile(r"^(death|birth|peak|sudden_change) tau=\d+\.\d{4} "
                      r"value=\d+\.\d{6}( interval_end=\d+\.\d{4})?$")
     body = [ln for ln in report if not ln.startswith("#")]
@@ -171,6 +189,10 @@ def test_python_m_entry_points(module):
     # only extension = fixed reads the bridge keys; elsewhere they are inert
     "extension = track\nbridge_tau = bogus", "bridge_eps_tilde = 0.1",
     "channels = 18\nquantifiers = naqc\nextension = track\nbridge_tau = 0.5",
+    # each Werner parameter on its own line, whatever the network kind
+    "werner_x2 = 1.5", "werner_x1 = -0.1",
+    # channel 18 without an extension is the channels line's fault
+    "quantifiers = naqc\nchannels = 18",
 ], ids=lambda line: line.rsplit("\n", 1)[-1])
 def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     # the offending assignment is always the last line of the file
@@ -219,6 +241,22 @@ def test_main_refuses_unsafe_names(tmp_path, capsys, name):
     assert main(["run", str(scenario), "--output-dir", str(out)]) == EXIT_USAGE
     assert "line 2: key name:" in capsys.readouterr().err
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scenario]
+
+
+@pytest.mark.parametrize("change", [
+    {"name": "../escaped"}, {"mode": "bogus"}, {"zero_tol": -1.0},
+    {"grid": ScanGrid(channels=("18",)), "extension": None},
+], ids=lambda change: next(iter(change)))
+def test_hand_built_scenarios_are_refused(tmp_path, change):
+    # Scenario owns the rules parse_scenario applies, so a hand-built or
+    # replaced scenario is refused at construction and run never writes
+    base = parse_scenario(MINIMAL)
+    fields = dict(vars(base), output_dir=tmp_path / "out" / "sub", **change)
+    with pytest.raises(ValueError):
+        run(Scenario(**fields))
+    with pytest.raises(ValueError):
+        run(replace(base, **fields))
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_accepts_two_node_zoom_grid(tmp_path):
@@ -285,7 +323,6 @@ def test_bundled_fig9_is_tangle_scenario():
 
 
 def test_bundled_fig2_starts_at_maximum(tmp_path):
-    from dataclasses import replace
     s = parse_scenario((SCENARIOS_DIR / "fig2.scn").read_text())
     # thin the tau grid; the tau = 0 anchor is what the scenario must show
     s = replace(s, grid=replace(s.grid, tau_steps=11),
@@ -300,7 +337,6 @@ def test_bundled_fig2_starts_at_maximum(tmp_path):
 def test_bundled_fig9_death_locations(tmp_path):
     # the tangle vanishes exactly at tau = 0 and, for eps = 0, at the full
     # revivals tau = k*pi; no other death intervals appear
-    from dataclasses import replace
     s = parse_scenario((SCENARIOS_DIR / "fig9.scn").read_text())
     s = replace(s, output_dir=tmp_path, emit_plot_script=False)
     assert run(s) == EXIT_OK

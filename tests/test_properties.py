@@ -12,16 +12,20 @@
  - The propagator obeys the group law U(t1) U(t2) = U(t1 + t2) and is
    unitary, on the dense route and the closed (vectorised) one.
  - Any scenario text (tiny grids) gives exit 0 or 2 from `dipnet run`:
-   every invalid input is a parse error, never a compute error.
+   every invalid input is a parse error, never a compute error, and names
+   its line unless `name` or `network` is missing.
 """
 
+import io
 import math
+import re
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dipnet.cli import _KNOWN_KEYS, main
 from dipnet.measures import (NAQC_CRITICAL, NAQC_MAX, naqc_degree,
@@ -247,17 +251,28 @@ def scenario_texts(draw):
         keys |= {"name", "network"}
     lines = []
     for key in draw(st.permutations(sorted(keys))):
-        value = draw(st.one_of(VALUES.get(key, st.sampled_from(NUMBERS)),
-                               st.sampled_from(JUNK)))
+        # junk one key in eight, so most texts reach the rules that
+        # relate keys (a channel 18 with no extension, a tangle pairing)
+        junk = draw(st.integers(0, 7)) == 7
+        value = draw(st.sampled_from(JUNK) if junk
+                     else VALUES.get(key, st.sampled_from(NUMBERS)))
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
 @settings(PROPERTY, max_examples=300)
 @given(text=scenario_texts())
+@example(text="name = fz\nnetwork = MM\ntau_steps = 3\neps_values = 0\n"
+              "channels = 18\n")  # a rule between keys, too rare to draw
 def test_any_scenario_text_exits_0_or_2(text):
-    with tempfile.TemporaryDirectory() as tmp:
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(err):
         path = Path(tmp) / "fuzz.scn"
         path.write_text(text)
         code = main(["run", str(path), "--output-dir", str(Path(tmp) / "out")])
     assert code in (0, 2), text
+    if code == 2 and "missing required key" not in err.getvalue():
+        # every other refusal names a line of the file
+        line = re.search(r"line (\d+):", err.getvalue())
+        assert line and 1 <= int(line[1]) <= len(text.splitlines()), (
+            text, err.getvalue())

@@ -1,8 +1,12 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dipnet.closedform
+import dipnet.netmodel
+import dipnet.scan
 from dipnet.netmodel import DipolarParams, NetworkConfig
 from dipnet.scan import (ZERO_TOL, ExtensionSpec, MeasureSeries, ScanGrid,
                          count_peaks, detect_sudden_changes,
@@ -109,6 +113,42 @@ def test_track_extension_refuses_a_bridge():
     # would be ignored
     with pytest.raises(ValueError, match="track"):
         ExtensionSpec("track", bridge=DipolarParams(eps_tilde=0.1, tau=0.5))
+
+
+class ClosedFormCalled(RuntimeError):
+    pass
+
+
+def test_dense_route_is_independent_of_the_closed_form(monkeypatch):
+    # the dense oracle must not lean on the closed-form kernel: with every
+    # public closedform function and the vectorised propagator made to
+    # raise, wherever a module holds them, dense series still come out
+    cfg = NetworkConfig("WW", 0.9, 0.8)
+    taus = np.array([0.0, 0.7, 2.5])
+    cases = [("12", "negativity", None), ("123", "tangle", None),
+             ("18", "naqc", ExtensionSpec("track")),
+             ("18", "negativity",
+              ExtensionSpec("fixed", DipolarParams(eps_tilde=0.1, tau=0.5)))]
+    expected = [series_values(cfg, ch, q, 0.1, taus, "dense", ext)
+                for ch, q, ext in cases]
+
+    def forbidden(*args, **kwargs):
+        raise ClosedFormCalled
+
+    closedform = dipnet.closedform
+    guarded = [obj for name, obj in vars(closedform).items()
+               if inspect.isfunction(obj) and not name.startswith("_")
+               and obj.__module__ == closedform.__name__]
+    guarded.append(dipnet.netmodel.propagator_gammas)
+    for module in (closedform, dipnet.netmodel, dipnet.scan):
+        for name, obj in list(vars(module).items()):
+            if any(obj is g for g in guarded):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(ClosedFormCalled):  # the guard is live
+        series_values(cfg, "12", "negativity", 0.1, taus, "closed_form")
+    for (ch, q, ext), want in zip(cases, expected):
+        got = series_values(cfg, ch, q, 0.1, taus, "dense", ext)
+        assert np.array_equal(got, want), (ch, ext)
 
 
 def test_sweep_matches_single_point_evaluation():
