@@ -278,11 +278,17 @@ def run(scenario: Scenario) -> int:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     csv_path = scenario.output_dir / f"{scenario.name}.csv"
-    csv_path.write_text(csv_text)
-    (scenario.output_dir / f"{scenario.name}_events.txt").write_text(events_text)
+    outputs = {csv_path: csv_text,
+               scenario.output_dir / f"{scenario.name}_events.txt": events_text}
     if scenario.emit_plot_script:
-        script = render_plot_script(scenario, csv_path.name)
-        (scenario.output_dir / f"{scenario.name}_plots.gp").write_text(script)
+        outputs[scenario.output_dir / f"{scenario.name}_plots.gp"] = (
+            render_plot_script(scenario, csv_path.name))
+    try:
+        for path, text in outputs.items():
+            path.write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
     return EXIT_OK
 
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .qmat import DensityMatrix, kron, partial_trace
 from .netmodel import (DipolarParams, PropagatorCoeffs, XStateParams,
-                       propagator_coeffs, propagator_matrix, x_state)
+                       evolve_pair, propagator_coeffs, propagator_matrix,
+                       x_state)
 
 SOURCE_FRAME_MAX_ENTANGLED = XStateParams(1.0, -1.0, 1.0)
 LEDGER_REFERENCE = DipolarParams(eps_tilde=0.3, tau=0.7)
@@ -73,10 +74,8 @@ def typo_ledger() -> list[LedgerEntry]:
     reference point LEDGER_REFERENCE in the source's own pair convention."""
     pair = SOURCE_FRAME_MAX_ENTANGLED
     pc = propagator_coeffs(LEDGER_REFERENCE)
-    u = propagator_matrix(LEDGER_REFERENCE)
-    rho0 = kron(x_state(pair).mat, x_state(pair).mat)
-    uf = np.kron(np.kron(np.eye(2, dtype=complex), u), np.eye(2, dtype=complex))
-    rho_t = DensityMatrix(uf @ rho0 @ uf.conj().T, 4)
+    rho0 = DensityMatrix(kron(x_state(pair).mat, x_state(pair).mat), 4)
+    rho_t = evolve_pair(rho0, propagator_matrix(LEDGER_REFERENCE), (1, 2))
 
     entries: list[LedgerEntry] = []
 

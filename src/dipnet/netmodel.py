@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import (BadSubsystem, ComplexMatrix, DensityMatrix, NotPositive,
-                   as_complex_matrix, kron, partial_trace, partial_trace_stack,
-                   require_unitary)
+                   conjugate_pair_stack, kron, partial_trace,
+                   partial_trace_stack, require_unitary)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -270,36 +270,13 @@ def initial_network(cfg: NetworkConfig) -> DensityMatrix:
     return DensityMatrix(kron(x_state(p1).mat, x_state(p2).mat), 4)
 
 
-def _embed_two_qubit(u: ComplexMatrix, i: int, j: int, n: int) -> ComplexMatrix:
-    """Embed a 4x4 operator on qubits (i, j) of an n-qubit register."""
-    t = u.reshape(2, 2, 2, 2)
-    op = np.eye(2 ** (n - 2), dtype=complex).reshape([2] * (2 * (n - 2)))
-    full = np.tensordot(t, op, axes=0)
-    # axes of `full`: (out_i, out_j, in_i, in_j, out_rest..., in_rest...)
-    rest = [q for q in range(n) if q not in (i, j)]
-    out_axes = [0] * n
-    in_axes = [0] * n
-    out_axes[i], out_axes[j] = 0, 1
-    in_axes[i], in_axes[j] = 2, 3
-    for k, q in enumerate(rest):
-        out_axes[q] = 4 + k
-        in_axes[q] = 4 + (n - 2) + k
-    return full.transpose(out_axes + in_axes).reshape(2 ** n, 2 ** n)
-
-
 def evolve_pair(rho: DensityMatrix, u: ComplexMatrix,
                 qubits: tuple[int, int]) -> DensityMatrix:
     """Conjugate rho by the 4x4 unitary u acting on the ordered qubit pair
-    (i, j); u is checked for unitarity."""
-    i, j = qubits
-    if not (0 <= i < j < rho.nqubits):
-        raise BadSubsystem(f"need 0 <= i < j < {rho.nqubits}, got {(i, j)}")
-    u = as_complex_matrix(u)
-    if u.shape != (4, 4):
-        raise BadSubsystem(f"expected a 4x4 unitary, got shape {u.shape}")
-    require_unitary(u)
-    uf = _embed_two_qubit(u, i, j, rho.nqubits)
-    return DensityMatrix(uf @ rho.mat @ uf.conj().T, rho.nqubits)
+    (i, j), i < j; u is checked for unitarity."""
+    mat = conjugate_pair_stack(rho.mat[None], rho.nqubits, require_unitary(u),
+                               qubits)[0]
+    return DensityMatrix(mat, rho.nqubits)
 
 
 def evolved_network(cfg: NetworkConfig, p: DipolarParams) -> DensityMatrix:
@@ -320,10 +297,9 @@ def extend_to_eight(cfg: NetworkConfig, p_inner: DipolarParams,
     entanglement.
     """
     hop = evolved_network(cfg, p_inner)
-    rho8 = kron(hop.mat, hop.mat)
-    uf = _embed_two_qubit(propagator_matrix(p_bridge), 2, 4, 8)
-    rho8 = uf @ rho8 @ uf.conj().T
-    return DensityMatrix(partial_trace_stack(rho8[None], 8, (0, 4))[0], 2)
+    rho8 = conjugate_pair_stack(kron(hop.mat, hop.mat)[None], 8,
+                                propagator_matrix(p_bridge), (2, 4))
+    return DensityMatrix(partial_trace_stack(rho8, 8, (0, 4))[0], 2)
 
 
 def channel_qubits(channel: str) -> tuple[int, ...]:

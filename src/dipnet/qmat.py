@@ -176,6 +176,24 @@ def partial_trace_stack(mats: np.ndarray, nqubits: int, keep) -> np.ndarray:
     return t.reshape(-1, 2 ** k, 2 ** k)
 
 
+def conjugate_pair_stack(mats: np.ndarray, nqubits: int, u: ComplexMatrix,
+                         qubits) -> np.ndarray:
+    """u rho u^+ for every matrix rho of an (N, d, d) stack, with the 4x4 u
+    acting on the ordered qubit pair (i, j), i < j; a local contraction on
+    the (2,)*2n tensor, so no d x d operator is built. Ket side first."""
+    pair = _check_keep(qubits, nqubits, require_sorted=True)
+    u = as_complex_matrix(u)
+    if len(pair) != 2 or u.shape != (4, 4):
+        raise BadSubsystem(f"need a 4x4 operator on a qubit pair, got "
+                           f"shape {u.shape} on {pair}")
+    t = mats.reshape((-1,) + (2,) * (2 * nqubits))
+    for first, op in ((1, u.T), (1 + nqubits, u.conj().T)):
+        axes = (first + pair[0], first + pair[1])
+        t = np.moveaxis(t, axes, (-2, -1))
+        t = np.moveaxis((t.reshape(-1, 4) @ op).reshape(t.shape), (-2, -1), axes)
+    return t.reshape(mats.shape)
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all qubits not in `keep` (strictly increasing indices)."""
     out = partial_trace_stack(rho.mat[None], rho.nqubits, keep)[0]

@@ -19,6 +19,8 @@ PEAK_PROMINENCE_FRACTION = 0.05
 BISECTION_RESOLUTION = 1e-4
 BISECTION_MAX_ITER = 40
 MIN_TAU_STEPS = 3  # count_peaks needs both neighbours of a point
+# a tangle series holds about 10 KB per tau point, so ~1 GB at this bound
+MAX_TAU_STEPS = 100_000
 SPACING_TOL = 1e-9  # relative spread of tau steps that still counts as uniform
 
 MODES = ("closed_form", "dense", "validate")
@@ -57,9 +59,9 @@ class ScanGrid:
         if not 0.0 <= self.tau_min < self.tau_max:
             keys = ("tau_min",) if self.tau_min < 0 else ("tau_max", "tau_min")
             raise FieldError(keys, "need 0 <= tau_min < tau_max")
-        if self.tau_steps < MIN_TAU_STEPS:
-            raise FieldError(("tau_steps",),
-                             f"tau_steps must be >= {MIN_TAU_STEPS}")
+        if not MIN_TAU_STEPS <= self.tau_steps <= MAX_TAU_STEPS:
+            raise FieldError(("tau_steps",), f"tau_steps must be in "
+                             f"[{MIN_TAU_STEPS}, {MAX_TAU_STEPS}]")
         for key in ("eps_values", "channels", "quantifiers"):
             if not getattr(self, key):
                 raise FieldError((key,), f"{key} must be nonempty")

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import dipnet.scan
-from dipnet.cli import (_KNOWN_KEYS, EXIT_OK, EXIT_ORACLE, EXIT_USAGE,
-                        ParseError, Scenario, UnknownKey, ValidationError,
-                        main, parse_scenario, render_csv, run)
+from dipnet.cli import (_KNOWN_KEYS, EXIT_COMPUTE, EXIT_OK, EXIT_ORACLE,
+                        EXIT_USAGE, ParseError, Scenario, UnknownKey,
+                        ValidationError, main, parse_scenario, render_csv,
+                        run)
 from dipnet.closedform import OracleMismatch
 from dipnet.netmodel import NetworkConfig
 from dipnet.scan import ScanGrid
@@ -158,6 +159,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert (tmp_path / "out" / "tiny.csv").exists()
 
 
+def test_main_write_failure_exits_compute(tmp_path, capsys):
+    # an output path taken by a directory is a write failure, not a crash
+    good = tmp_path / "good.scn"
+    good.write_text(MINIMAL)
+    (tmp_path / "out" / "tiny.csv").mkdir(parents=True)
+    assert main(["run", str(good),
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+    assert "cannot write output" in capsys.readouterr().err
+
+
 def test_main_typo_ledger(capsys):
     assert main(["typo-ledger"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -179,7 +190,8 @@ def test_python_m_entry_points(module):
 
 
 @pytest.mark.parametrize("line", [
-    "tau_steps = 2", "eps_values = 0,nan", "eps_values = inf",
+    "tau_steps = 2", "tau_steps = 1000000000000000",
+    "eps_values = 0,nan", "eps_values = inf",
     "tau_max = inf", "tau_min = -1", "zero_tol = nan",
     "peak_prominence = -1", "slope_jump_tol = -0.5",
     "extension = fixed\nbridge_eps_tilde = 0.1\nbridge_tau = -1",

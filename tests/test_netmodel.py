@@ -1,20 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dipnet.closedform import kept_pair_damping
 from dipnet.measures import negativity
 from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, NetworkConfig,
-                             XStateParams, _embed_two_qubit,
-                             dipolar_hamiltonian, evolve_pair,
+                             XStateParams, dipolar_hamiltonian, evolve_pair,
                              evolved_network, extend_to_eight,
                              initial_network, network_channel_state,
                              propagator_coeffs, propagator_matrix,
                              tau_to_time, werner_params, x_state)
 from dipnet.qmat import (BadSubsystem, NotPositive, NotUnitary,
-                         hermitian_eigenvalues, kron, matrix_exp_hermitian,
-                         partial_trace)
+                         conjugate_pair_stack, hermitian_eigenvalues, kron,
+                         matrix_exp_hermitian, partial_trace,
+                         partial_trace_stack)
 
-from conftest import charpoly_eigenvalues
+from conftest import charpoly_eigenvalues, ginibre_density
 
 SINGLET_MAT = np.array([[0, 0, 0, 0],
                         [0, 0.5, -0.5, 0],
@@ -140,25 +142,72 @@ def test_evolve_pair_identity():
     assert np.abs(out.mat - rho.mat).max() < 1e-14
 
 
+def _embedded(u, i, j, n):
+    """Reference 2**n x 2**n embedding of a 4x4 u on qubits (i, j), from its
+    entrywise definition: <o|E|c> = u[o_i o_j, c_i c_j] if o and c agree on
+    every other qubit, else 0."""
+    bits = (np.arange(2 ** n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    rest = [q for q in range(n) if q not in (i, j)]
+    same = (bits[:, None, rest] == bits[None, :, rest]).all(axis=-1)
+    pair = 2 * bits[:, i] + bits[:, j]
+    return np.where(same, u[pair[:, None], pair[None, :]], 0)
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
 def test_evolve_pair_embedding_adjacent():
+    rng = np.random.default_rng(4)
     u = propagator_matrix(DipolarParams(eps_tilde=0.1, tau=0.9))
-    full = _embed_two_qubit(u, 1, 2, 4)
-    expect = kron(kron(np.eye(2), u), np.eye(2))
-    assert np.abs(full - expect).max() < 1e-14
+    full = _embedded(u, 1, 2, 4)
+    assert np.array_equal(full, kron(kron(np.eye(2), u), np.eye(2)))
+    rho = ginibre_density(rng, 4)
+    expect = full @ rho.mat @ full.conj().T
+    assert np.array_equal(conjugate_pair_stack(rho.mat[None], 4, u, (1, 2))[0],
+                          expect)
+    assert np.array_equal(evolve_pair(rho, u, (1, 2)).mat, expect)
 
 
 def test_evolve_pair_embedding_nonadjacent():
     # embed on (0, 2) of 3 qubits, checked entrywise against the definition
     rng = np.random.default_rng(5)
     u = propagator_matrix(DipolarParams(eps_tilde=-0.15, tau=1.3))
-    full = _embed_two_qubit(u, 0, 2, 3)
+    full = _embedded(u, 0, 2, 3)
     t = u.reshape(2, 2, 2, 2)
     for o in range(8):
         for i in range(8):
             o0, o1, o2 = (o >> 2) & 1, (o >> 1) & 1, o & 1
             i0, i1, i2 = (i >> 2) & 1, (i >> 1) & 1, i & 1
             expect = t[o0, o2, i0, i2] if o1 == i1 else 0.0
-            assert abs(full[o, i] - expect) < 1e-14
+            assert full[o, i] == expect
+    rho = ginibre_density(rng, 3)
+    assert np.array_equal(conjugate_pair_stack(rho.mat[None], 3, u, (0, 2))[0],
+                          full @ rho.mat @ full.conj().T)
+
+
+def test_conjugate_pair_stack_equals_embedded_conjugation():
+    # bit for bit, on every ordered pair of 3 and 4 qubits and on the
+    # eight-node bridge pair (2, 4)
+    rng = np.random.default_rng(6)
+    cases = [(n, pair) for n in (3, 4)
+             for pair in itertools.combinations(range(n), 2)] + [(8, (2, 4))]
+    for n, (i, j) in cases:
+        u = _random_unitary(rng)
+        full = _embedded(u, i, j, n)
+        mats = np.array([ginibre_density(rng, n).mat
+                         for _ in range(3 if n < 8 else 1)])
+        out = conjugate_pair_stack(mats, n, u, (i, j))
+        for rho, got in zip(mats, out):
+            assert np.array_equal(got, full @ rho @ full.conj().T), (n, i, j)
+
+
+def test_conjugate_pair_stack_refuses_other_pairs():
+    mats = initial_network(NetworkConfig("MM")).mat[None]
+    for pair in [(2, 1), (1, 1), (0, 4)]:
+        with pytest.raises(BadSubsystem):
+            conjugate_pair_stack(mats, 4, np.eye(4), pair)
 
 
 def test_evolve_pair_preserves_spectrum():
@@ -210,6 +259,25 @@ def test_extend_to_eight_no_interaction():
     rho = extend_to_eight(cfg, p0, p0)
     assert np.abs(rho.mat - np.eye(4) / 4).max() < 1e-12
     assert negativity(rho) == 0.0
+
+
+def test_channel_18_fixed_bridge_equals_embedded_reference():
+    # no output pin covers a fixed bridge: hold it bit for bit to the two
+    # hops' kron, the embedded bridge matmul and the partial trace
+    rng = np.random.default_rng(8)
+    for kind in ("MM", "WW", "MW"):
+        cfg = NetworkConfig(kind, werner_x1=float(rng.uniform()),
+                            werner_x2=float(rng.uniform()))
+        p = DipolarParams(eps_tilde=float(rng.uniform(-0.5, 0.5)),
+                          tau=float(rng.uniform(0.0, 10.0)))
+        bridge = DipolarParams(eps_tilde=float(rng.uniform(-0.5, 0.5)),
+                               tau=float(rng.uniform(0.0, 10.0)))
+        hop = evolved_network(cfg, p).mat
+        full = _embedded(propagator_matrix(bridge), 2, 4, 8)
+        rho8 = full @ kron(hop, hop) @ full.conj().T
+        expect = partial_trace_stack(rho8[None], 8, (0, 4))[0]
+        got = network_channel_state(cfg, p, "18", bridge).mat
+        assert np.array_equal(got, expect), kind
 
 
 def test_extend_to_eight_trace_and_weakness():

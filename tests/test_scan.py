@@ -27,6 +27,8 @@ def test_grid_validation():
         ScanGrid(tau_min=1.0, tau_max=0.5)
     with pytest.raises(ValueError):
         ScanGrid(tau_steps=2)
+    with pytest.raises(ValueError):  # refused before any tau is allocated
+        ScanGrid(tau_steps=1000000000000000)
     with pytest.raises(ValueError):
         ScanGrid(tau_min=-1.0)
     with pytest.raises(ValueError):
