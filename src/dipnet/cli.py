@@ -295,9 +295,14 @@ def run(scenario: Scenario) -> int:
 def _load_scenario(path: str, output_dir: Optional[str],
                    force_mode: Optional[str] = None) -> Scenario:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8 text: {exc.reason}",
+                            data[:exc.start].count(b"\n") + 1) from None
     scenario = parse_scenario(text)
     if output_dir is not None:
         scenario = replace(scenario, output_dir=Path(output_dir))

@@ -4,6 +4,7 @@ series is one (N, d, d) state stack, built and scored by `series_values`."""
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -215,106 +216,98 @@ def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
 
 def series_evaluator(cfg: NetworkConfig, series: MeasureSeries,
                      mode: str = "closed_form",
-                     extension: Optional[ExtensionSpec] = None) -> Callable[[float], float]:
-    """tau -> value callable matching a swept series, for event refinement."""
-    def fn(tau: float) -> float:
-        p = DipolarParams(eps_tilde=series.eps_tilde, tau=tau)
-        return evaluate_point(cfg, p, series.channel, series.quantifier,
-                              mode, extension)
-    return fn
+                     extension: Optional[ExtensionSpec] = None
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+    """taus -> values callable matching a swept series, for event refinement:
+    `series_values` on a 1-d tau vector."""
+    return partial(series_values, cfg, series.channel, series.quantifier,
+                   series.eps_tilde, mode=mode, extension=extension)
 
 
-def _bisect_crossing(fn: Callable[[float], float], lo: float, f_lo: float,
-                     hi: float, tol: float) -> float:
-    """tau where fn crosses `tol` inside (lo, hi), to BISECTION_RESOLUTION;
-    f_lo is the known value fn(lo) - tol."""
+def _bisect_crossings(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                      f_lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """taus where fn crosses `tol` inside each bracket (lo, hi), to
+    BISECTION_RESOLUTION; f_lo holds the known values fn(lo) - tol. All
+    brackets advance together: one fn call per step, on the midpoints of
+    the brackets still wider than the resolution."""
+    lo, f_lo, hi = lo.copy(), f_lo.copy(), hi.copy()
     for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_RESOLUTION:
+        wide = np.flatnonzero(hi - lo > BISECTION_RESOLUTION)
+        if not wide.size:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo[wide] + hi[wide])
         f_mid = fn(mid) - tol
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+        same = (f_mid > 0) == (f_lo[wide] > 0)
+        lo[wide[same]], f_lo[wide[same]] = mid[same], f_mid[same]
+        hi[wide[~same]] = mid[~same]
     return 0.5 * (lo + hi)
 
 
 def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
-                          quantifier: Optional[Callable[[float], float]] = None
+                          quantifier: Optional[Callable[[np.ndarray], np.ndarray]] = None
                           ) -> list[EventRecord]:
     """Maximal runs of values <= zero_tol become death intervals; the first
     point above zero_tol after a run is a birth. With a quantifier callable
-    the interval edges are refined by bisection. The callable must equal
-    the series at its taus (as `series_evaluator` does): each bracket's grid
-    end is read from the series, so the callable never runs at a grid tau."""
+    (taus -> values) every interval edge of the series is refined in one
+    lockstep bisection. The callable must equal the series at its taus (as
+    `series_evaluator` does): each bracket's grid end is read from the
+    series, so the callable never runs at a grid tau."""
     if not series.points:
         raise ValueError("series is empty")
     taus = series.tau_array()
     vals = series.values()
-    dead = vals <= zero_tol
-    events: list[EventRecord] = []
-    i = 0
     n = len(vals)
-    while i < n:
-        if not dead[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and dead[j + 1]:
-            j += 1
-        start, end = float(taus[i]), float(taus[j])
-        if quantifier is not None and i > 0:
-            start = _bisect_crossing(quantifier, float(taus[i - 1]),
-                                     vals[i - 1] - zero_tol, start, zero_tol)
-        if quantifier is not None and j + 1 < n:
-            end = _bisect_crossing(quantifier, end, vals[j] - zero_tol,
-                                   float(taus[j + 1]), zero_tol)
+    dead = np.concatenate(([False], vals <= zero_tol, [False]))
+    flips = np.flatnonzero(dead[1:] != dead[:-1])
+    first, last = flips[::2], flips[1::2] - 1
+    starts, ends = taus[first], taus[last]
+    if quantifier is not None:
+        left, right = first > 0, last + 1 < n
+        lo = np.concatenate((first[left] - 1, last[right]))
+        crossings = _bisect_crossings(quantifier, taus[lo], vals[lo] - zero_tol,
+                                      taus[lo + 1], zero_tol)
+        starts[left] = crossings[:left.sum()]
+        ends[right] = crossings[left.sum():]
+    events: list[EventRecord] = []
+    for i, j, start, end in zip(first.tolist(), last.tolist(), starts.tolist(),
+                                ends.tolist()):
         events.append(EventRecord(kind="death", tau=start, value=float(vals[i]),
                                   interval_end=end))
         if j + 1 < n:
             birth_tau = end if quantifier is not None else float(taus[j + 1])
             events.append(EventRecord(kind="birth", tau=birth_tau,
                                       value=float(vals[j + 1])))
-        i = j + 1
     return events
 
 
 def count_peaks(series: MeasureSeries, prominence: Optional[float] = None
                 ) -> list[EventRecord]:
     """Local maxima whose height above the higher flanking minimum reaches
-    the prominence threshold (default 0.05 * series max)."""
+    the prominence threshold (default 0.05 * series max). Each flank runs
+    to the nearest strictly higher point. A flat top counts once, at its
+    left edge, and is no peak if it rises on its right."""
     vals = series.values()
     taus = series.tau_array()
     if len(vals) < 3:
         raise ValueError("need at least 3 points to detect peaks")
     if prominence is None:
         prominence = PEAK_PROMINENCE_FRACTION * float(vals.max())
+    n = len(vals)
+    candidates = np.flatnonzero((vals[1:-1] > vals[:-2])
+                                & (vals[1:-1] >= vals[2:])) + 1
     events = []
-    for i in range(1, len(vals) - 1):
-        if not (vals[i] > vals[i - 1] and vals[i] >= vals[i + 1]):
+    for i in candidates.tolist():
+        v = vals[i]
+        higher = np.flatnonzero(vals > v)
+        k = higher.searchsorted(i)
+        left = higher[k - 1] + 1 if k > 0 else 0
+        right = higher[k] if k < higher.size else n
+        right_min = vals[i:right].min()
+        if right < n and right_min == v:  # a flat top rising on its right
             continue
-        if vals[i] == vals[i + 1]:  # plateau: attribute the peak to its left edge
-            k = i + 1
-            while k < len(vals) and vals[k] == vals[i]:
-                k += 1
-            if k < len(vals) and vals[k] > vals[i]:
-                continue
-        left = vals[:i][::-1]
-        right = vals[i + 1:]
-        left_min = vals[i]
-        for v in left:
-            if v > vals[i]:
-                break
-            left_min = min(left_min, v)
-        right_min = vals[i]
-        for v in right:
-            if v > vals[i]:
-                break
-            right_min = min(right_min, v)
-        if vals[i] - max(left_min, right_min) >= prominence:
+        if v - max(vals[left:i + 1].min(), right_min) >= prominence:
             events.append(EventRecord(kind="peak", tau=float(taus[i]),
-                                      value=float(vals[i])))
+                                      value=float(v)))
     return events
 
 
@@ -329,10 +322,8 @@ def detect_sudden_changes(series: MeasureSeries,
     rng = float(vals.max() - vals.min())
     if rng == 0.0:
         return []
-    events = []
-    for i in range(1, len(vals) - 1):
-        d2 = abs(vals[i + 1] - 2 * vals[i] + vals[i - 1])
-        if d2 > slope_jump_tol * rng:
-            events.append(EventRecord(kind="sudden_change", tau=float(taus[i]),
-                                      value=float(vals[i])))
-    return events
+    # summed left to right as written; np.diff(vals, 2) rounds differently
+    d2 = np.abs(vals[2:] - 2 * vals[1:-1] + vals[:-2])
+    return [EventRecord(kind="sudden_change", tau=float(taus[i]),
+                        value=float(vals[i]))
+            for i in (np.flatnonzero(d2 > slope_jump_tol * rng) + 1).tolist()]

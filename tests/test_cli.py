@@ -159,6 +159,18 @@ def test_main_exit_codes(tmp_path, capsys):
     assert (tmp_path / "out" / "tiny.csv").exists()
 
 
+def test_main_undecodable_scenario_exits_usage_with_line(tmp_path, capsys):
+    # a byte that is not UTF-8 is a scenario error on its line, not a crash
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(MINIMAL.encode() + b"# caf\xff\n")
+    bad_line = MINIMAL.count("\n") + 1
+    assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"line {bad_line}:" in err
+    assert "UTF-8" in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_main_write_failure_exits_compute(tmp_path, capsys):
     # an output path taken by a directory is a write failure, not a crash
     good = tmp_path / "good.scn"

@@ -110,15 +110,17 @@ def test_oracle_sweep_equals_evaluate_point(mode, cfg, kind, ext, tau_min,
 
 
 @PROPERTY
-@given(cfg=networks(), kind=series_kinds, ext=extensions(), eps=eps_tilde,
+@given(mode=st.sampled_from(MODES), cfg=networks(), kind=series_kinds,
+       ext=extensions(), eps=eps_tilde,
        taus=st.lists(tau, min_size=1, max_size=10))
-def test_kernel_on_any_tau_vector_equals_points(cfg, kind, ext, eps, taus):
-    # unsorted and repeated taus included
+def test_kernel_on_any_tau_vector_equals_points(mode, cfg, kind, ext, eps, taus):
+    # unsorted and repeated taus included; event refinement sends such
+    # vectors in every mode
     channel, quantifier = kind
     values = series_values(cfg, channel, quantifier, eps, np.array(taus),
-                           extension=ext)
+                           mode, ext)
     points = [evaluate_point(cfg, DipolarParams(eps_tilde=eps, tau=t), channel,
-                             quantifier, extension=ext) for t in taus]
+                             quantifier, mode, ext) for t in taus]
     assert values.tolist() == points
 
 

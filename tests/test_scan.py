@@ -1,14 +1,18 @@
 import inspect
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dipnet.closedform
 import dipnet.netmodel
 import dipnet.scan
 from dipnet.netmodel import DipolarParams, NetworkConfig
-from dipnet.scan import (ZERO_TOL, ExtensionSpec, MeasureSeries, ScanGrid,
+from dipnet.scan import (BISECTION_MAX_ITER, BISECTION_RESOLUTION,
+                         PEAK_PROMINENCE_FRACTION, ZERO_TOL, EventRecord,
+                         ExtensionSpec, MeasureSeries, ScanGrid, _uneven,
                          count_peaks, detect_sudden_changes,
                          detect_zero_intervals, evaluate_point,
                          series_evaluator, series_values, sweep)
@@ -187,9 +191,9 @@ def test_zero_intervals_death_then_birth():
 def test_zero_intervals_bisection_refinement():
     # quantifier max(0, sin(pi tau)) dies exactly on [1, 2]; edges found to
     # the bisection resolution
-    fn = lambda tau: max(0.0, float(np.sin(np.pi * tau)))
+    fn = lambda taus: np.maximum(0.0, np.sin(np.pi * taus))
     taus = np.linspace(0.5, 2.5, 21)
-    s = _series(taus, [fn(t) for t in taus])
+    s = _series(taus, fn(taus))
     events = detect_zero_intervals(s, 1e-9, quantifier=fn)
     deaths = [e for e in events if e.kind == "death"]
     assert len(deaths) == 1
@@ -198,21 +202,25 @@ def test_zero_intervals_bisection_refinement():
 
 
 def test_refinement_never_evaluates_a_grid_tau():
-    # the series already holds the value at each bracket's grid end
+    # the series already holds the value at each bracket's grid end; every
+    # edge advances in lockstep, one call per bisection step: 0.1 spacing
+    # halves to <= 1e-4 in 10 steps
     grid = ScanGrid(tau_steps=101, eps_values=(0.3,), channels=("12",),
                     quantifiers=("negativity",))
     series = sweep(MM, grid)[0]
     fn = series_evaluator(MM, series)
     calls = []
 
-    def spy(tau):
-        calls.append(tau)
-        return fn(tau)
+    def spy(taus):
+        calls.append(taus.tolist())
+        return fn(taus)
 
     events = detect_zero_intervals(series, ZERO_TOL, spy)
     assert [e.kind for e in events].count("birth") >= 2
-    assert calls
-    assert not set(calls) & set(series.tau_array().tolist())
+    assert len(calls) == 10
+    called = {tau for step in calls for tau in step}
+    assert called
+    assert not called & set(series.tau_array().tolist())
 
 
 def test_negativity_death_and_birth_measured_network():
@@ -234,6 +242,16 @@ def test_count_peaks_monotone_and_sine():
     assert len(peaks) == 2
 
 
+def test_count_peaks_plateau_rule():
+    # a flat top counts once, at its left edge; one that rises on its right
+    # is no peak, even at zero prominence
+    taus = np.arange(7.0)
+    peaks = count_peaks(_series(taus, [0, 1, 1, 0, 2, 2, 0]), prominence=0.0)
+    assert [e.tau for e in peaks] == [1.0, 4.0]
+    peaks = count_peaks(_series(taus, [0, 1, 1, 2, 0, 0, 0]), prominence=0.0)
+    assert [e.tau for e in peaks] == [3.0]
+
+
 def test_count_peaks_channel_14_vs_12():
     grid = ScanGrid(tau_steps=1001, eps_values=(0.1,), channels=("12", "14"),
                     quantifiers=("negativity",))
@@ -251,6 +269,14 @@ def test_sudden_changes_linear_vs_triangle():
     assert events
     for e in events:
         assert e.kind == "sudden_change"
+
+
+def test_sudden_changes_sum_left_to_right():
+    # |0.2 - 2 * 0.7 + 0.7| is 0.5, one ulp above the range 0.7 - 0.2;
+    # np.diff(vals, 2) rounds it down onto the range and finds no change
+    events = detect_sudden_changes(_series([0.0, 1.0, 2.0], [0.7, 0.7, 0.2]),
+                                   1.0)
+    assert [(e.kind, e.tau) for e in events] == [("sudden_change", 1.0)]
 
 
 def test_sudden_changes_requires_uniform_spacing():
@@ -276,8 +302,9 @@ def test_series_evaluator_matches_series():
                     channels=("12",), quantifiers=("negativity",))
     series = sweep(MM, grid)[0]
     fn = series_evaluator(MM, series)
+    assert fn(series.tau_array()).tolist() == series.values().tolist()
     for tau, value in series.points:
-        assert fn(tau) == value
+        assert fn(np.array([tau])).tolist() == [value]
 
 
 SERIES_BITS = Path(__file__).resolve().parent / "data" / "series_bits.txt"
@@ -309,3 +336,167 @@ def test_series_values_match_pinned_bits():
     assert len(lines) == len(pinned)
     for got, want in zip(lines, pinned):
         assert got == want
+
+
+# The scalar event detectors as they were before the array rewrite, kept
+# verbatim (names prefixed) as the reference the array code must match
+# event for event.
+
+def _reference_bisect_crossing(fn: Callable[[float], float], lo: float,
+                               f_lo: float, hi: float, tol: float) -> float:
+    """tau where fn crosses `tol` inside (lo, hi), to BISECTION_RESOLUTION;
+    f_lo is the known value fn(lo) - tol."""
+    for _ in range(BISECTION_MAX_ITER):
+        if hi - lo <= BISECTION_RESOLUTION:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid) - tol
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_detect_zero_intervals(series: MeasureSeries,
+                                     zero_tol: float = ZERO_TOL,
+                                     quantifier: Optional[Callable[[float], float]] = None
+                                     ) -> list[EventRecord]:
+    """Maximal runs of values <= zero_tol become death intervals; the first
+    point above zero_tol after a run is a birth. With a quantifier callable
+    the interval edges are refined by bisection. The callable must equal
+    the series at its taus (as `series_evaluator` does): each bracket's grid
+    end is read from the series, so the callable never runs at a grid tau."""
+    if not series.points:
+        raise ValueError("series is empty")
+    taus = series.tau_array()
+    vals = series.values()
+    dead = vals <= zero_tol
+    events: list[EventRecord] = []
+    i = 0
+    n = len(vals)
+    while i < n:
+        if not dead[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and dead[j + 1]:
+            j += 1
+        start, end = float(taus[i]), float(taus[j])
+        if quantifier is not None and i > 0:
+            start = _reference_bisect_crossing(quantifier, float(taus[i - 1]),
+                                               vals[i - 1] - zero_tol, start,
+                                               zero_tol)
+        if quantifier is not None and j + 1 < n:
+            end = _reference_bisect_crossing(quantifier, end, vals[j] - zero_tol,
+                                             float(taus[j + 1]), zero_tol)
+        events.append(EventRecord(kind="death", tau=start, value=float(vals[i]),
+                                  interval_end=end))
+        if j + 1 < n:
+            birth_tau = end if quantifier is not None else float(taus[j + 1])
+            events.append(EventRecord(kind="birth", tau=birth_tau,
+                                      value=float(vals[j + 1])))
+        i = j + 1
+    return events
+
+
+def _reference_count_peaks(series: MeasureSeries,
+                           prominence: Optional[float] = None
+                           ) -> list[EventRecord]:
+    """Local maxima whose height above the higher flanking minimum reaches
+    the prominence threshold (default 0.05 * series max)."""
+    vals = series.values()
+    taus = series.tau_array()
+    if len(vals) < 3:
+        raise ValueError("need at least 3 points to detect peaks")
+    if prominence is None:
+        prominence = PEAK_PROMINENCE_FRACTION * float(vals.max())
+    events = []
+    for i in range(1, len(vals) - 1):
+        if not (vals[i] > vals[i - 1] and vals[i] >= vals[i + 1]):
+            continue
+        if vals[i] == vals[i + 1]:  # plateau: attribute the peak to its left edge
+            k = i + 1
+            while k < len(vals) and vals[k] == vals[i]:
+                k += 1
+            if k < len(vals) and vals[k] > vals[i]:
+                continue
+        left = vals[:i][::-1]
+        right = vals[i + 1:]
+        left_min = vals[i]
+        for v in left:
+            if v > vals[i]:
+                break
+            left_min = min(left_min, v)
+        right_min = vals[i]
+        for v in right:
+            if v > vals[i]:
+                break
+            right_min = min(right_min, v)
+        if vals[i] - max(left_min, right_min) >= prominence:
+            events.append(EventRecord(kind="peak", tau=float(taus[i]),
+                                      value=float(vals[i])))
+    return events
+
+
+def _reference_detect_sudden_changes(series: MeasureSeries,
+                                     slope_jump_tol: float) -> list[EventRecord]:
+    """Points where the discrete second difference exceeds
+    slope_jump_tol * (series range); requires uniform tau spacing."""
+    taus = series.tau_array()
+    vals = series.values()
+    if _uneven(np.diff(taus)):
+        raise ValueError("detect_sudden_changes requires uniform tau spacing")
+    rng = float(vals.max() - vals.min())
+    if rng == 0.0:
+        return []
+    events = []
+    for i in range(1, len(vals) - 1):
+        d2 = abs(vals[i + 1] - 2 * vals[i] + vals[i - 1])
+        if d2 > slope_jump_tol * rng:
+            events.append(EventRecord(kind="sudden_change", tau=float(taus[i]),
+                                      value=float(vals[i])))
+    return events
+
+
+EVENTS_PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
+                           database=None)
+# a few discrete levels give plateaus, ties and exact zeros; ZERO_TOL itself
+# sits on the `<=` edge of the dead mask
+level_sets = st.lists(st.one_of(st.just(0.0), st.just(ZERO_TOL),
+                                st.floats(0.0, 2.0)), min_size=1, max_size=5)
+zero_tols = st.one_of(st.just(ZERO_TOL), st.floats(0.0, 1.0))
+
+
+@EVENTS_PROPERTY
+@given(levels=level_sets,
+       picks=st.lists(st.integers(0, 4), min_size=3, max_size=80),
+       tau_min=st.floats(0.0, 10.0), step=st.floats(1e-3, 1.0),
+       zero_tol=zero_tols,
+       prominence=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1.0)),
+       slope_jump_tol=st.floats(0.0, 3.0))
+def test_event_detectors_equal_scalar_reference(levels, picks, tau_min, step,
+                                                zero_tol, prominence,
+                                                slope_jump_tol):
+    vals = [levels[k % len(levels)] for k in picks]
+    s = _series(tau_min + step * np.arange(len(vals)), vals)
+    assert (detect_zero_intervals(s, zero_tol)
+            == _reference_detect_zero_intervals(s, zero_tol))
+    assert count_peaks(s, prominence) == _reference_count_peaks(s, prominence)
+    assert (detect_sudden_changes(s, slope_jump_tol)
+            == _reference_detect_sudden_changes(s, slope_jump_tol))
+
+
+@EVENTS_PROPERTY
+@given(a=st.floats(0.5, 5.0), b=st.floats(0.0, 2 * np.pi),
+       tau_min=st.floats(0.0, 10.0), span=st.floats(1.0, 10.0),
+       steps=st.integers(3, 60), zero_tol=st.one_of(st.just(ZERO_TOL),
+                                                    st.floats(0.0, 0.5)))
+def test_lockstep_refinement_equals_scalar_reference(a, b, tau_min, span, steps,
+                                                     zero_tol):
+    fn = lambda taus: np.maximum(0.0, np.sin(a * taus + b))
+    taus = np.linspace(tau_min, tau_min + span, steps)
+    s = _series(taus, fn(taus))
+    scalar = lambda tau: float(fn(np.array([tau]))[0])
+    assert (detect_zero_intervals(s, zero_tol, fn)
+            == _reference_detect_zero_intervals(s, zero_tol, scalar))
