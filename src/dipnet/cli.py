@@ -299,7 +299,7 @@ def _load_scenario(path: str, output_dir: Optional[str],
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario file is not UTF-8 text: {exc.reason}",
                             data[:exc.start].count(b"\n") + 1) from None

@@ -16,7 +16,7 @@ three-node channels conjugate the Pauli words of the coupled qubits by the
 4x4 coupling and trace out what the channel drops.
 
 The closed form never builds the 16x16 or 256x256 network state; that is
-the dense path's route (`netmodel.network_channel_state`), and
+the dense path's route (`netmodel.network_channel_states`), and
 `require_oracle_agreement` compares a series' closed and dense stacks
 (`validate_channel` is its one-point case).
 
@@ -80,12 +80,9 @@ def kept_pair_damping(gammas):
 
 
 def cross_pair_damping(gammas):
-    """Pauli damping (ex, ey, ez) for correlations sent across the coupling,
-    elementwise in the entries g1..g4."""
-    g1, g2, g3, g4 = g = np.asarray(gammas)
-    s1, s2, s3, s4 = _abs2(g)
-    p42, p13 = _re_conj(g4, g2), _re_conj(g1, g3)
-    return p42 + p13, p42 - p13, 0.5 * (s4 + s2 - s1 - s3)
+    """Pauli damping (ex, ey, ez) for correlations sent across the coupling:
+    the kept-pair damping with g2 and g3 exchanged."""
+    return kept_pair_damping(np.asarray(gammas)[[0, 2, 1, 3]])
 
 
 # two-node channel -> (index of the pair it carries, damping that pair sees)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, kron, partial_trace
+from .qmat import (DensityMatrix, conjugate_pair_stack, kron, partial_trace,
+                   require_unitary)
 from .netmodel import (DipolarParams, PropagatorCoeffs, XStateParams,
-                       evolve_pair, propagator_coeffs, propagator_matrix,
-                       x_state)
+                       propagator_coeffs, propagator_matrix, x_state)
 
 SOURCE_FRAME_MAX_ENTANGLED = XStateParams(1.0, -1.0, 1.0)
 LEDGER_REFERENCE = DipolarParams(eps_tilde=0.3, tau=0.7)
@@ -74,8 +74,9 @@ def typo_ledger() -> list[LedgerEntry]:
     reference point LEDGER_REFERENCE in the source's own pair convention."""
     pair = SOURCE_FRAME_MAX_ENTANGLED
     pc = propagator_coeffs(LEDGER_REFERENCE)
-    rho0 = DensityMatrix(kron(x_state(pair).mat, x_state(pair).mat), 4)
-    rho_t = evolve_pair(rho0, propagator_matrix(LEDGER_REFERENCE), (1, 2))
+    rho0 = kron(x_state(pair).mat, x_state(pair).mat)
+    u = require_unitary(propagator_matrix(LEDGER_REFERENCE))
+    rho_t = DensityMatrix(conjugate_pair_stack(rho0[None], 4, u, (1, 2))[0], 4)
 
     entries: list[LedgerEntry] = []
 

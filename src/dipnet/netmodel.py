@@ -16,13 +16,15 @@ equals exp(-i H t) for the Hamiltonian of dipolar_hamiltonian() at
 t = -12 tau / delta (see tau_to_time).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qmat import (BadSubsystem, ComplexMatrix, DensityMatrix, NotPositive,
-                   conjugate_pair_stack, kron, partial_trace,
-                   partial_trace_stack, require_unitary)
+                   conjugate_pair_stack, density_matrix, kron,
+                   partial_trace_stack, require_density_stack,
+                   require_unitary)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -91,9 +93,6 @@ class XStateParams:
     b: float
     c: float
 
-    def bell_weights(self) -> tuple[float, float, float, float]:
-        return bell_weights(self.a, self.b, self.c)
-
 
 SINGLET_PARAMS = XStateParams(-1.0, -1.0, -1.0)
 
@@ -110,10 +109,22 @@ def kappas(eps_tilde: float) -> tuple[float, float, float]:
     return (1 - 3 * eps_tilde, 1 + 3 * eps_tilde, -2.0)
 
 
+def require_finite_phases(eps_tilde: float, tau: float, eps_key: str,
+                          tau_key: str) -> None:
+    """FieldError unless every propagator phase kappa * tau is finite. As
+    kappa_z = -2 for any eps_tilde, an overflow there is the tau's fault."""
+    tau = float(tau)
+    if all(math.isfinite(k * tau) for k in kappas(float(eps_tilde))):
+        return
+    raise FieldError((tau_key,) if not math.isfinite(2.0 * tau) else (eps_key,),
+                     f"propagator phase kappa * tau is not finite at "
+                     f"eps_tilde = {eps_tilde}, tau = {tau}")
+
+
 @dataclass(frozen=True)
 class DipolarParams:
     """Dimensionless coupling parameters; the phase rates are always derived
-    (`kappas`)."""
+    (`kappas`) and must be finite once multiplied by tau."""
 
     eps_tilde: float
     tau: float
@@ -121,6 +132,7 @@ class DipolarParams:
     def __post_init__(self):
         if self.tau < 0:
             raise FieldError(("tau",), f"tau must be >= 0, got {self.tau}")
+        require_finite_phases(self.eps_tilde, self.tau, "eps_tilde", "tau")
 
 
 @dataclass(frozen=True)
@@ -270,36 +282,17 @@ def initial_network(cfg: NetworkConfig) -> DensityMatrix:
     return DensityMatrix(kron(x_state(p1).mat, x_state(p2).mat), 4)
 
 
-def evolve_pair(rho: DensityMatrix, u: ComplexMatrix,
-                qubits: tuple[int, int]) -> DensityMatrix:
-    """Conjugate rho by the 4x4 unitary u acting on the ordered qubit pair
-    (i, j), i < j; u is checked for unitarity."""
-    mat = conjugate_pair_stack(rho.mat[None], rho.nqubits, require_unitary(u),
-                               qubits)[0]
-    return DensityMatrix(mat, rho.nqubits)
-
-
 def evolved_network(cfg: NetworkConfig, p: DipolarParams) -> DensityMatrix:
     """Initial network evolved by the dipolar coupling on qubits (1, 2)."""
-    return evolve_pair(initial_network(cfg), propagator_matrix(p), (1, 2))
+    u = require_unitary(propagator_matrix(p))
+    return DensityMatrix(conjugate_pair_stack(initial_network(cfg).mat[None], 4,
+                                              u, (1, 2))[0], 4)
 
 
 def extend_to_eight(cfg: NetworkConfig, p_inner: DipolarParams,
                     p_bridge: DipolarParams) -> DensityMatrix:
-    """Terminal two-node channel of the eight-node network.
-
-    Two identical four-node hops (qubits 0-3 and 4-7, each evolved on its
-    (1,2) pair) are joined by a bridge coupling between hop 1's terminal
-    node (qubit 2) and hop 2's first node (qubit 4); the 256x256 state is
-    then traced to the terminal channel qubits (0, 4). Applying the bridge
-    on (3, 4) and keeping (0, 7) instead provably returns I/4 for every
-    parameter value, so this layout is the one that carries the extension's
-    entanglement.
-    """
-    hop = evolved_network(cfg, p_inner)
-    rho8 = conjugate_pair_stack(kron(hop.mat, hop.mat)[None], 8,
-                                propagator_matrix(p_bridge), (2, 4))
-    return DensityMatrix(partial_trace_stack(rho8, 8, (0, 4))[0], 2)
+    """Channel "18" at one point (see `network_channel_states`)."""
+    return network_channel_state(cfg, p_inner, "18", p_bridge)
 
 
 def channel_qubits(channel: str) -> tuple[int, ...]:
@@ -312,9 +305,39 @@ def channel_qubits(channel: str) -> tuple[int, ...]:
         raise BadSubsystem(f"unknown channel {channel!r}") from None
 
 
+def network_channel_states(cfg: NetworkConfig, channel: str,
+                           eps_tilde: float, taus: np.ndarray,
+                           p_bridge: DipolarParams | None = None) -> np.ndarray:
+    """(N, d, d) dense-path states of a named channel at every tau of the
+    1-d array `taus`: the initial network conjugated on qubits (1, 2) by
+    the scalar `propagator_matrix` of each tau, then reduced; the networks
+    and the channel states are each validated as one stack.
+
+    Channel "18" joins two such four-node hops (qubits 0-3 and 4-7) by a
+    bridge coupling at `p_bridge` (default: the inner coupling at each tau)
+    on hop 1's terminal node (qubit 2) and hop 2's first node (qubit 4),
+    one 256x256 state at a time, and keeps the terminal qubits (0, 4). A
+    bridge on (3, 4) keeping (0, 7) instead provably returns I/4 for every
+    parameter value, so this layout carries the extension's entanglement.
+    """
+    us = require_unitary(np.array([
+        propagator_matrix(DipolarParams(eps_tilde=eps_tilde, tau=tau))
+        for tau in taus.tolist()]))
+    hops = require_density_stack(conjugate_pair_stack(np.broadcast_to(
+        initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2)), 4)
+    if channel != "18":
+        states = partial_trace_stack(hops, 4, channel_qubits(channel))
+    else:
+        bridges = (us if p_bridge is None
+                   else [propagator_matrix(p_bridge)] * len(us))
+        states = np.array([partial_trace_stack(conjugate_pair_stack(
+            kron(hop, hop)[None], 8, bridge, (2, 4)), 8, (0, 4))[0]
+            for hop, bridge in zip(hops, bridges)])
+    return require_density_stack(states, states.shape[-1].bit_length() - 1)
+
+
 def network_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
                           p_bridge: DipolarParams | None = None) -> DensityMatrix:
-    """Dense-path reduced state of a named channel."""
-    if channel == "18":
-        return extend_to_eight(cfg, p, p_bridge if p_bridge is not None else p)
-    return partial_trace(evolved_network(cfg, p), channel_qubits(channel))
+    """Dense-path reduced state of a named channel at one point."""
+    return density_matrix(network_channel_states(
+        cfg, channel, p.eps_tilde, np.array([p.tau]), p_bridge)[0])

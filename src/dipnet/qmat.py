@@ -112,10 +112,6 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.nqubits
-
 
 def density_matrix(mat) -> DensityMatrix:
     """Build a DensityMatrix, inferring the qubit count from the dimension."""
@@ -127,7 +123,7 @@ def density_matrix(mat) -> DensityMatrix:
 
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product; output dim is a.dim * b.dim."""
+    """Kronecker product of two square matrices."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
@@ -178,19 +174,20 @@ def partial_trace_stack(mats: np.ndarray, nqubits: int, keep) -> np.ndarray:
 
 def conjugate_pair_stack(mats: np.ndarray, nqubits: int, u: ComplexMatrix,
                          qubits) -> np.ndarray:
-    """u rho u^+ for every matrix rho of an (N, d, d) stack, with the 4x4 u
-    acting on the ordered qubit pair (i, j), i < j; a local contraction on
-    the (2,)*2n tensor, so no d x d operator is built. Ket side first."""
+    """u rho u^+ for every rho of an (N, d, d) stack, with u a 4x4 (or one
+    per rho, (N, 4, 4)) on the ordered qubit pair (i, j), i < j; a local
+    contraction on the (2,)*2n tensor, no d x d operator. Ket side first."""
     pair = _check_keep(qubits, nqubits, require_sorted=True)
-    u = as_complex_matrix(u)
-    if len(pair) != 2 or u.shape != (4, 4):
-        raise BadSubsystem(f"need a 4x4 operator on a qubit pair, got "
+    u = np.asarray(u, dtype=complex)
+    if len(pair) != 2 or u.shape[-2:] != (4, 4) or u.ndim not in (2, 3):
+        raise BadSubsystem(f"need 4x4 operators on a qubit pair, got "
                            f"shape {u.shape} on {pair}")
     t = mats.reshape((-1,) + (2,) * (2 * nqubits))
-    for first, op in ((1, u.T), (1 + nqubits, u.conj().T)):
+    rows = (-1, 4) if u.ndim == 2 else (len(t), -1, 4)
+    for first, op in ((1, u.swapaxes(-1, -2)), (1 + nqubits, _adjoint(u))):
         axes = (first + pair[0], first + pair[1])
         t = np.moveaxis(t, axes, (-2, -1))
-        t = np.moveaxis((t.reshape(-1, 4) @ op).reshape(t.shape), (-2, -1), axes)
+        t = np.moveaxis((t.reshape(rows) @ op).reshape(t.shape), (-2, -1), axes)
     return t.reshape(mats.shape)
 
 
@@ -226,9 +223,10 @@ def matrix_exp_hermitian(h: ComplexMatrix, t: float) -> ComplexMatrix:
 
 
 def require_unitary(u: ComplexMatrix) -> ComplexMatrix:
-    """NotUnitary unless u u^+ equals the identity within HERM_TOL."""
-    u = as_complex_matrix(u)
-    dev = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
+    """NotUnitary unless u u^+ equals the identity within HERM_TOL, for one
+    matrix or for every matrix of an (N, d, d) stack."""
+    u = np.asarray(u, dtype=complex)
+    dev = float(np.abs(u @ _adjoint(u) - np.eye(u.shape[-1])).max())
     if dev > HERM_TOL:
         raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
     return u

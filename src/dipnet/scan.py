@@ -2,7 +2,6 @@
 sudden death/birth intervals, peaks, sudden slope changes. In every mode a
 series is one (N, d, d) state stack, built and scored by `series_values`."""
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -12,8 +11,8 @@ import numpy as np
 from .closedform import closed_channel_states, require_oracle_agreement
 from .measures import naqc_degree_stack, negativity_stack, pi_tangle_stack
 from .netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS, DipolarParams,
-                       FieldError, NetworkConfig, kappas,
-                       network_channel_state)
+                       FieldError, NetworkConfig, network_channel_states,
+                       require_finite_phases)
 
 ZERO_TOL = 1e-6
 PEAK_PROMINENCE_FRACTION = 0.05
@@ -26,18 +25,6 @@ SPACING_TOL = 1e-9  # relative spread of tau steps that still counts as uniform
 
 MODES = ("closed_form", "dense", "validate")
 QUANTIFIERS = ("negativity", "naqc", "tangle")
-
-
-def _require_finite_phases(eps_tilde: float, tau: float, eps_key: str,
-                           tau_key: str) -> None:
-    """FieldError unless every propagator phase kappa * tau is finite. As
-    kappa_z = -2 for any eps_tilde, an overflow there is the tau's fault."""
-    tau = float(tau)
-    if all(math.isfinite(k * tau) for k in kappas(float(eps_tilde))):
-        return
-    raise FieldError((tau_key,) if not math.isfinite(2.0 * tau) else (eps_key,),
-                     f"propagator phase kappa * tau is not finite at "
-                     f"eps_tilde = {eps_tilde}, tau = {tau}")
 
 
 def _uneven(steps: np.ndarray) -> bool:
@@ -67,7 +54,7 @@ class ScanGrid:
             if not getattr(self, key):
                 raise FieldError((key,), f"{key} must be nonempty")
         for eps in self.eps_values:
-            _require_finite_phases(eps, self.tau_max, "eps_values", "tau_max")
+            require_finite_phases(eps, self.tau_max, "eps_values", "tau_max")
         steps = np.diff(self.taus())
         # tangle series are scanned for sudden changes, which need even steps
         if (steps <= 0).any() or ("tangle" in self.quantifiers
@@ -136,13 +123,10 @@ class ExtensionSpec:
         if self.mode not in ("track", "fixed"):
             raise FieldError(("mode",), f"extension mode must be track or "
                                         f"fixed, got {self.mode!r}")
-        if self.mode == "fixed":
-            if self.bridge is None:
-                raise FieldError(("mode",), "fixed extension mode needs "
-                                            "bridge_tau and bridge_eps_tilde")
-            _require_finite_phases(self.bridge.eps_tilde, self.bridge.tau,
-                                   "bridge_eps_tilde", "bridge_tau")
-        elif self.bridge is not None:
+        if self.mode == "fixed" and self.bridge is None:
+            raise FieldError(("mode",), "fixed extension mode needs "
+                                        "bridge_tau and bridge_eps_tilde")
+        if self.mode == "track" and self.bridge is not None:
             raise FieldError(("bridge_tau", "bridge_eps_tilde"),
                              "track extension mode couples the "
                              "bridge to the swept parameters and takes no "
@@ -175,14 +159,11 @@ def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
     if channel == "18":
         if extension is None:
             raise ValueError("channel 18 requires an ExtensionSpec")
-        if extension.mode == "fixed":
-            p_bridge = extension.bridge
+        p_bridge = extension.bridge  # None in track mode
     if mode != "dense":
         closed = closed_channel_states(cfg, channel, eps_tilde, taus, p_bridge)
     if mode != "closed_form":
-        dense = np.array([network_channel_state(
-            cfg, DipolarParams(eps_tilde=eps_tilde, tau=tau), channel,
-            p_bridge).mat for tau in taus.tolist()])
+        dense = network_channel_states(cfg, channel, eps_tilde, taus, p_bridge)
     if mode == "validate":
         require_oracle_agreement(channel, closed, dense, eps_tilde, taus)
     states = dense if mode == "dense" else closed

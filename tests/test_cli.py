@@ -171,6 +171,19 @@ def test_main_undecodable_scenario_exits_usage_with_line(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [bad]
 
 
+def test_main_reads_scenario_with_byte_order_mark(tmp_path):
+    # some editors save UTF-8 with a leading byte-order mark
+    text = MINIMAL.lstrip()
+    plain, marked = tmp_path / "plain.scn", tmp_path / "marked.scn"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for path in (plain, marked):
+        assert main(["run", str(path),
+                     "--output-dir", str(tmp_path / path.stem)]) == EXIT_OK
+    assert ((tmp_path / "marked" / "tiny.csv").read_bytes()
+            == (tmp_path / "plain" / "tiny.csv").read_bytes())
+
+
 def test_main_write_failure_exits_compute(tmp_path, capsys):
     # an output path taken by a directory is a write failure, not a crash
     good = tmp_path / "good.scn"

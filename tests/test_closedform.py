@@ -12,10 +12,11 @@ from dipnet.ledger import (CAUSE_DUPLICATED_COEFF, CAUSE_MALFORMED_KETBRA,
                            render_typo_report, typo_ledger)
 from dipnet.measures import pi_tangle
 from dipnet.netmodel import (PAULIS, DipolarParams, NetworkConfig,
-                             XStateParams, channel_qubits, evolve_pair,
+                             XStateParams, channel_qubits,
                              extend_to_eight, network_channel_state,
                              propagator_coeffs, propagator_matrix, x_state)
-from dipnet.qmat import ORACLE_TOL, DensityMatrix, kron, partial_trace
+from dipnet.qmat import (ORACLE_TOL, DensityMatrix, conjugate_pair_stack,
+                         kron, partial_trace, require_unitary)
 
 MM = NetworkConfig("MM")
 WW = NetworkConfig("WW", werner_x1=0.7, werner_x2=0.7)
@@ -138,8 +139,9 @@ def test_closed_forms_match_dense_random_params(rng):
         p = DipolarParams(eps_tilde=float(rng.uniform(-0.4, 0.5)),
                           tau=float(rng.uniform(0.0, 8.0)))
         gammas = propagator_coeffs(p).gammas()
-        net = DensityMatrix(kron(x_state(p1).mat, x_state(p2).mat), 4)
-        net = evolve_pair(net, propagator_matrix(p), (1, 2))
+        net = kron(x_state(p1).mat, x_state(p2).mat)
+        u = require_unitary(propagator_matrix(p))
+        net = DensityMatrix(conjugate_pair_stack(net[None], 4, u, (1, 2))[0], 4)
         for channel in CLOSED_CHANNELS + ("13", "24"):
             dense = partial_trace(net, channel_qubits(channel))
             closed = channel_states(channel, p1, p2,

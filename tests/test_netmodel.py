@@ -5,16 +5,17 @@ import pytest
 
 from dipnet.closedform import kept_pair_damping
 from dipnet.measures import negativity
-from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, NetworkConfig,
-                             XStateParams, dipolar_hamiltonian, evolve_pair,
-                             evolved_network, extend_to_eight,
-                             initial_network, network_channel_state,
-                             propagator_coeffs, propagator_matrix,
-                             tau_to_time, werner_params, x_state)
+from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, FieldError,
+                             NetworkConfig, XStateParams, bell_weights,
+                             dipolar_hamiltonian, evolved_network,
+                             extend_to_eight, initial_network,
+                             network_channel_state, propagator_coeffs,
+                             propagator_matrix, tau_to_time, werner_params,
+                             x_state)
 from dipnet.qmat import (BadSubsystem, NotPositive, NotUnitary,
                          conjugate_pair_stack, hermitian_eigenvalues, kron,
                          matrix_exp_hermitian, partial_trace,
-                         partial_trace_stack)
+                         partial_trace_stack, require_unitary)
 
 from conftest import charpoly_eigenvalues, ginibre_density
 
@@ -45,6 +46,16 @@ def test_hamiltonian_direct_substitution():
 def test_hamiltonian_eigenvalues_oracle():
     w = charpoly_eigenvalues(dipolar_hamiltonian(1.0, 0.0))
     assert np.allclose(w, [-1 / 3, 0.0, 1 / 6, 1 / 6], atol=1e-8)
+
+
+@pytest.mark.parametrize("eps, tau, key", [
+    (0.1, float("nan"), "tau"), (float("nan"), 1.0, "eps_tilde"),
+    (0.1, float("inf"), "tau"), (0.1, 1e308, "tau"), (1e308, 0.0, "eps_tilde")])
+def test_coupling_refuses_non_finite_phases(eps, tau, key):
+    # a phase kappa * tau that is not finite would reach the eigensolver
+    with pytest.raises(FieldError) as err:
+        DipolarParams(eps_tilde=eps, tau=tau)
+    assert err.value.keys == (key,)
 
 
 def test_propagator_coeffs_tau_zero():
@@ -118,7 +129,7 @@ def test_xstate_psd_condition_matches_bell_weights(rng):
     for _ in range(50):
         a, b, c = rng.uniform(-1.2, 1.2, size=3)
         params = XStateParams(a, b, c)
-        ok = min(params.bell_weights()) >= -1e-12
+        ok = min(bell_weights(a, b, c)) >= -1e-12
         if ok:
             rho = x_state(params)
             assert hermitian_eigenvalues(rho.mat).min() > -1e-10
@@ -138,8 +149,9 @@ def test_initial_network_kinds():
 
 def test_evolve_pair_identity():
     rho = initial_network(NetworkConfig("MM"))
-    out = evolve_pair(rho, np.eye(4, dtype=complex), (1, 2))
-    assert np.abs(out.mat - rho.mat).max() < 1e-14
+    out = conjugate_pair_stack(rho.mat[None], 4, np.eye(4, dtype=complex),
+                               (1, 2))[0]
+    assert np.abs(out - rho.mat).max() < 1e-14
 
 
 def _embedded(u, i, j, n):
@@ -167,7 +179,9 @@ def test_evolve_pair_embedding_adjacent():
     expect = full @ rho.mat @ full.conj().T
     assert np.array_equal(conjugate_pair_stack(rho.mat[None], 4, u, (1, 2))[0],
                           expect)
-    assert np.array_equal(evolve_pair(rho, u, (1, 2)).mat, expect)
+    # one unitary per state, as the dense route passes them
+    assert np.array_equal(conjugate_pair_stack(
+        rho.mat[None], 4, require_unitary(u[None]), (1, 2))[0], expect)
 
 
 def test_evolve_pair_embedding_nonadjacent():
@@ -203,6 +217,28 @@ def test_conjugate_pair_stack_equals_embedded_conjugation():
             assert np.array_equal(got, full @ rho @ full.conj().T), (n, i, j)
 
 
+def test_conjugate_pair_stack_one_unitary_per_state_equals_single_calls():
+    rng = np.random.default_rng(9)
+    for n, pair, count in ((4, (1, 2), 5), (4, (0, 3), 5), (8, (2, 4), 2)):
+        us = np.array([_random_unitary(rng) for _ in range(count)])
+        mats = np.array([ginibre_density(rng, n).mat for _ in range(count)])
+        out = conjugate_pair_stack(mats, n, us, pair)
+        for rho, u, got in zip(mats, us, out):
+            one = conjugate_pair_stack(rho[None], n, u, pair)[0]
+            assert np.array_equal(got, one), (n, pair)
+
+
+def test_require_unitary_checks_every_member_of_a_stack():
+    rng = np.random.default_rng(10)
+    us = np.array([_random_unitary(rng) for _ in range(4)])
+    assert np.array_equal(require_unitary(us), us)
+    for k in range(len(us)):
+        bad = us.copy()
+        bad[k] *= 1.0 + 1e-9
+        with pytest.raises(NotUnitary):
+            require_unitary(bad)
+
+
 def test_conjugate_pair_stack_refuses_other_pairs():
     mats = initial_network(NetworkConfig("MM")).mat[None]
     for pair in [(2, 1), (1, 1), (0, 4)]:
@@ -211,9 +247,9 @@ def test_conjugate_pair_stack_refuses_other_pairs():
 
 
 def test_evolve_pair_preserves_spectrum():
-    rho = initial_network(NetworkConfig("WW", werner_x1=0.8, werner_x2=0.5))
-    u = propagator_matrix(DipolarParams(eps_tilde=0.25, tau=2.1))
-    out = evolve_pair(rho, u, (1, 2))
+    cfg = NetworkConfig("WW", werner_x1=0.8, werner_x2=0.5)
+    rho = initial_network(cfg)
+    out = evolved_network(cfg, DipolarParams(eps_tilde=0.25, tau=2.1))
     w0 = hermitian_eigenvalues(rho.mat)
     w1 = hermitian_eigenvalues(out.mat)
     assert np.abs(w0 - w1).max() < 1e-10
@@ -221,13 +257,13 @@ def test_evolve_pair_preserves_spectrum():
 
 
 def test_evolve_pair_rejects_bad_input():
-    rho = initial_network(NetworkConfig("MM"))
+    mats = initial_network(NetworkConfig("MM")).mat[None]
     with pytest.raises(BadSubsystem):
-        evolve_pair(rho, np.eye(4), (2, 1))
+        conjugate_pair_stack(mats, 4, np.eye(4), (2, 1))
     with pytest.raises(BadSubsystem):
-        evolve_pair(rho, np.eye(4), (1, 4))
+        conjugate_pair_stack(mats, 4, np.eye(4), (1, 4))
     with pytest.raises(NotUnitary):
-        evolve_pair(rho, np.eye(4) * 2.0, (1, 2))
+        require_unitary(np.eye(4) * 2.0)
 
 
 def test_evolved_network_matches_pair_closed_form():

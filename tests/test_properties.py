@@ -8,6 +8,10 @@
  - The analytic Bell-diagonal negativity and NAQC of the dense state agree
    with the kernel to 1e-12 (an oracle independent of both its state
    assembly and its quantifiers).
+ - Each row of the dense route's stack equals its one-point dense state
+   and a point-by-point reference bit for bit, and the stack agrees with
+   the closed-form one within ORACLE_TOL, on every channel and both bridge
+   modes.
  - The stack validator raises what DensityMatrix raises for a bad matrix.
  - The propagator obeys the group law U(t1) U(t2) = U(t1 + t2) and is
    unitary, on the dense route and the closed (vectorised) one.
@@ -28,14 +32,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dipnet.cli import _KNOWN_KEYS, main
+from dipnet.closedform import closed_channel_states
 from dipnet.measures import (NAQC_CRITICAL, NAQC_MAX, naqc_degree,
                              naqc_degree_stack, negativity, negativity_stack,
                              pi_tangle, pi_tangle_stack)
 from dipnet.netmodel import (ALL_CHANNELS, XX, YY, ZZ, DipolarParams,
-                             NetworkConfig, bell_weights, coupling_matrices,
-                             network_channel_state, propagator_gammas,
-                             propagator_matrix)
-from dipnet.qmat import (DensityMatrix, NotHermitian, NotPositive,
+                             NetworkConfig, bell_weights, channel_qubits,
+                             coupling_matrices, evolved_network,
+                             network_channel_state, network_channel_states,
+                             propagator_gammas, propagator_matrix)
+from dipnet.qmat import (ORACLE_TOL, DensityMatrix, NotHermitian, NotPositive,
+                         conjugate_pair_stack, kron, partial_trace_stack,
                          require_density_stack)
 from dipnet.scan import (MODES, QUANTIFIERS, ExtensionSpec, ScanGrid,
                          evaluate_point, series_values, sweep)
@@ -143,6 +150,37 @@ def test_stack_quantifiers_equal_scalar_on_dense_states(cfg, channel, points):
         values = stack_fn(stack)
         for k, rho in enumerate(states):
             assert values[k] == scalar_fn(rho)
+
+
+def _dense_point_by_point(cfg, p, channel, bridge):
+    """Reference dense state at one point, one 4x4 unitary per conjugation:
+    the evolved network reduced to the channel or, for channel 18, two
+    hops joined by the bridge and reduced to the terminal qubits."""
+    hop = evolved_network(cfg, p).mat
+    if channel != "18":
+        return partial_trace_stack(hop[None], 4, channel_qubits(channel))[0]
+    u = propagator_matrix(p if bridge is None else bridge)
+    rho8 = conjugate_pair_stack(kron(hop, hop)[None], 8, u, (2, 4))
+    return partial_trace_stack(rho8, 8, (0, 4))[0]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(cfg=networks(), channel=st.sampled_from(ALL_CHANNELS), ext=extensions(),
+       eps=st.floats(-1.0, 1.0),
+       taus=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8).map(sorted))
+def test_dense_stack_rows_equal_points_and_agree_with_closed_form(
+        cfg, channel, ext, eps, taus):
+    bridge = ext.bridge if channel == "18" else None
+    taus = np.array(taus)
+    dense = network_channel_states(cfg, channel, eps, taus, bridge)
+    for t, row in zip(taus.tolist(), dense):
+        p = DipolarParams(eps_tilde=eps, tau=t)
+        one = network_channel_state(cfg, p, channel, bridge)
+        assert np.array_equal(row, one.mat), t
+        assert np.array_equal(row, _dense_point_by_point(cfg, p, channel,
+                                                         bridge)), t
+    closed = closed_channel_states(cfg, channel, eps, taus, bridge)
+    assert np.abs(dense - closed).max() <= ORACLE_TOL
 
 
 def _bell_diagonal_oracle(rho: DensityMatrix, quantifier: str) -> float:
