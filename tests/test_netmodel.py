@@ -5,11 +5,13 @@ import pytest
 
 from dipnet.closedform import kept_pair_damping
 from dipnet.measures import negativity
+import dipnet.netmodel as netmodel
 from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, FieldError,
                              NetworkConfig, XStateParams, bell_weights,
                              dipolar_hamiltonian, evolved_network,
                              extend_to_eight, initial_network,
-                             network_channel_state, propagator_coeffs,
+                             network_channel_state, network_channel_states,
+                             propagator_coeffs,
                              propagator_matrix, tau_to_time, werner_params,
                              x_state)
 from dipnet.qmat import (BadSubsystem, NotPositive, NotUnitary,
@@ -314,6 +316,40 @@ def test_channel_18_fixed_bridge_equals_embedded_reference():
         expect = partial_trace_stack(rho8[None], 8, (0, 4))[0]
         got = network_channel_state(cfg, p, "18", bridge).mat
         assert np.array_equal(got, expect), kind
+
+
+def test_dense_stack_is_built_in_bounded_blocks(monkeypatch):
+    # a long grid must not hold its whole (N, 16, 16) stack at once; the
+    # blocks, the last one partial, join to the one-point states exactly
+    sizes = []
+
+    def recording(mats, *args):
+        sizes.append(len(mats))
+        return conjugate_pair_stack(mats, *args)
+
+    monkeypatch.setattr(netmodel, "conjugate_pair_stack", recording)
+    cfg = NetworkConfig("WW", werner_x1=0.9, werner_x2=0.6)
+    taus = np.linspace(0.0, 10.0, netmodel.DENSE_BLOCK_TAUS + 2)
+    got = network_channel_states(cfg, "14", 0.2, taus)
+    assert sizes == [netmodel.DENSE_BLOCK_TAUS, 2]
+    for tau, row in zip(taus.tolist(), got):
+        p = DipolarParams(eps_tilde=0.2, tau=tau)
+        assert np.array_equal(row, network_channel_state(cfg, p, "14").mat)
+
+
+@pytest.mark.parametrize("channel,bridge", [
+    ("12", None), ("123", None), ("18", None),
+    ("18", DipolarParams(eps_tilde=-0.1, tau=2.5))])
+def test_dense_blocks_join_to_the_one_point_states(monkeypatch, channel,
+                                                   bridge):
+    monkeypatch.setattr(netmodel, "DENSE_BLOCK_TAUS", 3)
+    cfg = NetworkConfig("MW", werner_x2=0.8)
+    taus = np.linspace(0.0, 6.0, 7)
+    got = network_channel_states(cfg, channel, 0.15, taus, bridge)
+    for tau, row in zip(taus.tolist(), got):
+        p = DipolarParams(eps_tilde=0.15, tau=tau)
+        assert np.array_equal(
+            row, network_channel_state(cfg, p, channel, bridge).mat)
 
 
 def test_extend_to_eight_trace_and_weakness():
