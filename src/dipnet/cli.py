@@ -205,7 +205,7 @@ def _fmt(value: float) -> str:
 def render_csv(scenario_name: str, series_list: list[MeasureSeries]) -> str:
     lines = ["scenario,channel,quantifier,eps_tilde,tau,value"]
     for s in series_list:
-        for tau, value in s.points:
+        for tau, value in zip(s.taus.tolist(), s.values.tolist()):
             lines.append(f"{scenario_name},{s.channel},{s.quantifier},"
                          f"{_fmt(s.eps_tilde)},{_fmt(tau)},{_fmt(value)}")
     return "\n".join(lines) + "\n"

@@ -81,25 +81,30 @@ class ScanGrid:
         return np.linspace(self.tau_min, self.tau_max, self.tau_steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureSeries:
+    """One (channel, quantifier, eps_tilde) series: `values` at strictly
+    increasing `taus`, two read-only 1-d float arrays. Series compare by
+    identity, since arrays have no single truth value."""
     channel: str
     quantifier: str
     eps_tilde: float
-    points: tuple[tuple[float, float], ...]
+    taus: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        taus = [t for t, _ in self.points]
-        if any(b <= a for a, b in zip(taus, taus[1:])):
+        taus = np.array(self.taus, dtype=float)
+        values = np.array(self.values, dtype=float)
+        if taus.ndim != 1 or not taus.size or taus.shape != values.shape:
+            raise ValueError("series taus and values must be nonempty 1-d "
+                             "arrays of equal length")
+        if (np.diff(taus) <= 0).any():
             raise ValueError("series taus must be strictly increasing")
-        if any(v < -1e-10 for _, v in self.points):
+        if (values < -1e-10).any():
             raise ValueError("series values must be >= -1e-10")
-
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.points])
-
-    def tau_array(self) -> np.ndarray:
-        return np.array([t for t, _ in self.points])
+        for name, arr in (("taus", taus), ("values", values)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,8 @@ def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
     states: closed-form, dense, or (validate) both, required to agree, with
     the closed one scored. `sweep` and `evaluate_point` (N = 1) evaluate
     through here only."""
+    if not len(taus):
+        raise ValueError("series_values needs at least one tau")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     p_bridge = None
@@ -189,9 +196,8 @@ def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
             for eps in grid.eps_values:
                 values = series_values(cfg, channel, quantifier, eps, taus,
                                        mode, extension)
-                out.append(MeasureSeries(
-                    channel=channel, quantifier=quantifier, eps_tilde=eps,
-                    points=tuple(zip(taus.tolist(), values.tolist()))))
+                out.append(MeasureSeries(channel, quantifier, eps, taus,
+                                         values))
     return out
 
 
@@ -233,10 +239,7 @@ def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
     lockstep bisection. The callable must equal the series at its taus (as
     `series_evaluator` does): each bracket's grid end is read from the
     series, so the callable never runs at a grid tau."""
-    if not series.points:
-        raise ValueError("series is empty")
-    taus = series.tau_array()
-    vals = series.values()
+    taus, vals = series.taus, series.values
     n = len(vals)
     dead = np.concatenate(([False], vals <= zero_tol, [False]))
     flips = np.flatnonzero(dead[1:] != dead[:-1])
@@ -261,14 +264,26 @@ def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
     return events
 
 
+def _higher_on_left(vals: list[float]) -> list[int]:
+    """Index of the nearest strictly higher point left of each point, or -1:
+    one pass with a stack of the points not yet topped."""
+    stack: list[int] = []
+    out = []
+    for i, v in enumerate(vals):
+        while stack and not vals[stack[-1]] > v:
+            stack.pop()
+        out.append(stack[-1] if stack else -1)
+        stack.append(i)
+    return out
+
+
 def count_peaks(series: MeasureSeries, prominence: Optional[float] = None
                 ) -> list[EventRecord]:
     """Local maxima whose height above the higher flanking minimum reaches
     the prominence threshold (default 0.05 * series max). Each flank runs
     to the nearest strictly higher point. A flat top counts once, at its
     left edge, and is no peak if it rises on its right."""
-    vals = series.values()
-    taus = series.tau_array()
+    taus, vals = series.taus, series.values
     if len(vals) < 3:
         raise ValueError("need at least 3 points to detect peaks")
     if prominence is None:
@@ -276,13 +291,12 @@ def count_peaks(series: MeasureSeries, prominence: Optional[float] = None
     n = len(vals)
     candidates = np.flatnonzero((vals[1:-1] > vals[:-2])
                                 & (vals[1:-1] >= vals[2:])) + 1
+    lefts = _higher_on_left(vals.tolist())
+    rights = _higher_on_left(vals[::-1].tolist())[::-1]
     events = []
     for i in candidates.tolist():
         v = vals[i]
-        higher = np.flatnonzero(vals > v)
-        k = higher.searchsorted(i)
-        left = higher[k - 1] + 1 if k > 0 else 0
-        right = higher[k] if k < higher.size else n
+        left, right = lefts[i] + 1, n - 1 - rights[i]
         right_min = vals[i:right].min()
         if right < n and right_min == v:  # a flat top rising on its right
             continue
@@ -296,8 +310,7 @@ def detect_sudden_changes(series: MeasureSeries,
                           slope_jump_tol: float) -> list[EventRecord]:
     """Points where the discrete second difference exceeds
     slope_jump_tol * (series range); requires uniform tau spacing."""
-    taus = series.tau_array()
-    vals = series.values()
+    taus, vals = series.taus, series.values
     if _uneven(np.diff(taus)):
         raise ValueError("detect_sudden_changes requires uniform tau spacing")
     rng = float(vals.max() - vals.min())

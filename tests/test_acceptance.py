@@ -105,7 +105,7 @@ def test_criterion_04_sudden_death_and_rebirth():
         kinds = [e.kind for e in events]
         has_cycle = "death" in kinds and "birth" in kinds and (
             kinds.index("death") < kinds.index("birth"))
-        vals = series.values()
+        vals = series.values
         dead_idx = np.where(vals <= ZERO_TOL)[0]
         reattain = float(vals[dead_idx[0]:].max()) if dead_idx.size else 0.0
         ok = ok and has_cycle and reattain > 0.9
@@ -121,9 +121,9 @@ def test_criterion_05_naqc_dies_longer_than_negativity():
     details = []
     ok = True
     for sn, sq in zip(neg_series, naqc_series):
-        dtau = sn.points[1][0] - sn.points[0][0]
-        neg_dead = float((sn.values() <= ZERO_TOL).sum()) * dtau
-        naqc_dead = float((sq.values() <= ZERO_TOL).sum()) * dtau
+        dtau = sn.taus[1] - sn.taus[0]
+        neg_dead = float((sn.values <= ZERO_TOL).sum()) * dtau
+        naqc_dead = float((sq.values <= ZERO_TOL).sum()) * dtau
         ok = ok and naqc_dead >= neg_dead
         details.append(f"eps={sn.eps_tilde:+.1f}: naqc-dead {naqc_dead:.2f} "
                        f">= neg-dead {neg_dead:.2f}")
@@ -152,7 +152,7 @@ def _tangle_series():
 def _criterion_07_data():
     rows = []
     for series in _tangle_series():
-        vals = series.values()
+        vals = series.values
         deaths = [e for e in detect_zero_intervals(series, ZERO_TOL)
                   if e.kind == "death"]
         rows.append((series.eps_tilde, float(vals.min()),
@@ -191,11 +191,11 @@ def test_criterion_08_three_channel_similarity():
     series = {ch: _mm_series(ch, "tangle") for ch in ("123", "234", "124")}
     worst = 0.0
     for s123, s234, s124 in zip(series["123"], series["234"], series["124"]):
-        v123 = s123.values()
+        v123 = s123.values
         rng = float(v123.max() - v123.min())
         worst = max(worst,
-                    float(np.abs(v123 - s234.values()).max()) / rng,
-                    float(np.abs(v123 - s124.values()).max()) / rng)
+                    float(np.abs(v123 - s234.values).max()) / rng,
+                    float(np.abs(v123 - s124.values).max()) / rng)
     ok = worst < 0.1
     _report(8, ok, f"max relative tangle difference across the three "
                    f"three-node channels: {worst:.2e} (<0.1)")
@@ -206,15 +206,15 @@ def test_criterion_09_initial_condition_ordering():
     for name, cfg in (("MM", MM), ("MW", MW), ("WW", WW)):
         grid = ScanGrid(channels=("14",), quantifiers=("negativity",),
                         eps_values=EPS_SET)
-        maxima[name] = max(float(s.values().max()) for s in sweep(cfg, grid))
+        maxima[name] = max(float(s.values.max()) for s in sweep(cfg, grid))
     ok = maxima["MM"] >= maxima["MW"] >= maxima["WW"]
     _report(9, ok, f"max negativity(rho14): MM {maxima['MM']:.4f} >= "
                    f"MW {maxima['MW']:.4f} >= WW {maxima['WW']:.4f}")
 
 
 def test_criterion_10_extension_weakness():
-    n18 = max(float(s.values().max()) for s in _mm_series("18", "negativity"))
-    n14 = max(float(s.values().max()) for s in _mm_series("14", "negativity"))
+    n18 = max(float(s.values.max()) for s in _mm_series("18", "negativity"))
+    n14 = max(float(s.values.max()) for s in _mm_series("14", "negativity"))
     ok = n18 < n14
     _report(10, ok, f"max negativity rho18 {n18:.4f} < rho14 {n14:.4f} "
                     f"(matched parameters)")

@@ -325,7 +325,8 @@ def test_oracle_mismatch_exit_code(tmp_path, monkeypatch):
 def test_render_csv_significant_digits():
     from dipnet.scan import MeasureSeries
     s = MeasureSeries(channel="12", quantifier="negativity", eps_tilde=0.1,
-                      points=((0.123456789012345, 0.987654321098765),))
+                      taus=np.array([0.123456789012345]),
+                      values=np.array([0.987654321098765]))
     text = render_csv("x", [s])
     assert "0.123456789012" in text and "0.987654321099" in text
 

@@ -82,7 +82,7 @@ series_kinds = st.one_of(
 
 def _assert_sweep_equals_points(cfg, grid, mode, ext):
     for series in sweep(cfg, grid, mode, ext):
-        for t, value in series.points:
+        for t, value in zip(series.taus.tolist(), series.values.tolist()):
             p = DipolarParams(eps_tilde=series.eps_tilde, tau=t)
             assert value == evaluate_point(cfg, p, series.channel,
                                            series.quantifier, mode,

@@ -22,8 +22,7 @@ MM = NetworkConfig("MM")
 
 def _series(taus, vals, channel="12", quantifier="negativity", eps=0.0):
     return MeasureSeries(channel=channel, quantifier=quantifier, eps_tilde=eps,
-                         points=tuple(zip([float(t) for t in taus],
-                                          [float(v) for v in vals])))
+                         taus=taus, values=vals)
 
 
 def test_grid_validation():
@@ -68,19 +67,46 @@ def test_series_validation():
         _series([0.0, 1.0], [1.0, -0.5])
 
 
+def _write_values():
+    _series([0.0, 1.0], [1.0, 1.0]).values[0] = 0.5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _series([0.0, 1.0], [1.0]),
+    lambda: _series([[0.0, 1.0]], [[1.0, 1.0]]),
+    lambda: _series([], []),
+    lambda: _series([0.0, 1.0, 0.5], [1.0, 1.0, 1.0]),
+    lambda: _series([0.0, 1.0], [1.0, -2e-10]),
+    _write_values,
+], ids=["mismatched_lengths", "two_d", "empty", "non_increasing",
+        "below_floor", "write_values"])
+def test_series_refuses_malformed_arrays(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("mode", dipnet.scan.MODES)
+@pytest.mark.parametrize("channel, quantifier", [
+    ("12", "negativity"), ("123", "tangle"), ("18", "negativity")])
+def test_series_values_refuses_empty_taus(mode, channel, quantifier):
+    with pytest.raises(ValueError, match="at least one tau"):
+        series_values(MM, channel, quantifier, 0.1, np.array([]), mode,
+                      ExtensionSpec("track"))
+
+
 def test_sweep_starts_at_maximum():
     grid = ScanGrid(tau_max=2.0, tau_steps=21, eps_values=(0.0,),
                     channels=("12",), quantifiers=("negativity",))
     series = sweep(MM, grid)
     assert len(series) == 1
-    assert series[0].points[0] == (0.0, 1.0)
+    assert (series[0].taus[0], series[0].values[0]) == (0.0, 1.0)
 
 
 def test_sweep_dead_channels_are_zero():
     grid = ScanGrid(tau_max=6.0, tau_steps=61, eps_values=(0.1, 0.3),
                     channels=("13", "24"), quantifiers=("negativity",))
     for s in sweep(MM, grid, mode="dense"):
-        assert s.values().max() < 1e-10
+        assert s.values.max() < 1e-10
 
 
 def test_sweep_series_order_and_determinism():
@@ -93,7 +119,8 @@ def test_sweep_series_order_and_determinism():
                     ("12", "naqc", 0.0), ("12", "naqc", 0.1),
                     ("14", "negativity", 0.0), ("14", "negativity", 0.1),
                     ("14", "naqc", 0.0), ("14", "naqc", 0.1)]
-    assert out1 == out2
+    assert ([(s.taus.tolist(), s.values.tolist()) for s in out1]
+            == [(s.taus.tolist(), s.values.tolist()) for s in out2])
 
 
 def test_sweep_validate_mode_small_grid():
@@ -111,7 +138,7 @@ def test_sweep_channel_18_needs_extension():
     with pytest.raises(ValueError):
         sweep(MM, grid)
     out = sweep(MM, grid, extension=ExtensionSpec(mode="track"))
-    assert out[0].points[0][1] == 0.0
+    assert out[0].values[0] == 0.0
 
 
 def test_track_extension_refuses_a_bridge():
@@ -161,7 +188,8 @@ def test_sweep_matches_single_point_evaluation():
     grid = ScanGrid(tau_max=2.0, tau_steps=9, eps_values=(0.1,),
                     channels=("14",), quantifiers=("negativity",))
     series = sweep(MM, grid)[0]
-    for tau, value in series.points[::3]:
+    for tau, value in zip(series.taus[::3].tolist(),
+                          series.values[::3].tolist()):
         direct = evaluate_point(MM, DipolarParams(eps_tilde=0.1, tau=tau),
                                 "14", "negativity")
         assert value == direct
@@ -220,7 +248,7 @@ def test_refinement_never_evaluates_a_grid_tau():
     assert len(calls) == 10
     called = {tau for step in calls for tau in step}
     assert called
-    assert not called & set(series.tau_array().tolist())
+    assert not called & set(series.taus.tolist())
 
 
 def test_negativity_death_and_birth_measured_network():
@@ -250,6 +278,8 @@ def test_count_peaks_plateau_rule():
     assert [e.tau for e in peaks] == [1.0, 4.0]
     peaks = count_peaks(_series(taus, [0, 1, 1, 2, 0, 0, 0]), prominence=0.0)
     assert [e.tau for e in peaks] == [3.0]
+    # the higher point that ends the flat top may be the last one
+    assert count_peaks(_series(taus[:4], [0, 1, 1, 2]), prominence=0.0) == []
 
 
 def test_count_peaks_channel_14_vs_12():
@@ -302,8 +332,8 @@ def test_series_evaluator_matches_series():
                     channels=("12",), quantifiers=("negativity",))
     series = sweep(MM, grid)[0]
     fn = series_evaluator(MM, series)
-    assert fn(series.tau_array()).tolist() == series.values().tolist()
-    for tau, value in series.points:
+    assert fn(series.taus).tolist() == series.values.tolist()
+    for tau, value in zip(series.taus.tolist(), series.values.tolist()):
         assert fn(np.array([tau])).tolist() == [value]
 
 
@@ -367,10 +397,8 @@ def _reference_detect_zero_intervals(series: MeasureSeries,
     the interval edges are refined by bisection. The callable must equal
     the series at its taus (as `series_evaluator` does): each bracket's grid
     end is read from the series, so the callable never runs at a grid tau."""
-    if not series.points:
-        raise ValueError("series is empty")
-    taus = series.tau_array()
-    vals = series.values()
+    taus = series.taus
+    vals = series.values
     dead = vals <= zero_tol
     events: list[EventRecord] = []
     i = 0
@@ -405,8 +433,8 @@ def _reference_count_peaks(series: MeasureSeries,
                            ) -> list[EventRecord]:
     """Local maxima whose height above the higher flanking minimum reaches
     the prominence threshold (default 0.05 * series max)."""
-    vals = series.values()
-    taus = series.tau_array()
+    vals = series.values
+    taus = series.taus
     if len(vals) < 3:
         raise ValueError("need at least 3 points to detect peaks")
     if prominence is None:
@@ -443,8 +471,8 @@ def _reference_detect_sudden_changes(series: MeasureSeries,
                                      slope_jump_tol: float) -> list[EventRecord]:
     """Points where the discrete second difference exceeds
     slope_jump_tol * (series range); requires uniform tau spacing."""
-    taus = series.tau_array()
-    vals = series.values()
+    taus = series.taus
+    vals = series.values
     if _uneven(np.diff(taus)):
         raise ValueError("detect_sudden_changes requires uniform tau spacing")
     rng = float(vals.max() - vals.min())
