@@ -264,19 +264,6 @@ def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
     return events
 
 
-def _higher_on_left(vals: list[float]) -> list[int]:
-    """Index of the nearest strictly higher point left of each point, or -1:
-    one pass with a stack of the points not yet topped."""
-    stack: list[int] = []
-    out = []
-    for i, v in enumerate(vals):
-        while stack and not vals[stack[-1]] > v:
-            stack.pop()
-        out.append(stack[-1] if stack else -1)
-        stack.append(i)
-    return out
-
-
 def count_peaks(series: MeasureSeries, prominence: Optional[float] = None
                 ) -> list[EventRecord]:
     """Local maxima whose height above the higher flanking minimum reaches
@@ -291,12 +278,13 @@ def count_peaks(series: MeasureSeries, prominence: Optional[float] = None
     n = len(vals)
     candidates = np.flatnonzero((vals[1:-1] > vals[:-2])
                                 & (vals[1:-1] >= vals[2:])) + 1
-    lefts = _higher_on_left(vals.tolist())
-    rights = _higher_on_left(vals[::-1].tolist())[::-1]
     events = []
     for i in candidates.tolist():
         v = vals[i]
-        left, right = lefts[i] + 1, n - 1 - rights[i]
+        higher = np.flatnonzero(vals > v)
+        k = higher.searchsorted(i)
+        left = higher[k - 1] + 1 if k > 0 else 0
+        right = higher[k] if k < higher.size else n
         right_min = vals[i:right].min()
         if right < n and right_min == v:  # a flat top rising on its right
             continue
