@@ -17,8 +17,8 @@ three-node channels conjugate the Pauli words of the coupled qubits by the
 
 The closed form never builds the 16x16 or 256x256 network state; that is
 the dense path's route (`netmodel.network_channel_states`), and
-`require_oracle_agreement` compares a series' closed and dense stacks
-(`validate_channel` is its one-point case).
+`require_oracle_agreement` compares the closed and dense stacks of each
+block of a series (`validate_channel` is its one-point case).
 
 `channel_states` is array-first: it evaluates a whole vector of tau at
 once as an (N, d, d) stack (`closed_channel_states` for a named network
@@ -186,8 +186,8 @@ def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
 def require_oracle_agreement(channel: str, closed: np.ndarray,
                              dense: np.ndarray, eps_tilde: float,
                              taus) -> None:
-    """Assert elementwise agreement, within ORACLE_TOL, of a series' closed
-    and dense (N, d, d) state stacks; raises OracleMismatch at the first
+    """Assert elementwise agreement, within ORACLE_TOL, of the closed and
+    dense (N, d, d) state stacks at `taus`; raises OracleMismatch at the first
     offending tau, naming its largest deviation."""
     diff = np.abs(closed - dense)
     bad = diff.max(axis=(-2, -1)) > ORACLE_TOL

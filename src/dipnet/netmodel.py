@@ -37,8 +37,6 @@ YY = kron(SIGMA_Y, SIGMA_Y)
 ZZ = kron(SIGMA_Z, SIGMA_Z)
 
 XSTATE_PSD_TOL = 1e-12
-# Taus per block of a dense series: a (block, 16, 16) stack is about 1 MB.
-DENSE_BLOCK_TAUS = 256
 
 
 class FieldError(ValueError):
@@ -307,13 +305,31 @@ def channel_qubits(channel: str) -> tuple[int, ...]:
         raise BadSubsystem(f"unknown channel {channel!r}") from None
 
 
+def _dense_channel_states(cfg: NetworkConfig, channel: str,
+                          eps_tilde: float, taus: np.ndarray,
+                          p_bridge: DipolarParams | None) -> np.ndarray:
+    """`network_channel_states` before the reduced states are validated."""
+    us = require_unitary(np.array([
+        propagator_matrix(DipolarParams(eps_tilde=eps_tilde, tau=tau))
+        for tau in taus.tolist()]))
+    hops = require_density_stack(conjugate_pair_stack(np.broadcast_to(
+        initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2)), 4)
+    if channel != "18":
+        return partial_trace_stack(hops, 4, channel_qubits(channel))
+    bridges = us if p_bridge is None else [propagator_matrix(p_bridge)] * len(us)
+    return np.array([partial_trace_stack(conjugate_pair_stack(
+        kron(hop, hop)[None], 8, bridge, (2, 4)), 8, (0, 4))[0]
+        for hop, bridge in zip(hops, bridges)])
+
+
 def network_channel_states(cfg: NetworkConfig, channel: str,
                            eps_tilde: float, taus: np.ndarray,
                            p_bridge: DipolarParams | None = None) -> np.ndarray:
     """(N, d, d) dense-path states of a named channel at every tau of the
-    1-d array `taus`: the initial network conjugated on qubits (1, 2) by
-    the scalar `propagator_matrix` of each tau, then reduced; per block of
-    DENSE_BLOCK_TAUS taus, the networks and the states are each validated.
+    1-d array `taus` (a block of `scan.series_values`), in one pass: the
+    initial network conjugated on qubits (1, 2) by each tau's scalar
+    `propagator_matrix`, then reduced; the network stack and the state stack
+    are each validated once.
 
     Channel "18" joins two such four-node hops (qubits 0-3 and 4-7) by a
     bridge coupling at `p_bridge` (default: the inner coupling at each tau)
@@ -322,29 +338,12 @@ def network_channel_states(cfg: NetworkConfig, channel: str,
     bridge on (3, 4) keeping (0, 7) instead provably returns I/4 for every
     parameter value, so this layout carries the extension's entanglement.
     """
-    network = initial_network(cfg).mat
-    blocks = []
-    for start in range(0, len(taus), DENSE_BLOCK_TAUS):
-        us = require_unitary(np.array([
-            propagator_matrix(DipolarParams(eps_tilde=eps_tilde, tau=tau))
-            for tau in taus[start:start + DENSE_BLOCK_TAUS].tolist()]))
-        hops = require_density_stack(conjugate_pair_stack(np.broadcast_to(
-            network, (len(us), 16, 16)), 4, us, (1, 2)), 4)
-        if channel != "18":
-            states = partial_trace_stack(hops, 4, channel_qubits(channel))
-        else:
-            bridges = (us if p_bridge is None
-                       else [propagator_matrix(p_bridge)] * len(us))
-            states = np.array([partial_trace_stack(conjugate_pair_stack(
-                kron(hop, hop)[None], 8, bridge, (2, 4)), 8, (0, 4))[0]
-                for hop, bridge in zip(hops, bridges)])
-        blocks.append(require_density_stack(
-            states, states.shape[-1].bit_length() - 1))
-    return np.concatenate(blocks)
+    states = _dense_channel_states(cfg, channel, eps_tilde, taus, p_bridge)
+    return require_density_stack(states, states.shape[-1].bit_length() - 1)
 
 
 def network_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
                           p_bridge: DipolarParams | None = None) -> DensityMatrix:
     """Dense-path reduced state of a named channel at one point."""
-    return density_matrix(network_channel_states(
+    return density_matrix(_dense_channel_states(
         cfg, channel, p.eps_tilde, np.array([p.tau]), p_bridge)[0])

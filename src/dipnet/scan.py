@@ -1,9 +1,10 @@
 """Parameter sweeps over (tau, eps_tilde) and series post-processing:
 sudden death/birth intervals, peaks, sudden slope changes. In every mode a
-series is one (N, d, d) state stack, built and scored by `series_values`."""
+series is built and scored in blocks of taus by `series_values`."""
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +20,9 @@ PEAK_PROMINENCE_FRACTION = 0.05
 BISECTION_RESOLUTION = 1e-4
 BISECTION_MAX_ITER = 40
 MIN_TAU_STEPS = 3  # count_peaks needs both neighbours of a point
-# a tangle series holds about 10 KB per tau point, so ~1 GB at this bound
+# taus per block of a series: a (block, 16, 16) dense stack is about 1 MB
+BLOCK_TAUS = 256
+# built in blocks, fig9's four tangle series peak at 128 MB at this bound
 MAX_TAU_STEPS = 100_000
 SPACING_TOL = 1e-9  # relative spread of tau steps that still counts as uniform
 
@@ -154,10 +157,10 @@ def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
                   eps_tilde: float, taus: np.ndarray, mode: str = "closed_form",
                   extension: Optional[ExtensionSpec] = None) -> np.ndarray:
     """Quantifier values of one (channel, quantifier, eps_tilde) series at
-    every tau of the 1-d array `taus`, scored once as an (N, d, d) stack of
-    states: closed-form, dense, or (validate) both, required to agree, with
-    the closed one scored. `sweep` and `evaluate_point` (N = 1) evaluate
-    through here only."""
+    every tau of the 1-d array `taus`. Per block of BLOCK_TAUS taus it builds
+    an (n, d, d) stack of states, closed-form, dense, or (validate) both,
+    required to agree, and scores the closed one unless dense; the earliest
+    failing tau raises. `sweep` and `evaluate_point` (N = 1) come here."""
     if not len(taus):
         raise ValueError("series_values needs at least one tau")
     if mode not in MODES:
@@ -167,14 +170,18 @@ def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
         if extension is None:
             raise ValueError("channel 18 requires an ExtensionSpec")
         p_bridge = extension.bridge  # None in track mode
-    if mode != "dense":
-        closed = closed_channel_states(cfg, channel, eps_tilde, taus, p_bridge)
-    if mode != "closed_form":
-        dense = network_channel_states(cfg, channel, eps_tilde, taus, p_bridge)
-    if mode == "validate":
-        require_oracle_agreement(channel, closed, dense, eps_tilde, taus)
-    states = dense if mode == "dense" else closed
-    return _clamped(_QUANTIFIER_STACK[quantifier](states))
+    values = []
+    for block in np.split(taus, range(BLOCK_TAUS, len(taus), BLOCK_TAUS)):
+        args = (cfg, channel, eps_tilde, block, p_bridge)
+        if mode != "dense":
+            closed = closed_channel_states(*args)
+        if mode != "closed_form":
+            dense = network_channel_states(*args)
+        if mode == "validate":
+            require_oracle_agreement(channel, closed, dense, eps_tilde, block)
+        values.append(_QUANTIFIER_STACK[quantifier](
+            dense if mode == "dense" else closed))
+    return _clamped(np.concatenate(values))
 
 
 def evaluate_point(cfg: NetworkConfig, p: DipolarParams, channel: str,
@@ -187,18 +194,12 @@ def evaluate_point(cfg: NetworkConfig, p: DipolarParams, channel: str,
 
 def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
           extension: Optional[ExtensionSpec] = None) -> list[MeasureSeries]:
-    """One series per (channel, quantifier, eps) triple, grid order, each
-    evaluated as one stack."""
+    """One `series_values` series per (channel, quantifier, eps), grid order."""
     taus = grid.taus()
-    out = []
-    for channel in grid.channels:
-        for quantifier in grid.quantifiers:
-            for eps in grid.eps_values:
-                values = series_values(cfg, channel, quantifier, eps, taus,
-                                       mode, extension)
-                out.append(MeasureSeries(channel, quantifier, eps, taus,
-                                         values))
-    return out
+    return [MeasureSeries(ch, q, eps, taus, series_values(
+                cfg, ch, q, eps, taus, mode, extension))
+            for ch, q, eps in product(grid.channels, grid.quantifiers,
+                                      grid.eps_values)]
 
 
 def series_evaluator(cfg: NetworkConfig, series: MeasureSeries,

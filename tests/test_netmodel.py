@@ -6,6 +6,7 @@ import pytest
 from dipnet.closedform import kept_pair_damping
 from dipnet.measures import negativity
 import dipnet.netmodel as netmodel
+import dipnet.qmat as qmat
 from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, FieldError,
                              NetworkConfig, XStateParams, bell_weights,
                              dipolar_hamiltonian, evolved_network,
@@ -318,38 +319,28 @@ def test_channel_18_fixed_bridge_equals_embedded_reference():
         assert np.array_equal(got, expect), kind
 
 
-def test_dense_stack_is_built_in_bounded_blocks(monkeypatch):
-    # a long grid must not hold its whole (N, 16, 16) stack at once; the
-    # blocks, the last one partial, join to the one-point states exactly
-    sizes = []
+@pytest.mark.parametrize("channel", ["12", "14", "18", "123", "234"])
+def test_dense_states_are_validated_once(monkeypatch, channel):
+    # the initial network's two pairs and the network itself, then one
+    # validation of the evolved 16x16 networks and one of the reduced
+    # states, whether at one point or on a tau vector
+    calls = []
+    validate = qmat.require_density_stack
 
-    def recording(mats, *args):
-        sizes.append(len(mats))
-        return conjugate_pair_stack(mats, *args)
+    def spy(mats, nqubits):
+        calls.append(nqubits)
+        return validate(mats, nqubits)
 
-    monkeypatch.setattr(netmodel, "conjugate_pair_stack", recording)
-    cfg = NetworkConfig("WW", werner_x1=0.9, werner_x2=0.6)
-    taus = np.linspace(0.0, 10.0, netmodel.DENSE_BLOCK_TAUS + 2)
-    got = network_channel_states(cfg, "14", 0.2, taus)
-    assert sizes == [netmodel.DENSE_BLOCK_TAUS, 2]
-    for tau, row in zip(taus.tolist(), got):
-        p = DipolarParams(eps_tilde=0.2, tau=tau)
-        assert np.array_equal(row, network_channel_state(cfg, p, "14").mat)
-
-
-@pytest.mark.parametrize("channel,bridge", [
-    ("12", None), ("123", None), ("18", None),
-    ("18", DipolarParams(eps_tilde=-0.1, tau=2.5))])
-def test_dense_blocks_join_to_the_one_point_states(monkeypatch, channel,
-                                                   bridge):
-    monkeypatch.setattr(netmodel, "DENSE_BLOCK_TAUS", 3)
-    cfg = NetworkConfig("MW", werner_x2=0.8)
-    taus = np.linspace(0.0, 6.0, 7)
-    got = network_channel_states(cfg, channel, 0.15, taus, bridge)
-    for tau, row in zip(taus.tolist(), got):
-        p = DipolarParams(eps_tilde=0.15, tau=tau)
-        assert np.array_equal(
-            row, network_channel_state(cfg, p, channel, bridge).mat)
+    for module in (qmat, netmodel):
+        monkeypatch.setattr(module, "require_density_stack", spy)
+    cfg = NetworkConfig("WW", werner_x1=0.7, werner_x2=0.7)
+    p = DipolarParams(eps_tilde=0.17, tau=0.83)
+    reduced = len(channel) if channel != "18" else 2
+    network_channel_state(cfg, p, channel, p)
+    assert calls == [2, 2, 4, 4, reduced]
+    network_channel_states(cfg, channel, p.eps_tilde, np.array([0.1, p.tau]),
+                           p)
+    assert calls == [2, 2, 4, 4, reduced] * 2
 
 
 def test_extend_to_eight_trace_and_weakness():

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 import dipnet.closedform
 import dipnet.netmodel
 import dipnet.scan
-from dipnet.netmodel import DipolarParams, NetworkConfig
+from dipnet.closedform import OracleMismatch, closed_channel_state
+from dipnet.netmodel import DipolarParams, NetworkConfig, network_channel_state
+from dipnet.qmat import ORACLE_TOL, NotPositive, conjugate_pair_stack
 from dipnet.scan import (BISECTION_MAX_ITER, BISECTION_RESOLUTION,
                          PEAK_PROMINENCE_FRACTION, ZERO_TOL, EventRecord,
                          ExtensionSpec, MeasureSeries, ScanGrid, _uneven,
@@ -190,6 +192,105 @@ def test_sweep_matches_single_point_evaluation():
         direct = evaluate_point(MM, DipolarParams(eps_tilde=0.1, tau=tau),
                                 "14", "negativity")
         assert value == direct
+
+
+def _recorded(monkeypatch, name, taus_arg):
+    """Wrap `dipnet.scan.<name>`; returns the list of (taus, result) of its
+    calls, the taus read from positional argument `taus_arg`."""
+    calls = []
+    fn = getattr(dipnet.scan, name)
+
+    def recording(*args):
+        out = fn(*args)
+        calls.append((args[taus_arg].tolist(), out))
+        return out
+
+    monkeypatch.setattr(dipnet.scan, name, recording)
+    return calls
+
+
+def test_series_is_built_in_bounded_blocks(monkeypatch):
+    # a long grid must not hold its whole (N, 16, 16) dense stack at once;
+    # the blocks, the last one partial, join to the one-point states and
+    # values exactly
+    sizes = []
+
+    def recording(mats, *args):
+        sizes.append(len(mats))
+        return conjugate_pair_stack(mats, *args)
+
+    monkeypatch.setattr(dipnet.netmodel, "conjugate_pair_stack", recording)
+    dense = _recorded(monkeypatch, "network_channel_states", 3)
+    cfg = NetworkConfig("WW", werner_x1=0.9, werner_x2=0.6)
+    n = dipnet.scan.BLOCK_TAUS
+    taus = np.linspace(0.0, 10.0, n + 2)
+    got = series_values(cfg, "14", "negativity", 0.2, taus, "dense")
+    assert sizes == [n, 2]
+    assert [block for block, _ in dense] == [taus[:n].tolist(),
+                                             taus[n:].tolist()]
+    states = np.concatenate([stack for _, stack in dense])
+    for tau, row, value in zip(taus.tolist(), states, got.tolist()):
+        p = DipolarParams(eps_tilde=0.2, tau=tau)
+        assert np.array_equal(row, network_channel_state(cfg, p, "14").mat)
+        assert value == evaluate_point(cfg, p, "14", "negativity", "dense")
+
+
+@pytest.mark.parametrize("mode", dipnet.scan.MODES)
+@pytest.mark.parametrize("channel, quantifier, bridge", [
+    ("12", "negativity", None), ("123", "tangle", None), ("18", "naqc", None),
+    ("18", "negativity", DipolarParams(eps_tilde=-0.1, tau=2.5))])
+def test_series_blocks_join_to_the_one_point_values(monkeypatch, mode,
+                                                    channel, quantifier,
+                                                    bridge):
+    # every route and the oracle check see the same blocks of at most
+    # BLOCK_TAUS taus, the last one partial; states and values join to the
+    # one-point ones bit for bit
+    monkeypatch.setattr(dipnet.scan, "BLOCK_TAUS", 3)
+    closed = _recorded(monkeypatch, "closed_channel_states", 3)
+    dense = _recorded(monkeypatch, "network_channel_states", 3)
+    oracle = _recorded(monkeypatch, "require_oracle_agreement", 4)
+    cfg = NetworkConfig("MW", werner_x2=0.8)
+    ext = None
+    if channel == "18":
+        ext = ExtensionSpec("track" if bridge is None else "fixed", bridge)
+    taus = np.linspace(0.0, 6.0, 7)
+    got = series_values(cfg, channel, quantifier, 0.15, taus, mode, ext)
+    blocks = [taus[:3].tolist(), taus[3:6].tolist(), taus[6:].tolist()]
+    for calls, used in ((closed, mode != "dense"),
+                        (dense, mode != "closed_form"),
+                        (oracle, mode == "validate")):
+        assert [block for block, _ in calls] == (blocks if used else [])
+    for calls, one_point in ((closed, closed_channel_state),
+                             (dense, network_channel_state)):
+        rows = [row for _, stack in calls for row in stack]
+        for tau, row in zip(taus.tolist(), rows):
+            p = DipolarParams(eps_tilde=0.15, tau=tau)
+            assert np.array_equal(
+                row, one_point(cfg, p, channel, bridge).mat)
+    for tau, value in zip(taus.tolist(), got.tolist()):
+        p = DipolarParams(eps_tilde=0.15, tau=tau)
+        assert value == evaluate_point(cfg, p, channel, quantifier, mode, ext)
+
+
+def test_validate_raises_at_the_earliest_failing_tau(monkeypatch):
+    # a series is built and checked block by block in tau order, so an
+    # oracle mismatch in block 0 wins over a state that fails validation in
+    # block 1
+    monkeypatch.setattr(dipnet.scan, "BLOCK_TAUS", 2)
+    route = dipnet.scan.network_channel_states
+
+    def faulty(cfg, channel, eps_tilde, taus, p_bridge):
+        if taus.max() > 1.0:
+            raise NotPositive("a block-1 state fails validation")
+        states = route(cfg, channel, eps_tilde, taus, p_bridge).copy()
+        states[:, 1, 2] += 2 * ORACLE_TOL
+        return states
+
+    monkeypatch.setattr(dipnet.scan, "network_channel_states", faulty)
+    taus = np.array([0.3, 0.6, 1.2, 1.5])
+    with pytest.raises(OracleMismatch) as err:
+        series_values(MM, "12", "negativity", 0.1, taus, "validate")
+    assert err.value.coord == (1, 2) and "tau=0.3 " in str(err.value)
 
 
 def test_zero_intervals_constant_series():
