@@ -1,4 +1,5 @@
-"""Correlation quantifiers: negativity, pi-tangle, l1 coherence, NAQC.
+"""Correlation quantifiers: negativity, pi-tangle and NAQC (from the l1
+coherence of the states steered by a Pauli measurement on qubit 0).
 
 Conventions, fixed by test against independent oracles:
  - Two-qubit negativity follows the standard reading of the doubled-sum
@@ -33,7 +34,7 @@ AXES = ("x", "y", "z")
 # eigenbasis of each Pauli; eigh returns ascending eigenvalues, so column 0
 # is the -1 eigenstate and column 1 the +1 eigenstate
 _AXIS_BASIS = {axis: np.linalg.eigh(m)[1] for axis, m in _AXIS_MATRIX.items()}
-# measurement branches on qubit 0, in the order naqc_average sums them
+# measurement branches on qubit 0, in the order _naqc_average_stack sums them
 _BRANCHES = tuple((axis, outcome) for axis in AXES for outcome in (+1, -1))
 _BRANCH_OPS = np.array([
     np.kron(np.outer(v, v.conj()), IDENTITY_2)
@@ -42,18 +43,6 @@ _BRANCH_OPS = np.array([
 # per branch, the bases of the two axes j != i whose coherence it steers
 _STEERED_BASES = np.array([[_AXIS_BASIS[j] for j in AXES if j != axis]
                            for axis, _ in _BRANCHES])
-
-
-class ZeroProbability(ValueError):
-    """Measurement branch has (numerically) zero probability."""
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    axis: str
-    outcome: int
-    probability: float
-    conditional: DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -160,25 +149,11 @@ def pi_tangle(rho3: DensityMatrix) -> TangleBreakdown:
                              for f in fields(TangleBreakdown)))
 
 
-def _axis_basis(axis: str) -> np.ndarray:
-    try:
-        return _AXIS_BASIS[axis]
-    except KeyError:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}") from None
-
-
 def _l1_coherence_stack(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Sum of |off-diagonal| entries of one-qubit states in `basis`."""
     m = basis.conj().swapaxes(-1, -2) @ mats @ basis
     return (np.hypot(m[..., 0, 1].real, m[..., 0, 1].imag)
             + np.hypot(m[..., 1, 0].real, m[..., 1, 0].imag))
-
-
-def l1_coherence(rho: DensityMatrix, axis: str) -> float:
-    """Sum of |off-diagonal| entries in the eigenbasis of the named Pauli."""
-    if rho.nqubits != 1:
-        raise BadSubsystem(f"l1_coherence needs 1 qubit, got {rho.nqubits}")
-    return float(_l1_coherence_stack(rho.mat, _axis_basis(axis)))
 
 
 def _branch_conditionals(mats: np.ndarray):
@@ -198,25 +173,6 @@ def _branch_conditionals(mats: np.ndarray):
     return p, cond, zero
 
 
-def conditional_states(rho2: DensityMatrix, axis: str,
-                       outcome: int) -> MeasurementOutcome:
-    """Measure the named Pauli on qubit 0; return the branch probability and
-    the conditional state of qubit 1."""
-    if rho2.nqubits != 2:
-        raise BadSubsystem(f"conditional_states needs 2 qubits, got {rho2.nqubits}")
-    if outcome not in (+1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    _axis_basis(axis)  # rejects an unknown axis
-    p, cond, zero = _branch_conditionals(rho2.mat[None])
-    b = _BRANCHES.index((axis, outcome))
-    if zero[0, b]:
-        raise ZeroProbability(
-            f"axis {axis} outcome {outcome:+d} has p={p[0, b]:.2e}")
-    return MeasurementOutcome(axis=axis, outcome=outcome,
-                              probability=float(p[0, b]),
-                              conditional=DensityMatrix(cond[0, b], 1))
-
-
 def _naqc_average_stack(mats: np.ndarray) -> np.ndarray:
     _require_qubits(mats, 2, "naqc")
     p, cond, zero = _branch_conditionals(mats)
@@ -225,13 +181,6 @@ def _naqc_average_stack(mats: np.ndarray) -> np.ndarray:
     # the 12 terms summed strictly left to right, as a running sum
     total = np.add.accumulate(terms.reshape(len(mats), -1), axis=-1)[:, -1]
     return 0.5 * total
-
-
-def naqc_average(rho2: DensityMatrix) -> float:
-    """Probability-weighted steered coherence, halved: for each measured
-    axis i and outcome, the conditional's l1 coherence summed over the two
-    axes j != i. Bell states give 3, the maximally mixed state 0."""
-    return float(_naqc_average_stack(rho2.mat[None])[0])
 
 
 def naqc_degree_stack(mats: np.ndarray) -> np.ndarray:

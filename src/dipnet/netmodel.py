@@ -12,8 +12,9 @@ numbered far-member-first (node 3 is qubit 3, node 4 is qubit 2):
     "18"  -> terminal channel of the eight-node extension
 
 The propagator is parameterized by the dimensionless (tau, eps_tilde); it
-equals exp(-i H t) for the Hamiltonian of dipolar_hamiltonian() at
-t = -12 tau / delta (see tau_to_time).
+equals exp(-i H t) for the two-spin dipolar Hamiltonian H(delta, eps) at
+eps_tilde = eps / delta and t = -12 tau / delta. The tests hold that
+Hamiltonian and time map as an oracle (tests/conftest.py).
 """
 
 import math
@@ -175,21 +176,6 @@ class NetworkConfig:
         if self.kind == "WW":
             return werner_params(self.werner_x1), werner_params(self.werner_x2)
         return SINGLET_PARAMS, werner_params(self.werner_x2)
-
-
-def dipolar_hamiltonian(delta: float, eps: float) -> ComplexMatrix:
-    """Two-spin dipolar Hamiltonian in the {00,01,10,11} basis."""
-    d6, e2 = delta / 6.0, eps / 2.0
-    return np.array([[d6, 0, 0, e2],
-                     [0, -d6, -d6, 0],
-                     [0, -d6, -d6, 0],
-                     [e2, 0, 0, d6]], dtype=complex)
-
-
-def tau_to_time(tau: float, delta: float) -> float:
-    """Physical time t such that exp(-i H(delta, eps) t) reproduces the
-    (tau, eps_tilde = eps/delta) propagator: t = -12 tau / delta."""
-    return -12.0 * tau / delta
 
 
 def propagator_coeffs(p: DipolarParams) -> PropagatorCoeffs:

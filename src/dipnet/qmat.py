@@ -58,12 +58,6 @@ def require_hermitian_stack(mats: np.ndarray) -> np.ndarray:
     return mats
 
 
-def require_hermitian(m: ComplexMatrix) -> ComplexMatrix:
-    m = as_complex_matrix(m)
-    require_hermitian_stack(m[None])
-    return m
-
-
 def require_density_stack(mats: np.ndarray, nqubits: int) -> np.ndarray:
     """Check every matrix of an (N, d, d) stack as DensityMatrix checks one:
     d = 2**nqubits, Hermiticity within HERM_TOL, unit trace within
@@ -125,12 +119,6 @@ def density_matrix(mat) -> DensityMatrix:
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product of two square matrices."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def hermitian_eigenvalues(a: ComplexMatrix) -> np.ndarray:
-    """Ascending real eigenvalues (`eigvalsh`) of a matrix that is Hermitian
-    within TRACE_TOL; any other matrix raises NotHermitian."""
-    return np.linalg.eigvalsh(require_hermitian(a))
 
 
 def trace_norm_stack(mats: np.ndarray) -> np.ndarray:
@@ -213,13 +201,6 @@ def partial_transpose(rho: DensityMatrix, subsystem) -> ComplexMatrix:
     """Transpose the named qubits' indices; returns a plain matrix (the
     result is Hermitian but usually not positive)."""
     return partial_transpose_stack(rho.mat[None], rho.nqubits, subsystem)[0]
-
-
-def matrix_exp_hermitian(h: ComplexMatrix, t: float) -> ComplexMatrix:
-    """exp(-i h t) for Hermitian h via spectral decomposition; unitary."""
-    h = require_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def require_unitary(u: ComplexMatrix) -> ComplexMatrix:

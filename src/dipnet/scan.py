@@ -54,8 +54,12 @@ class ScanGrid:
             raise FieldError(("tau_steps",), f"tau_steps must be in "
                              f"[{MIN_TAU_STEPS}, {MAX_TAU_STEPS}]")
         for key in ("eps_values", "channels", "quantifiers"):
-            if not getattr(self, key):
+            entries = getattr(self, key)
+            if not entries:
                 raise FieldError((key,), f"{key} must be nonempty")
+            # a repeat would key two series alike; -0 equals 0 here
+            if len(set(entries)) < len(entries):
+                raise FieldError((key,), f"{key} repeats an entry")
         for eps in self.eps_values:
             require_finite_phases(eps, self.tau_max, "eps_values", "tau_max")
         steps = np.diff(self.taus())

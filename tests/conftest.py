@@ -1,7 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from dipnet.qmat import DensityMatrix
+import dipnet.measures as measures
+from dipnet.qmat import (BadSubsystem, DensityMatrix, as_complex_matrix,
+                         require_hermitian_stack)
 
 
 @pytest.fixture
@@ -46,3 +50,93 @@ def charpoly_eigenvalues(m) -> np.ndarray:
         coeffs.append(-mk.trace() / k)
     roots = np.roots(np.array(coeffs))
     return np.sort(roots.real)
+
+
+# Reference helpers that the library itself never calls. The NAQC ones run
+# the library's private kernels, so their tests still check its arithmetic.
+
+def require_hermitian(m) -> np.ndarray:
+    m = as_complex_matrix(m)
+    require_hermitian_stack(m[None])
+    return m
+
+
+def hermitian_eigenvalues(a) -> np.ndarray:
+    """Ascending real eigenvalues (`eigvalsh`) of a matrix that is Hermitian
+    within TRACE_TOL; any other matrix raises NotHermitian."""
+    return np.linalg.eigvalsh(require_hermitian(a))
+
+
+def matrix_exp_hermitian(h, t: float) -> np.ndarray:
+    """exp(-i h t) for Hermitian h via spectral decomposition; unitary."""
+    h = require_hermitian(h)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def dipolar_hamiltonian(delta: float, eps: float) -> np.ndarray:
+    """Two-spin dipolar Hamiltonian in the {00,01,10,11} basis."""
+    d6, e2 = delta / 6.0, eps / 2.0
+    return np.array([[d6, 0, 0, e2],
+                     [0, -d6, -d6, 0],
+                     [0, -d6, -d6, 0],
+                     [e2, 0, 0, d6]], dtype=complex)
+
+
+def tau_to_time(tau: float, delta: float) -> float:
+    """Physical time t such that exp(-i H(delta, eps) t) reproduces the
+    (tau, eps_tilde = eps/delta) propagator: t = -12 tau / delta."""
+    return -12.0 * tau / delta
+
+
+class ZeroProbability(ValueError):
+    """Measurement branch has (numerically) zero probability."""
+
+
+@dataclass(frozen=True)
+class MeasurementOutcome:
+    axis: str
+    outcome: int
+    probability: float
+    conditional: DensityMatrix
+
+
+def _axis_basis(axis: str) -> np.ndarray:
+    try:
+        return measures._AXIS_BASIS[axis]
+    except KeyError:
+        raise ValueError(f"axis must be one of {measures.AXES}, "
+                         f"got {axis!r}") from None
+
+
+def l1_coherence(rho: DensityMatrix, axis: str) -> float:
+    """Sum of |off-diagonal| entries in the eigenbasis of the named Pauli."""
+    if rho.nqubits != 1:
+        raise BadSubsystem(f"l1_coherence needs 1 qubit, got {rho.nqubits}")
+    return float(measures._l1_coherence_stack(rho.mat, _axis_basis(axis)))
+
+
+def conditional_states(rho2: DensityMatrix, axis: str,
+                       outcome: int) -> MeasurementOutcome:
+    """Measure the named Pauli on qubit 0; return the branch probability and
+    the conditional state of qubit 1."""
+    if rho2.nqubits != 2:
+        raise BadSubsystem(f"conditional_states needs 2 qubits, got {rho2.nqubits}")
+    if outcome not in (+1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    _axis_basis(axis)  # rejects an unknown axis
+    p, cond, zero = measures._branch_conditionals(rho2.mat[None])
+    b = measures._BRANCHES.index((axis, outcome))
+    if zero[0, b]:
+        raise ZeroProbability(
+            f"axis {axis} outcome {outcome:+d} has p={p[0, b]:.2e}")
+    return MeasurementOutcome(axis=axis, outcome=outcome,
+                              probability=float(p[0, b]),
+                              conditional=DensityMatrix(cond[0, b], 1))
+
+
+def naqc_average(rho2: DensityMatrix) -> float:
+    """Probability-weighted steered coherence, halved: for each measured
+    axis i and outcome, the conditional's l1 coherence summed over the two
+    axes j != i. Bell states give 3, the maximally mixed state 0."""
+    return float(measures._naqc_average_stack(rho2.mat[None])[0])

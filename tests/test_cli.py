@@ -251,6 +251,11 @@ def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     (["eps_values = ,"], 3),
     (["channels = ,"], 3),
     (["quantifiers = ,", "tau_max = 2"], 3),
+    # a repeated entry would write two series under one key
+    (["eps_values = 0.1,0.1", "tau_max = 2"], 3),
+    (["eps_values = -0,0"], 3),
+    (["channels = 12,12", "quantifiers = naqc"], 3),
+    (["quantifiers = negativity,negativity"], 3),
     # propagator phases kappa * tau_max that overflow
     (["tau_max = 1e308"], 3),
     (["tau_max = 1e10", "eps_values = 1e300"], 4),

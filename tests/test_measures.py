@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from dipnet.measures import (NAQC_CRITICAL, ZeroProbability,
-                             conditional_states, global_negativity,
-                             l1_coherence, naqc_average, naqc_degree,
+from dipnet.measures import (NAQC_CRITICAL, global_negativity, naqc_degree,
                              negativity, pairwise_negativity, pi_tangle)
 from dipnet.netmodel import SINGLET_PARAMS, werner_params, x_state
 from dipnet.qmat import density_matrix, kron, partial_transpose, trace_norm
 
-from conftest import charpoly_eigenvalues, ginibre_density, random_product_pure, random_pure
+from conftest import (ZeroProbability, charpoly_eigenvalues,
+                      conditional_states, ginibre_density, l1_coherence,
+                      naqc_average, random_product_pure, random_pure)
 
 SINGLET = x_state(SINGLET_PARAMS)
 I2 = np.eye(2, dtype=complex)

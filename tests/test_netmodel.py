@@ -9,18 +9,17 @@ import dipnet.netmodel as netmodel
 import dipnet.qmat as qmat
 from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, FieldError,
                              NetworkConfig, XStateParams, bell_weights,
-                             dipolar_hamiltonian, evolved_network,
-                             extend_to_eight, initial_network,
-                             network_channel_state, network_channel_states,
-                             propagator_coeffs,
-                             propagator_matrix, tau_to_time, werner_params,
-                             x_state)
+                             evolved_network, extend_to_eight,
+                             initial_network, network_channel_state,
+                             network_channel_states, propagator_coeffs,
+                             propagator_matrix, werner_params, x_state)
 from dipnet.qmat import (BadSubsystem, NotPositive, NotUnitary,
-                         conjugate_pair_stack, hermitian_eigenvalues, kron,
-                         matrix_exp_hermitian, partial_trace,
+                         conjugate_pair_stack, kron, partial_trace,
                          partial_trace_stack, require_unitary)
 
-from conftest import charpoly_eigenvalues, ginibre_density
+from conftest import (charpoly_eigenvalues, dipolar_hamiltonian,
+                      ginibre_density, hermitian_eigenvalues,
+                      matrix_exp_hermitian, tau_to_time)
 
 SINGLET_MAT = np.array([[0, 0, 0, 0],
                         [0, 0.5, -0.5, 0],
@@ -150,7 +149,7 @@ def test_initial_network_kinds():
     assert np.abs(mw1.mat - mm.mat).max() < 1e-14
 
 
-def test_evolve_pair_identity():
+def test_conjugate_pair_stack_identity():
     rho = initial_network(NetworkConfig("MM"))
     out = conjugate_pair_stack(rho.mat[None], 4, np.eye(4, dtype=complex),
                                (1, 2))[0]
@@ -173,7 +172,7 @@ def _random_unitary(rng):
     return q * (r.diagonal() / np.abs(r.diagonal()))
 
 
-def test_evolve_pair_embedding_adjacent():
+def test_conjugate_pair_stack_embedding_adjacent():
     rng = np.random.default_rng(4)
     u = propagator_matrix(DipolarParams(eps_tilde=0.1, tau=0.9))
     full = _embedded(u, 1, 2, 4)
@@ -187,7 +186,7 @@ def test_evolve_pair_embedding_adjacent():
         rho.mat[None], 4, require_unitary(u[None]), (1, 2))[0], expect)
 
 
-def test_evolve_pair_embedding_nonadjacent():
+def test_conjugate_pair_stack_embedding_nonadjacent():
     # embed on (0, 2) of 3 qubits, checked entrywise against the definition
     rng = np.random.default_rng(5)
     u = propagator_matrix(DipolarParams(eps_tilde=-0.15, tau=1.3))
@@ -249,7 +248,7 @@ def test_conjugate_pair_stack_refuses_other_pairs():
             conjugate_pair_stack(mats, 4, np.eye(4), pair)
 
 
-def test_evolve_pair_preserves_spectrum():
+def test_evolved_network_preserves_spectrum():
     cfg = NetworkConfig("WW", werner_x1=0.8, werner_x2=0.5)
     rho = initial_network(cfg)
     out = evolved_network(cfg, DipolarParams(eps_tilde=0.25, tau=2.1))
@@ -259,7 +258,7 @@ def test_evolve_pair_preserves_spectrum():
     assert abs(out.mat.trace() - 1.0) < 1e-12
 
 
-def test_evolve_pair_rejects_bad_input():
+def test_conjugate_pair_stack_and_require_unitary_reject_bad_input():
     mats = initial_network(NetworkConfig("MM")).mat[None]
     with pytest.raises(BadSubsystem):
         conjugate_pair_stack(mats, 4, np.eye(4), (2, 1))

@@ -92,7 +92,8 @@ def _assert_sweep_equals_points(cfg, grid, mode, ext):
 @PROPERTY
 @given(cfg=networks(), kind=series_kinds, ext=extensions(),
        tau_min=st.floats(0.0, 10.0), span=st.floats(1e-3, 10.0),
-       steps=st.integers(3, 12), eps=st.lists(eps_tilde, min_size=1, max_size=2))
+       steps=st.integers(3, 12),
+       eps=st.lists(eps_tilde, min_size=1, max_size=2, unique=True))
 def test_sweep_equals_evaluate_point(cfg, kind, ext, tau_min, span, steps, eps):
     channel, quantifier = kind
     grid = ScanGrid(tau_min=tau_min, tau_max=tau_min + span, tau_steps=steps,
@@ -105,7 +106,8 @@ def test_sweep_equals_evaluate_point(cfg, kind, ext, tau_min, span, steps, eps):
 @PROPERTY
 @given(cfg=networks(), kind=series_kinds, ext=extensions(),
        tau_min=st.floats(0.0, 10.0), span=st.floats(1e-3, 10.0),
-       steps=st.integers(3, 4), eps=st.lists(eps_tilde, min_size=1, max_size=2))
+       steps=st.integers(3, 4),
+       eps=st.lists(eps_tilde, min_size=1, max_size=2, unique=True))
 def test_oracle_sweep_equals_evaluate_point(mode, cfg, kind, ext, tau_min,
                                             span, steps, eps):
     # the dense route costs up to 20 ms a point on channel 18: small grids

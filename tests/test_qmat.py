@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from dipnet.qmat import (BadSubsystem, DensityMatrix, NotHermitian,
-                         NotPositive, density_matrix, hermitian_eigenvalues,
-                         kron, matrix_exp_hermitian, partial_trace,
+                         NotPositive, density_matrix, kron, partial_trace,
                          partial_transpose, trace_norm)
-from dipnet.netmodel import SINGLET_PARAMS, dipolar_hamiltonian, x_state
+from dipnet.netmodel import SINGLET_PARAMS, x_state
 
-from conftest import charpoly_eigenvalues, ginibre_density
+from conftest import (charpoly_eigenvalues, dipolar_hamiltonian,
+                      ginibre_density, hermitian_eigenvalues,
+                      matrix_exp_hermitian)
 
 I2 = np.eye(2, dtype=complex)
 SINGLET = x_state(SINGLET_PARAMS)

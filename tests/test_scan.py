@@ -10,7 +10,8 @@ import dipnet.closedform
 import dipnet.netmodel
 import dipnet.scan
 from dipnet.closedform import OracleMismatch, closed_channel_state
-from dipnet.netmodel import DipolarParams, NetworkConfig, network_channel_state
+from dipnet.netmodel import (DipolarParams, FieldError, NetworkConfig,
+                             network_channel_state)
 from dipnet.qmat import ORACLE_TOL, NotPositive, conjugate_pair_stack
 from dipnet.scan import (BISECTION_MAX_ITER, BISECTION_RESOLUTION,
                          PEAK_PROMINENCE_FRACTION, ZERO_TOL, EventRecord,
@@ -60,6 +61,19 @@ def test_grid_validation():
     ScanGrid(channels=("123",), quantifiers=("tangle",))
     ScanGrid(channels=("18",), quantifiers=("naqc",))
     ScanGrid(tau_min=9.999, tau_max=10.0)  # uneven, strictly increasing
+
+
+@pytest.mark.parametrize("key, entries", [
+    ("eps_values", (0.1, 0.3, 0.1)), ("eps_values", (-0.0, 0.0)),
+    ("channels", ("12", "14", "12")),
+    ("quantifiers", ("negativity", "naqc", "negativity"))],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_grid_refuses_repeated_entries(key, entries):
+    # two series under one (channel, quantifier, eps) key would make the
+    # CSV's key columns ambiguous
+    with pytest.raises(FieldError) as err:
+        ScanGrid(**{key: entries})
+    assert err.value.keys == (key,)
 
 
 def test_series_validation():

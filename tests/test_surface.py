@@ -1,0 +1,33 @@
+"""The library is what runs: every top-level function and class of
+`src/dipnet` is used by the package itself, by the benchmark (`perfbench`)
+or by the acceptance tests. A helper that only unit tests call belongs in
+`tests/conftest.py`, next to the other reference helpers."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "dipnet").glob("*.py"))
+CALLERS = (PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_library_name_has_a_caller_outside_the_unit_tests():
+    used = set()
+    for path in CALLERS:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{path.stem}.{node.name}" for path in PACKAGE
+              for node in _tree(path).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+              and node.name not in used]
+    assert not unused, (f"only unit tests use {', '.join(unused)}; move "
+                        f"them to tests/conftest.py")
