@@ -15,7 +15,7 @@ Channels "13" and "24" stay maximally mixed for all parameters. The
 three-node channels conjugate the Pauli words of the coupled qubits by the
 4x4 coupling and trace out what the channel drops.
 
-The closed form never builds the 16x16 or 256x256 network state; that is
+The closed form never builds a 16x16 network or channel 18's slices; that is
 the dense path's route (`netmodel.network_channel_states`), and
 `require_oracle_agreement` compares the closed and dense stacks of each
 block of a series (`validate_channel` is its one-point case).

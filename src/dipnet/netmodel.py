@@ -17,6 +17,7 @@ eps_tilde = eps / delta and t = -12 tau / delta. The tests hold that
 Hamiltonian and time map as an oracle (tests/conftest.py).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ YY = kron(SIGMA_Y, SIGMA_Y)
 ZZ = kron(SIGMA_Z, SIGMA_Z)
 
 XSTATE_PSD_TOL = 1e-12
+INITIAL_NETWORKS_KEPT = 16  # configs whose validated initial network is cached
 
 
 class FieldError(ValueError):
@@ -263,6 +265,7 @@ def x_state(params: XStateParams) -> DensityMatrix:
     return DensityMatrix(m[0], 2)
 
 
+@functools.lru_cache(maxsize=INITIAL_NETWORKS_KEPT)
 def initial_network(cfg: NetworkConfig) -> DensityMatrix:
     p1, p2 = cfg.pair_params()
     return DensityMatrix(kron(x_state(p1).mat, x_state(p2).mat), 4)
@@ -302,10 +305,21 @@ def _dense_channel_states(cfg: NetworkConfig, channel: str,
         initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2)), 4)
     if channel != "18":
         return partial_trace_stack(hops, 4, channel_qubits(channel))
-    bridges = us if p_bridge is None else [propagator_matrix(p_bridge)] * len(us)
-    return np.array([partial_trace_stack(conjugate_pair_stack(
-        kron(hop, hop)[None], 8, bridge, (2, 4)), 8, (0, 4))[0]
-        for hop, bridge in zip(hops, bridges)])
+    bridge = (np.repeat(us, 32, axis=0) if p_bridge is None
+              else require_unitary(propagator_matrix(p_bridge)))
+    # kron(hop, hop) where the qubits the bridge leaves and the trace drops
+    # (1, 3, 5, 6, 7) have equal ket and bra: (N, 32) 8x8s on (0, 2, 4)
+    t = hops.reshape((-1,) + (2,) * 8)
+    hop1 = np.einsum("napcqbpdq->npqacbd", t).reshape(-1, 2, 2, 1, 1, 1,
+                                                       2, 2, 1, 2, 2, 1)
+    hop2 = np.einsum("naxyzbxyz->nxyzab", t).reshape(-1, 1, 1, 2, 2, 2,
+                                                      1, 1, 2, 1, 1, 2)
+    slices = hop1 * hop2
+    t = np.einsum("npqxyzacebcf->npcqxyzaebf", conjugate_pair_stack(
+        slices.reshape(-1, 8, 8), 3, bridge, (1, 2)).reshape(slices.shape))
+    for _ in range(6):  # partial_trace_stack's order: qubit 7, 6, 5, 3, 2, 1
+        t = t.sum(axis=-5)
+    return t.reshape(-1, 4, 4)
 
 
 def network_channel_states(cfg: NetworkConfig, channel: str,
@@ -320,7 +334,8 @@ def network_channel_states(cfg: NetworkConfig, channel: str,
     Channel "18" joins two such four-node hops (qubits 0-3 and 4-7) by a
     bridge coupling at `p_bridge` (default: the inner coupling at each tau)
     on hop 1's terminal node (qubit 2) and hop 2's first node (qubit 4),
-    one 256x256 state at a time, and keeps the terminal qubits (0, 4). A
+    and keeps the terminal qubits (0, 4); it bridges only the 32 8x8 slices
+    of kron(hop, hop) that trace reads (no 256x256 state, the same bits). A
     bridge on (3, 4) keeping (0, 7) instead provably returns I/4 for every
     parameter value, so this layout carries the extension's entanglement.
     """

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for multi-qubit density matrices.
 
-Everything here operates on small (dim <= 256) square complex numpy arrays.
+Everything here operates on small (dim <= 16) square complex numpy arrays.
 Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of the
 computational-basis index.
 """

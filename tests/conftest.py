@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import dipnet.measures as measures
+from dipnet.netmodel import DipolarParams, initial_network, propagator_matrix
 from dipnet.qmat import (BadSubsystem, DensityMatrix, as_complex_matrix,
+                         conjugate_pair_stack, kron, partial_trace_stack,
                          require_hermitian_stack)
 
 
@@ -140,3 +142,20 @@ def naqc_average(rho2: DensityMatrix) -> float:
     axis i and outcome, the conditional's l1 coherence summed over the two
     axes j != i. Bell states give 3, the maximally mixed state 0."""
     return float(measures._naqc_average_stack(rho2.mat[None])[0])
+
+
+def dense_channel_18_reference(cfg, eps_tilde: float, taus: np.ndarray,
+                               p_bridge=None) -> np.ndarray:
+    """Channel 18 by brute force, as the dense route built it before it went
+    to slices: the hop stack as `netmodel` builds it, then per tau the
+    256x256 kron(hop, hop), the bridge on qubits (2, 4) and the trace to
+    (0, 4); unvalidated, like `netmodel._dense_channel_states`."""
+    us = np.array([propagator_matrix(DipolarParams(eps_tilde=eps_tilde,
+                                                   tau=tau))
+                   for tau in taus.tolist()])
+    hops = conjugate_pair_stack(np.broadcast_to(
+        initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2))
+    bridges = us if p_bridge is None else [propagator_matrix(p_bridge)] * len(us)
+    return np.array([partial_trace_stack(conjugate_pair_stack(
+        kron(hop, hop)[None], 8, bridge, (2, 4)), 8, (0, 4))[0]
+        for hop, bridge in zip(hops, bridges)])

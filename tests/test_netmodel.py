@@ -17,9 +17,10 @@ from dipnet.qmat import (BadSubsystem, NotPositive, NotUnitary,
                          conjugate_pair_stack, kron, partial_trace,
                          partial_trace_stack, require_unitary)
 
-from conftest import (charpoly_eigenvalues, dipolar_hamiltonian,
-                      ginibre_density, hermitian_eigenvalues,
-                      matrix_exp_hermitian, tau_to_time)
+from conftest import (charpoly_eigenvalues, dense_channel_18_reference,
+                      dipolar_hamiltonian, ginibre_density,
+                      hermitian_eigenvalues, matrix_exp_hermitian,
+                      tau_to_time)
 
 SINGLET_MAT = np.array([[0, 0, 0, 0],
                         [0, 0.5, -0.5, 0],
@@ -318,11 +319,57 @@ def test_channel_18_fixed_bridge_equals_embedded_reference():
         assert np.array_equal(got, expect), kind
 
 
+@pytest.mark.parametrize("bridge", ["track", "fixed"])
+def test_channel_18_slices_equal_the_256_dim_route(bridge):
+    # the 32 bridged slices must give the brute-force route's bits, not
+    # merely close values: a slip in the slices' axis order or in the order
+    # of the trace's sums shows here as a moved bit
+    rng = np.random.default_rng(18)
+    edge = np.array([0.0, np.pi / 4, np.pi / 2])
+    for i in range(30):
+        cfg = NetworkConfig(("MM", "WW", "MW")[i % 3],
+                            werner_x1=float(rng.uniform()),
+                            werner_x2=float(rng.uniform()))
+        eps = 0.0 if i == 0 else float(rng.uniform(-0.5, 0.5))
+        taus = edge if i == 0 else rng.uniform(0.0, 10.0, size=3)
+        p_bridge = None if bridge == "track" else DipolarParams(
+            eps_tilde=float(rng.uniform(-0.5, 0.5)),
+            tau=float(rng.uniform(0.0, 10.0)))
+        want = dense_channel_18_reference(cfg, eps, taus, p_bridge)
+        got = network_channel_states(cfg, "18", eps, taus, p_bridge)
+        assert np.array_equal(got, want), (cfg, eps, taus, p_bridge)
+        p = DipolarParams(eps_tilde=eps, tau=float(taus[-1]))
+        one = network_channel_state(cfg, p, "18", p_bridge).mat
+        assert np.array_equal(one, want[-1]), (cfg, p, p_bridge)
+        if p_bridge is not None:
+            eight = extend_to_eight(cfg, p, p_bridge).mat
+            assert np.array_equal(eight, want[-1]), (cfg, p, p_bridge)
+
+
+def test_channel_18_refuses_a_non_unitary_fixed_bridge(monkeypatch):
+    # the inner propagators are checked as a stack; a fixed bridge is
+    # checked once, before it acts
+    cfg = NetworkConfig("MM")
+    p = DipolarParams(eps_tilde=0.1, tau=0.7)
+    bridge = DipolarParams(eps_tilde=0.2, tau=1.3)
+    unitary = netmodel.propagator_matrix
+
+    def leaky(q):
+        return 1.01 * unitary(q) if q == bridge else unitary(q)
+
+    monkeypatch.setattr(netmodel, "propagator_matrix", leaky)
+    network_channel_state(cfg, p, "18", p)  # a track bridge still runs
+    with pytest.raises(NotUnitary):
+        network_channel_state(cfg, p, "18", bridge)
+    with pytest.raises(NotUnitary):
+        network_channel_states(cfg, "18", 0.1, np.array([0.2, 0.7]), bridge)
+
+
 @pytest.mark.parametrize("channel", ["12", "14", "18", "123", "234"])
 def test_dense_states_are_validated_once(monkeypatch, channel):
-    # the initial network's two pairs and the network itself, then one
-    # validation of the evolved 16x16 networks and one of the reduced
-    # states, whether at one point or on a tau vector
+    # the initial network's two pairs and the network itself on the first
+    # call for a config only, then one validation of the evolved 16x16
+    # networks and one of the reduced states, at one point or on a vector
     calls = []
     validate = qmat.require_density_stack
 
@@ -335,11 +382,12 @@ def test_dense_states_are_validated_once(monkeypatch, channel):
     cfg = NetworkConfig("WW", werner_x1=0.7, werner_x2=0.7)
     p = DipolarParams(eps_tilde=0.17, tau=0.83)
     reduced = len(channel) if channel != "18" else 2
+    netmodel.initial_network.cache_clear()
     network_channel_state(cfg, p, channel, p)
     assert calls == [2, 2, 4, 4, reduced]
     network_channel_states(cfg, channel, p.eps_tilde, np.array([0.1, p.tau]),
                            p)
-    assert calls == [2, 2, 4, 4, reduced] * 2
+    assert calls == [2, 2, 4, 4, reduced, 4, reduced]
 
 
 def test_extend_to_eight_trace_and_weakness():
