@@ -10,6 +10,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -17,8 +18,8 @@ from .closedform import OracleMismatch
 from .ledger import render_typo_report
 from .netmodel import DipolarParams, FieldError, NetworkConfig
 from .scan import (MODES, ExtensionSpec, MeasureSeries, ScanGrid, ZERO_TOL,
-                   count_peaks, detect_sudden_changes, detect_zero_intervals,
-                   series_evaluator, sweep)
+                   count_peaks, detect_sudden_changes, pair_zero_intervals,
+                   series_values, sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -211,22 +212,29 @@ def render_csv(scenario_name: str, series_list: list[MeasureSeries]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _series_events(scenario: Scenario, series: MeasureSeries) -> list:
-    refine = series_evaluator(scenario.network, series, scenario.mode,
-                              scenario.extension)
-    events = detect_zero_intervals(series, scenario.zero_tol, refine)
-    events.extend(count_peaks(series, scenario.peak_prominence))
-    if series.quantifier == "tangle":
-        events.extend(detect_sudden_changes(series, scenario.slope_jump_tol))
-    return events
-
-
 def render_events(scenario: Scenario, series_list: list[MeasureSeries]) -> str:
+    """Events of each series, in list order: death/birth intervals refined
+    in one `pair_zero_intervals` call per (channel, quantifier) pair, which
+    advances all its eps together, then peaks and (tangle) sudden changes."""
+    pairs: dict[tuple[str, str], list[int]] = {}
+    for i, s in enumerate(series_list):
+        pairs.setdefault((s.channel, s.quantifier), []).append(i)
+    events: dict[int, list] = {}
+    for (channel, quantifier), members in pairs.items():
+        refine = partial(series_values, scenario.network, channel,
+                         quantifier, mode=scenario.mode,
+                         extension=scenario.extension)
+        events.update(zip(members, pair_zero_intervals(
+            [series_list[i] for i in members], scenario.zero_tol, refine)))
     lines = []
-    for s in series_list:
+    for i, s in enumerate(series_list):
+        series_events = events[i]
+        series_events.extend(count_peaks(s, scenario.peak_prominence))
+        if s.quantifier == "tangle":
+            series_events.extend(detect_sudden_changes(s, scenario.slope_jump_tol))
         lines.append(f"# channel={s.channel} quantifier={s.quantifier} "
                      f"eps_tilde={_fmt(s.eps_tilde)}")
-        for e in _series_events(scenario, s):
+        for e in series_events:
             line = f"{e.kind} tau={e.tau:.4f} value={e.value:.6f}"
             if e.interval_end is not None:
                 line += f" interval_end={e.interval_end:.4f}"

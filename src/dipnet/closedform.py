@@ -18,7 +18,8 @@ three-node channels conjugate the Pauli words of the coupled qubits by the
 The closed form never builds a 16x16 network or channel 18's slices; that is
 the dense path's route (`netmodel.network_channel_states`), and
 `require_oracle_agreement` compares the closed and dense stacks of each
-block of a series (`validate_channel` is its one-point case).
+block of a `series_values` vector (`validate_channel` is its one-point
+case).
 
 `channel_states` is array-first: it evaluates a whole vector of tau at
 once as an (N, d, d) stack (`closed_channel_states` for a named network
@@ -155,8 +156,8 @@ def channel_states(channel: str, pair1: XStateParams, pair2: XStateParams,
                               gammas)
 
 
-def _assembled_states(cfg: NetworkConfig, channel: str, eps_tilde: float,
-                      taus: np.ndarray,
+def _assembled_states(cfg: NetworkConfig, channel: str,
+                      eps_tilde: float | np.ndarray, taus: np.ndarray,
                       p_bridge: DipolarParams | None) -> np.ndarray:
     bridge_gammas = None
     if channel == "18" and p_bridge is not None:
@@ -166,12 +167,13 @@ def _assembled_states(cfg: NetworkConfig, channel: str, eps_tilde: float,
                           propagator_gammas(eps_tilde, taus), bridge_gammas)
 
 
-def closed_channel_states(cfg: NetworkConfig, channel: str, eps_tilde: float,
-                          taus: np.ndarray,
+def closed_channel_states(cfg: NetworkConfig, channel: str,
+                          eps_tilde: float | np.ndarray, taus: np.ndarray,
                           p_bridge: DipolarParams | None = None) -> np.ndarray:
     """(N, d, d) closed-form states of a named channel at every tau of the
-    1-d array `taus`, validated as one stack; channel "18" crosses a bridge
-    coupling at `p_bridge` (default: the inner coupling at each tau)."""
+    1-d array `taus`, with `eps_tilde` one float or one per tau, validated
+    as one stack; channel "18" crosses a bridge coupling at `p_bridge`
+    (default: the inner coupling at each tau)."""
     states = _assembled_states(cfg, channel, eps_tilde, taus, p_bridge)
     return require_density_stack(states, states.shape[-1].bit_length() - 1)
 
@@ -184,18 +186,20 @@ def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
 
 
 def require_oracle_agreement(channel: str, closed: np.ndarray,
-                             dense: np.ndarray, eps_tilde: float,
-                             taus) -> None:
+                             dense: np.ndarray,
+                             eps_tilde: float | np.ndarray, taus) -> None:
     """Assert elementwise agreement, within ORACLE_TOL, of the closed and
-    dense (N, d, d) state stacks at `taus`; raises OracleMismatch at the first
-    offending tau, naming its largest deviation."""
+    dense (N, d, d) state stacks at `taus` (`eps_tilde` one float or one per
+    tau); raises OracleMismatch at the first offending tau, naming its eps,
+    its tau and its largest deviation."""
     diff = np.abs(closed - dense)
     bad = diff.max(axis=(-2, -1)) > ORACLE_TOL
     if np.count_nonzero(bad):
         i = int(bad.argmax())
+        eps = float(np.broadcast_to(eps_tilde, np.shape(taus))[i])
         r, c = np.unravel_index(int(diff[i].argmax()), diff.shape[1:])
         raise OracleMismatch(channel, (int(r), int(c)), closed[i, r, c],
-                             dense[i, r, c], f"tau={float(taus[i])} eps={eps_tilde}")
+                             dense[i, r, c], f"tau={float(taus[i])} eps={eps}")
 
 
 def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,

@@ -107,8 +107,9 @@ def werner_params(x: float) -> XStateParams:
     return XStateParams(-x, -x, -x)
 
 
-def kappas(eps_tilde: float) -> tuple[float, float, float]:
-    """Phase rates of the propagator's three Pauli-pair terms."""
+def kappas(eps_tilde: float | np.ndarray) -> tuple:
+    """Phase rates of the propagator's three Pauli-pair terms, elementwise
+    in `eps_tilde` (kappa_z is the float -2 for any eps_tilde)."""
     return (1 - 3 * eps_tilde, 1 + 3 * eps_tilde, -2.0)
 
 
@@ -197,16 +198,18 @@ _R_FACTORS = np.array([[0, 1, 2], [0, 4, 5], [1, 3, 5], [2, 3, 4],
                        [3, 4, 5], [1, 2, 3], [0, 2, 4], [0, 1, 5]]).T
 
 
-def propagator_gammas(eps_tilde: float, taus: np.ndarray) -> np.ndarray:
+def propagator_gammas(eps_tilde: float | np.ndarray,
+                      taus: np.ndarray) -> np.ndarray:
     """(4, N) propagator entries g1..g4 = (r2 - r3, r2 + r3, r1 - r4,
-    r1 + r4) at every tau of the 1-d array `taus`: the closed-form kernel's
-    vectorised `propagator_coeffs(p).gammas()`, rounding as it does, with
-    tau >= 0 and sum |r_k|^2 = 1 checked for every element. The dense path
-    keeps the scalar `propagator_coeffs`, so each route computes the
-    propagator's phases on its own."""
+    r1 + r4) at every tau of the 1-d array `taus`, with `eps_tilde` one
+    float or one per tau: the closed-form kernel's vectorised
+    `propagator_coeffs(p).gammas()`, rounding as it does, with tau >= 0 and
+    sum |r_k|^2 = 1 checked for every element. The dense path keeps the
+    scalar `propagator_coeffs`, so each route computes the propagator's
+    phases on its own."""
     if np.count_nonzero(taus < 0):
         raise ValueError(f"tau must be >= 0, got {taus.min()}")
-    phases = np.multiply.outer(kappas(eps_tilde), taus)
+    phases = np.array([k * taus for k in kappas(eps_tilde)])
     cs = np.concatenate([np.cos(phases), np.sin(phases)])
     f = cs[_R_FACTORS]
     prod = f[0] * f[1] * f[2]
@@ -295,12 +298,13 @@ def channel_qubits(channel: str) -> tuple[int, ...]:
 
 
 def _dense_channel_states(cfg: NetworkConfig, channel: str,
-                          eps_tilde: float, taus: np.ndarray,
+                          eps_tilde: float | np.ndarray, taus: np.ndarray,
                           p_bridge: DipolarParams | None) -> np.ndarray:
     """`network_channel_states` before the reduced states are validated."""
     us = require_unitary(np.array([
-        propagator_matrix(DipolarParams(eps_tilde=eps_tilde, tau=tau))
-        for tau in taus.tolist()]))
+        propagator_matrix(DipolarParams(eps_tilde=eps, tau=tau))
+        for eps, tau in zip(np.broadcast_to(eps_tilde, taus.shape).tolist(),
+                            taus.tolist())]))
     hops = require_density_stack(conjugate_pair_stack(np.broadcast_to(
         initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2)), 4)
     if channel != "18":
@@ -323,12 +327,13 @@ def _dense_channel_states(cfg: NetworkConfig, channel: str,
 
 
 def network_channel_states(cfg: NetworkConfig, channel: str,
-                           eps_tilde: float, taus: np.ndarray,
+                           eps_tilde: float | np.ndarray, taus: np.ndarray,
                            p_bridge: DipolarParams | None = None) -> np.ndarray:
     """(N, d, d) dense-path states of a named channel at every tau of the
-    1-d array `taus` (a block of `scan.series_values`), in one pass: the
-    initial network conjugated on qubits (1, 2) by each tau's scalar
-    `propagator_matrix`, then reduced; the network stack and the state stack
+    1-d array `taus` (a block of `scan.series_values`), with `eps_tilde` one
+    float or one per tau, in one pass: the initial network conjugated on
+    qubits (1, 2) by the scalar `propagator_matrix` of each tau's
+    `DipolarParams`, then reduced; the network stack and the state stack
     are each validated once.
 
     Channel "18" joins two such four-node hops (qubits 0-3 and 4-7) by a

@@ -1,6 +1,7 @@
 """Parameter sweeps over (tau, eps_tilde) and series post-processing:
-sudden death/birth intervals, peaks, sudden slope changes. In every mode a
-series is built and scored in blocks of taus by `series_values`."""
+sudden death/birth intervals, peaks, sudden slope changes. In every mode
+`series_values` builds and scores the series of a (channel, quantifier)
+pair in blocks of (eps, tau) points, every eps in one call."""
 
 from dataclasses import dataclass
 from functools import partial
@@ -158,15 +159,21 @@ def _clamped(values: np.ndarray) -> np.ndarray:
 
 
 def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
-                  eps_tilde: float, taus: np.ndarray, mode: str = "closed_form",
+                  eps_tilde: float | np.ndarray, taus: np.ndarray,
+                  mode: str = "closed_form",
                   extension: Optional[ExtensionSpec] = None) -> np.ndarray:
-    """Quantifier values of one (channel, quantifier, eps_tilde) series at
-    every tau of the 1-d array `taus`. Per block of BLOCK_TAUS taus it builds
-    an (n, d, d) stack of states, closed-form, dense, or (validate) both,
+    """Quantifier values of one (channel, quantifier) pair at every tau of
+    the 1-d array `taus`, with `eps_tilde` one float or a 1-d array of one
+    eps per tau. Per block of BLOCK_TAUS taus (and their eps) it builds an
+    (n, d, d) stack of states, closed-form, dense, or (validate) both,
     required to agree, and scores the closed one unless dense; the earliest
-    failing tau raises. `sweep` and `evaluate_point` (N = 1) come here."""
+    failing tau raises. `sweep`, the event refinement and `evaluate_point`
+    (N = 1) come here."""
     if not len(taus):
         raise ValueError("series_values needs at least one tau")
+    per_tau = isinstance(eps_tilde, np.ndarray)
+    if per_tau and eps_tilde.shape != taus.shape:
+        raise ValueError("eps_tilde must be one float or one per tau")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     p_bridge = None
@@ -175,14 +182,16 @@ def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
             raise ValueError("channel 18 requires an ExtensionSpec")
         p_bridge = extension.bridge  # None in track mode
     values = []
-    for block in np.split(taus, range(BLOCK_TAUS, len(taus), BLOCK_TAUS)):
-        args = (cfg, channel, eps_tilde, block, p_bridge)
+    for i in range(0, len(taus), BLOCK_TAUS):
+        block = taus[i:i + BLOCK_TAUS]
+        eps = eps_tilde[i:i + BLOCK_TAUS] if per_tau else eps_tilde
+        args = (cfg, channel, eps, block, p_bridge)
         if mode != "dense":
             closed = closed_channel_states(*args)
         if mode != "closed_form":
             dense = network_channel_states(*args)
         if mode == "validate":
-            require_oracle_agreement(channel, closed, dense, eps_tilde, block)
+            require_oracle_agreement(channel, closed, dense, eps, block)
         values.append(_QUANTIFIER_STACK[quantifier](
             dense if mode == "dense" else closed))
     return _clamped(np.concatenate(values))
@@ -198,12 +207,18 @@ def evaluate_point(cfg: NetworkConfig, p: DipolarParams, channel: str,
 
 def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
           extension: Optional[ExtensionSpec] = None) -> list[MeasureSeries]:
-    """One `series_values` series per (channel, quantifier, eps), grid order."""
+    """One series per (channel, quantifier, eps), grid order: one
+    `series_values` call per (channel, quantifier) pair on every eps's taus
+    end to end, split back by eps."""
     taus = grid.taus()
-    return [MeasureSeries(ch, q, eps, taus, series_values(
-                cfg, ch, q, eps, taus, mode, extension))
-            for ch, q, eps in product(grid.channels, grid.quantifiers,
-                                      grid.eps_values)]
+    pair_eps = np.repeat(grid.eps_values, len(taus))
+    pair_taus = np.tile(taus, len(grid.eps_values))
+    series = []
+    for ch, q in product(grid.channels, grid.quantifiers):
+        values = series_values(cfg, ch, q, pair_eps, pair_taus, mode, extension)
+        series += [MeasureSeries(ch, q, eps, taus, v) for eps, v in
+                   zip(grid.eps_values, np.split(values, len(grid.eps_values)))]
+    return series
 
 
 def series_evaluator(cfg: NetworkConfig, series: MeasureSeries,
@@ -216,23 +231,73 @@ def series_evaluator(cfg: NetworkConfig, series: MeasureSeries,
                    series.eps_tilde, mode=mode, extension=extension)
 
 
-def _bisect_crossings(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                      f_lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """taus where fn crosses `tol` inside each bracket (lo, hi), to
-    BISECTION_RESOLUTION; f_lo holds the known values fn(lo) - tol. All
+def _bisect_crossings(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      eps: np.ndarray, lo: np.ndarray, f_lo: np.ndarray,
+                      hi: np.ndarray, tol: float) -> np.ndarray:
+    """taus where fn(eps, .) crosses `tol` inside each bracket (lo, hi), to
+    BISECTION_RESOLUTION; f_lo holds the known values fn(eps, lo) - tol. All
     brackets advance together: one fn call per step, on the midpoints of
-    the brackets still wider than the resolution."""
+    the brackets still wider than the resolution and their eps."""
     lo, f_lo, hi = lo.copy(), f_lo.copy(), hi.copy()
     for _ in range(BISECTION_MAX_ITER):
         wide = np.flatnonzero(hi - lo > BISECTION_RESOLUTION)
         if not wide.size:
             break
         mid = 0.5 * (lo[wide] + hi[wide])
-        f_mid = fn(mid) - tol
+        f_mid = fn(eps[wide], mid) - tol
         same = (f_mid > 0) == (f_lo[wide] > 0)
         lo[wide[same]], f_lo[wide[same]] = mid[same], f_mid[same]
         hi[wide[~same]] = mid[~same]
     return 0.5 * (lo + hi)
+
+
+def pair_zero_intervals(group: list[MeasureSeries], zero_tol: float = ZERO_TOL,
+                        quantifier: Optional[Callable[[np.ndarray, np.ndarray],
+                                                      np.ndarray]] = None
+                        ) -> list[list[EventRecord]]:
+    """`detect_zero_intervals` of each series of a group, such as the eps
+    series of one (channel, quantifier) pair. With a quantifier callable
+    ((eps, taus) -> values: `series_values` with the pair bound) every
+    interval edge of every series is refined in one lockstep bisection, so
+    the group makes as many calls as its slowest series. The callable must
+    equal each series at its taus and eps: each bracket's grid end is read
+    from the series, so the callable never runs at a grid tau."""
+    found = []  # per series: first, last of each run, left/right refined
+    brackets = []  # per series: eps, lo, f_lo, hi of its refined edges
+    for s in group:
+        taus, vals = s.taus, s.values
+        dead = np.concatenate(([False], vals <= zero_tol, [False]))
+        flips = np.flatnonzero(dead[1:] != dead[:-1])
+        first, last = flips[::2], flips[1::2] - 1
+        left, right = first > 0, last + 1 < len(vals)
+        lo = np.concatenate((first[left] - 1, last[right]))
+        found.append((first, last, left, right))
+        brackets.append((np.full(lo.size, s.eps_tilde), taus[lo],
+                         vals[lo] - zero_tol, taus[lo + 1]))
+    if quantifier is not None and group:
+        crossings = np.split(
+            _bisect_crossings(quantifier, *map(np.concatenate, zip(*brackets)),
+                              zero_tol),
+            np.cumsum([b[1].size for b in brackets])[:-1])
+    events = []
+    for k, (s, (first, last, left, right)) in enumerate(zip(group, found)):
+        taus, vals = s.taus, s.values
+        starts, ends = taus[first], taus[last]
+        if quantifier is not None:
+            starts[left] = crossings[k][:left.sum()]
+            ends[right] = crossings[k][left.sum():]
+        series_events = []
+        for i, j, start, end in zip(first.tolist(), last.tolist(),
+                                    starts.tolist(), ends.tolist()):
+            series_events.append(EventRecord(
+                kind="death", tau=start, value=float(vals[i]),
+                interval_end=end))
+            if j + 1 < len(vals):
+                birth_tau = end if quantifier is not None else float(taus[j + 1])
+                series_events.append(EventRecord(
+                    kind="birth", tau=birth_tau, value=float(vals[j + 1])))
+        events.append(series_events)
+    return events
 
 
 def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
@@ -240,33 +305,11 @@ def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
                           ) -> list[EventRecord]:
     """Maximal runs of values <= zero_tol become death intervals; the first
     point above zero_tol after a run is a birth. With a quantifier callable
-    (taus -> values) every interval edge of the series is refined in one
-    lockstep bisection. The callable must equal the series at its taus (as
-    `series_evaluator` does): each bracket's grid end is read from the
-    series, so the callable never runs at a grid tau."""
-    taus, vals = series.taus, series.values
-    n = len(vals)
-    dead = np.concatenate(([False], vals <= zero_tol, [False]))
-    flips = np.flatnonzero(dead[1:] != dead[:-1])
-    first, last = flips[::2], flips[1::2] - 1
-    starts, ends = taus[first], taus[last]
-    if quantifier is not None:
-        left, right = first > 0, last + 1 < n
-        lo = np.concatenate((first[left] - 1, last[right]))
-        crossings = _bisect_crossings(quantifier, taus[lo], vals[lo] - zero_tol,
-                                      taus[lo + 1], zero_tol)
-        starts[left] = crossings[:left.sum()]
-        ends[right] = crossings[left.sum():]
-    events: list[EventRecord] = []
-    for i, j, start, end in zip(first.tolist(), last.tolist(), starts.tolist(),
-                                ends.tolist()):
-        events.append(EventRecord(kind="death", tau=start, value=float(vals[i]),
-                                  interval_end=end))
-        if j + 1 < n:
-            birth_tau = end if quantifier is not None else float(taus[j + 1])
-            events.append(EventRecord(kind="birth", tau=birth_tau,
-                                      value=float(vals[j + 1])))
-    return events
+    (taus -> values, as `series_evaluator` returns) every interval edge of
+    the series is refined in one lockstep bisection, never at a grid tau:
+    `pair_zero_intervals` on a group of one."""
+    pair = None if quantifier is None else lambda eps, taus: quantifier(taus)
+    return pair_zero_intervals([series], zero_tol, pair)[0]
 
 
 def count_peaks(series: MeasureSeries, prominence: Optional[float] = None

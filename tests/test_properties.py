@@ -3,7 +3,8 @@
 
  - A sweep's stack evaluation equals `evaluate_point` (its N = 1 case)
    exactly, in every mode, on every two- and three-node channel and both
-   bridge modes.
+   bridge modes; so does a vector that mixes eps and tau, in blocks that
+   straddle an eps change.
  - The stack quantifiers on a stack of dense states equal the scalar ones.
  - The analytic Bell-diagonal negativity and NAQC of the dense state agree
    with the kernel to 1e-12 (an oracle independent of both its state
@@ -31,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dipnet.scan
 from dipnet.cli import _KNOWN_KEYS, main
 from dipnet.closedform import closed_channel_states
 from dipnet.measures import (NAQC_CRITICAL, NAQC_MAX, naqc_degree,
@@ -131,6 +133,50 @@ def test_kernel_on_any_tau_vector_equals_points(mode, cfg, kind, ext, eps, taus)
     points = [evaluate_point(cfg, DipolarParams(eps_tilde=eps, tau=t), channel,
                              quantifier, mode, ext) for t in taus]
     assert values.tolist() == points
+
+
+mixed_kinds = st.sampled_from((("12", "negativity"), ("14", "naqc"),
+                               ("123", "tangle"), ("18", "negativity"),
+                               ("18", "naqc")))
+
+
+@PROPERTY
+@given(mode=st.sampled_from(MODES), cfg=networks(), kind=mixed_kinds,
+       ext=extensions(), block=st.sampled_from((3, dipnet.scan.BLOCK_TAUS)),
+       points=st.lists(st.tuples(eps_tilde, tau), min_size=1, max_size=10))
+def test_kernel_on_mixed_eps_vector_equals_points(mode, cfg, kind, ext, block,
+                                                  points):
+    # a sweep or a grouped refinement sends one vector across several eps,
+    # cut into blocks that may straddle an eps change
+    channel, quantifier = kind
+    eps, taus = (np.array(v) for v in zip(*points))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dipnet.scan, "BLOCK_TAUS", block)
+        values = series_values(cfg, channel, quantifier, eps, taus, mode, ext)
+    assert values.tolist() == [
+        evaluate_point(cfg, DipolarParams(eps_tilde=e, tau=t), channel,
+                       quantifier, mode, ext) for e, t in points]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("channel, quantifier, bridge", [
+    ("12", "negativity", None), ("14", "naqc", None), ("123", "tangle", None),
+    ("18", "negativity", None),
+    ("18", "naqc", DipolarParams(eps_tilde=-0.1, tau=2.5))])
+def test_blocks_straddling_an_eps_change_equal_points(monkeypatch, mode,
+                                                      channel, quantifier,
+                                                      bridge):
+    # blocks of 3 over runs of 2, 3 and 2 eps: no block holds one eps only
+    monkeypatch.setattr(dipnet.scan, "BLOCK_TAUS", 3)
+    cfg = NetworkConfig("MW", werner_x2=0.8)
+    ext = ExtensionSpec("track" if bridge is None else "fixed", bridge)
+    eps = np.array([-0.2, -0.2, 0.1, 0.1, 0.1, 0.3, 0.3])
+    taus = np.array([0.4, 2.1, 0.4, 1.3, 7.9, 0.0, 2.1])
+    values = series_values(cfg, channel, quantifier, eps, taus, mode, ext)
+    assert values.tolist() == [
+        evaluate_point(cfg, DipolarParams(eps_tilde=e, tau=t), channel,
+                       quantifier, mode, ext)
+        for e, t in zip(eps.tolist(), taus.tolist())]
 
 
 @PROPERTY

@@ -1,4 +1,7 @@
 import inspect
+from dataclasses import replace
+from functools import partial
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import dipnet.closedform
 import dipnet.netmodel
 import dipnet.scan
+from dipnet.cli import EXIT_ORACLE, main, parse_scenario
 from dipnet.closedform import OracleMismatch, closed_channel_state
 from dipnet.netmodel import (DipolarParams, FieldError, NetworkConfig,
                              network_channel_state)
@@ -18,6 +22,7 @@ from dipnet.scan import (BISECTION_MAX_ITER, BISECTION_RESOLUTION,
                          ExtensionSpec, MeasureSeries, ScanGrid, _uneven,
                          count_peaks, detect_sudden_changes,
                          detect_zero_intervals, evaluate_point,
+                         pair_zero_intervals,
                          series_evaluator, series_values, sweep)
 
 MM = NetworkConfig("MM")
@@ -363,6 +368,107 @@ def test_refinement_never_evaluates_a_grid_tau():
     assert not called & set(series.taus.tolist())
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("name", [f"fig{k}" for k in range(2, 9)])
+def test_grouped_refinement_equals_per_series(name):
+    # the bundled two-node surfaces and line cuts (MM, WW and MW) at a small
+    # grid: refining all eps of a pair together finds every series' events
+    scenario = parse_scenario((SCENARIOS / f"{name}.scn").read_text())
+    cfg = scenario.network
+    grid = replace(scenario.grid, tau_steps=41)
+    for (channel, quantifier), group in groupby(
+            sweep(cfg, grid), key=lambda s: (s.channel, s.quantifier)):
+        group = list(group)
+        grouped = pair_zero_intervals(group, scenario.zero_tol, partial(
+            series_values, cfg, channel, quantifier))
+        assert grouped == [detect_zero_intervals(s, scenario.zero_tol,
+                                                 series_evaluator(cfg, s))
+                           for s in group]
+
+
+def test_grouped_refinement_calls_as_often_as_its_slowest_series():
+    # every edge of every eps advances in one lockstep: a group makes as
+    # many calls as its slowest series, not their sum, each bracket visits
+    # the midpoints it visits alone, and no call runs at a grid tau
+    grid = ScanGrid(tau_steps=41, eps_values=(-0.2, 0.0, 0.1, 0.3),
+                    channels=("12",), quantifiers=("naqc",))
+    group = sweep(MM, grid)
+    alone = []
+    for s in group:
+        fn = series_evaluator(MM, s)
+        calls = []
+        detect_zero_intervals(s, ZERO_TOL,
+                              lambda taus: calls.append(taus.tolist()) or fn(taus))
+        alone.append(calls)
+    pair = partial(series_values, MM, "12", "naqc")
+    together = []
+
+    def spy(eps, taus):
+        together.append((eps.tolist(), taus.tolist()))
+        return pair(eps, taus)
+
+    pair_zero_intervals(group, ZERO_TOL, spy)
+    counts = [len(calls) for calls in alone]
+    assert sorted(counts)[-2] > 0  # at least two series refine
+    assert len(together) == max(counts) < sum(counts)
+    for s, calls in zip(group, alone):
+        visited = [t for eps, taus in together
+                   for e, t in zip(eps, taus) if e == s.eps_tilde]
+        assert visited == [t for taus in calls for t in taus]
+    called = {t for _, taus in together for t in taus}
+    assert called and not called & set(grid.taus().tolist())
+
+
+def _mismatch_off_grid(monkeypatch, eps_bad, grid_taus):
+    """Make the dense route disagree with the closed form at every tau of
+    eps `eps_bad` that is not a grid tau: only refinement reaches those."""
+    route = dipnet.scan.network_channel_states
+
+    def faulty(cfg, channel, eps_tilde, taus, p_bridge):
+        states = route(cfg, channel, eps_tilde, taus, p_bridge).copy()
+        hit = ((np.broadcast_to(eps_tilde, taus.shape) == eps_bad)
+               & ~np.isin(taus, grid_taus))
+        states[hit, 1, 2] += 2 * ORACLE_TOL
+        return states
+
+    monkeypatch.setattr(dipnet.scan, "network_channel_states", faulty)
+
+
+def test_grouped_refinement_names_the_failing_eps(monkeypatch, tmp_path,
+                                                  capsys):
+    # validate mode checks the oracle at every refined midpoint; the group's
+    # first call already holds the second eps's first midpoint, so the
+    # mismatch there is raised before the first eps finishes refining
+    grid = ScanGrid(tau_steps=41, eps_values=(-0.2, 0.1, 0.3),
+                    channels=("12",), quantifiers=("negativity",))
+    group = sweep(MM, grid, "validate")
+    _mismatch_off_grid(monkeypatch, 0.1, grid.taus())
+    calls = []
+    pair = partial(series_values, MM, "12", "negativity", mode="validate")
+
+    def spy(eps, taus):
+        calls.append((eps.tolist(), taus.tolist()))
+        return pair(eps, taus)
+
+    with pytest.raises(OracleMismatch) as err:
+        pair_zero_intervals(group, ZERO_TOL, spy)
+    (eps, taus), = calls
+    first = taus[eps.index(0.1)]
+    assert err.value.coord == (1, 2)
+    assert f"tau={first} eps=0.1 " in str(err.value)
+    assert first not in grid.taus().tolist()
+
+    scn = tmp_path / "bad.scn"
+    scn.write_text("name = bad\nnetwork = MM\nchannels = 12\n"
+                   "quantifiers = negativity\ntau_steps = 41\n"
+                   "eps_values = -0.2,0.1,0.3\n")
+    assert main(["validate", str(scn), "--output-dir",
+                 str(tmp_path / "out")]) == EXIT_ORACLE
+    assert f"tau={first} eps=0.1 " in capsys.readouterr().err
+
+
 def test_negativity_death_and_birth_measured_network():
     grid = ScanGrid(tau_steps=1001, eps_values=(0.3,), channels=("12",),
                     quantifiers=("negativity",))
@@ -640,3 +746,28 @@ def test_lockstep_refinement_equals_scalar_reference(a, b, tau_min, span, steps,
     scalar = lambda tau: float(fn(np.array([tau]))[0])
     assert (detect_zero_intervals(s, zero_tol, fn)
             == _reference_detect_zero_intervals(s, zero_tol, scalar))
+
+
+@EVENTS_PROPERTY
+@given(shifts=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=4,
+                       unique=True),
+       steps=st.lists(st.integers(3, 60), min_size=4, max_size=4),
+       zero_tol=st.one_of(st.just(ZERO_TOL), st.floats(0.0, 0.5)))
+def test_grouped_refinement_equals_each_series_alone(shifts, steps, zero_tol):
+    # series of unequal spacing narrow their brackets at unequal steps, so
+    # each call carries only the still-wide brackets and their own eps
+    fn = lambda eps, taus: np.maximum(0.0, np.sin(2.0 * taus + eps))
+    group = [_series(taus, fn(eps, taus), eps=eps)
+             for eps, n in zip(shifts, steps)
+             for taus in [np.linspace(0.0, 6.0, n)]]
+    calls = []
+    grouped = pair_zero_intervals(
+        group, zero_tol, lambda eps, taus: calls.append(eps) or fn(eps, taus))
+    alone, counts = [], []
+    for s in group:
+        n = []
+        alone.append(detect_zero_intervals(
+            s, zero_tol, lambda taus: n.append(taus) or fn(s.eps_tilde, taus)))
+        counts.append(len(n))
+    assert grouped == alone
+    assert len(calls) == max(counts)
