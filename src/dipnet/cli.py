@@ -11,6 +11,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -204,41 +205,38 @@ def _fmt(value: float) -> str:
 
 
 def render_csv(scenario_name: str, series_list: list[MeasureSeries]) -> str:
-    lines = ["scenario,channel,quantifier,eps_tilde,tau,value"]
-    for s in series_list:
-        for tau, value in zip(s.taus.tolist(), s.values.tolist()):
-            lines.append(f"{scenario_name},{s.channel},{s.quantifier},"
-                         f"{_fmt(s.eps_tilde)},{_fmt(tau)},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    blocks = ["scenario,channel,quantifier,eps_tilde,tau,value\n"]
+    for s in series_list:  # one string per series, not one per row
+        prefix = (f"{scenario_name},{s.channel},{s.quantifier},"
+                  f"{_fmt(s.eps_tilde)},")
+        blocks.append("".join(
+            f"{prefix}{_fmt(tau)},{_fmt(value)}\n"
+            for tau, value in zip(s.taus.tolist(), s.values.tolist())))
+    return "".join(blocks)
 
 
 def render_events(scenario: Scenario, series_list: list[MeasureSeries]) -> str:
     """Events of each series, in list order: death/birth intervals refined
-    in one `pair_zero_intervals` call per (channel, quantifier) pair, which
-    advances all its eps together, then peaks and (tangle) sudden changes."""
-    pairs: dict[tuple[str, str], list[int]] = {}
-    for i, s in enumerate(series_list):
-        pairs.setdefault((s.channel, s.quantifier), []).append(i)
-    events: dict[int, list] = {}
-    for (channel, quantifier), members in pairs.items():
-        refine = partial(series_values, scenario.network, channel,
-                         quantifier, mode=scenario.mode,
-                         extension=scenario.extension)
-        events.update(zip(members, pair_zero_intervals(
-            [series_list[i] for i in members], scenario.zero_tol, refine)))
+    in one `pair_zero_intervals` call per run of adjacent series of one
+    (channel, quantifier) pair, then peaks and (tangle) sudden changes."""
     lines = []
-    for i, s in enumerate(series_list):
-        series_events = events[i]
-        series_events.extend(count_peaks(s, scenario.peak_prominence))
-        if s.quantifier == "tangle":
-            series_events.extend(detect_sudden_changes(s, scenario.slope_jump_tol))
-        lines.append(f"# channel={s.channel} quantifier={s.quantifier} "
-                     f"eps_tilde={_fmt(s.eps_tilde)}")
-        for e in series_events:
-            line = f"{e.kind} tau={e.tau:.4f} value={e.value:.6f}"
-            if e.interval_end is not None:
-                line += f" interval_end={e.interval_end:.4f}"
-            lines.append(line)
+    for (channel, quantifier), group in groupby(
+            series_list, key=lambda s: (s.channel, s.quantifier)):
+        group = list(group)
+        refine = partial(series_values, scenario.network, channel, quantifier,
+                         mode=scenario.mode, extension=scenario.extension)
+        for s, events in zip(group, pair_zero_intervals(
+                group, scenario.zero_tol, refine)):
+            events += count_peaks(s, scenario.peak_prominence)
+            if quantifier == "tangle":
+                events += detect_sudden_changes(s, scenario.slope_jump_tol)
+            lines.append(f"# channel={channel} quantifier={quantifier} "
+                         f"eps_tilde={_fmt(s.eps_tilde)}")
+            for e in events:
+                line = f"{e.kind} tau={e.tau:.4f} value={e.value:.6f}"
+                if e.interval_end is not None:
+                    line += f" interval_end={e.interval_end:.4f}"
+                lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,7 @@ BISECTION_MAX_ITER = 40
 MIN_TAU_STEPS = 3  # count_peaks needs both neighbours of a point
 # taus per block of a series: a (block, 16, 16) dense stack is about 1 MB
 BLOCK_TAUS = 256
-# built in blocks, fig9's four tangle series peak at 128 MB at this bound
+# built in blocks, fig9's four tangle series peak near 90 MB at this bound
 MAX_TAU_STEPS = 100_000
 SPACING_TOL = 1e-9  # relative spread of tau steps that still counts as uniform
 
@@ -92,8 +92,9 @@ class ScanGrid:
 @dataclass(frozen=True, eq=False)
 class MeasureSeries:
     """One (channel, quantifier, eps_tilde) series: `values` at strictly
-    increasing `taus`, two read-only 1-d float arrays. Series compare by
-    identity, since arrays have no single truth value."""
+    increasing `taus`, two read-only 1-d arrays of finite floats, at a
+    finite eps_tilde. Series compare by identity, since arrays have no
+    single truth value."""
     channel: str
     quantifier: str
     eps_tilde: float
@@ -106,6 +107,8 @@ class MeasureSeries:
         if taus.ndim != 1 or not taus.size or taus.shape != values.shape:
             raise ValueError("series taus and values must be nonempty 1-d "
                              "arrays of equal length")
+        if not np.isfinite(np.concatenate((taus, values, [self.eps_tilde]))).all():
+            raise ValueError("series taus, values and eps_tilde must be finite")
         if (np.diff(taus) <= 0).any():
             raise ValueError("series taus must be strictly increasing")
         if (values < -1e-10).any():
@@ -235,10 +238,10 @@ def _bisect_crossings(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       eps: np.ndarray, lo: np.ndarray, f_lo: np.ndarray,
                       hi: np.ndarray, tol: float) -> np.ndarray:
     """taus where fn(eps, .) crosses `tol` inside each bracket (lo, hi), to
-    BISECTION_RESOLUTION; f_lo holds the known values fn(eps, lo) - tol. All
-    brackets advance together: one fn call per step, on the midpoints of
-    the brackets still wider than the resolution and their eps."""
-    lo, f_lo, hi = lo.copy(), f_lo.copy(), hi.copy()
+    BISECTION_RESOLUTION; f_lo holds the known values fn(eps, lo) - tol.
+    All brackets advance together, in place: one fn call per step, on the
+    midpoints of the brackets still wider than the resolution, in bracket
+    order, and their eps."""
     for _ in range(BISECTION_MAX_ITER):
         wide = np.flatnonzero(hi - lo > BISECTION_RESOLUTION)
         if not wide.size:
@@ -256,47 +259,46 @@ def pair_zero_intervals(group: list[MeasureSeries], zero_tol: float = ZERO_TOL,
                                                       np.ndarray]] = None
                         ) -> list[list[EventRecord]]:
     """`detect_zero_intervals` of each series of a group, such as the eps
-    series of one (channel, quantifier) pair. With a quantifier callable
-    ((eps, taus) -> values: `series_values` with the pair bound) every
-    interval edge of every series is refined in one lockstep bisection, so
-    the group makes as many calls as its slowest series. The callable must
-    equal each series at its taus and eps: each bracket's grid end is read
-    from the series, so the callable never runs at a grid tau."""
-    found = []  # per series: first, last of each run, left/right refined
-    brackets = []  # per series: eps, lo, f_lo, hi of its refined edges
-    for s in group:
-        taus, vals = s.taus, s.values
-        dead = np.concatenate(([False], vals <= zero_tol, [False]))
-        flips = np.flatnonzero(dead[1:] != dead[:-1])
-        first, last = flips[::2], flips[1::2] - 1
-        left, right = first > 0, last + 1 < len(vals)
-        lo = np.concatenate((first[left] - 1, last[right]))
-        found.append((first, last, left, right))
-        brackets.append((np.full(lo.size, s.eps_tilde), taus[lo],
-                         vals[lo] - zero_tol, taus[lo + 1]))
-    if quantifier is not None and group:
-        crossings = np.split(
-            _bisect_crossings(quantifier, *map(np.concatenate, zip(*brackets)),
-                              zero_tol),
-            np.cumsum([b[1].size for b in brackets])[:-1])
-    events = []
-    for k, (s, (first, last, left, right)) in enumerate(zip(group, found)):
-        taus, vals = s.taus, s.values
-        starts, ends = taus[first], taus[last]
-        if quantifier is not None:
-            starts[left] = crossings[k][:left.sum()]
-            ends[right] = crossings[k][left.sum():]
-        series_events = []
-        for i, j, start, end in zip(first.tolist(), last.tolist(),
-                                    starts.tolist(), ends.tolist()):
-            series_events.append(EventRecord(
-                kind="death", tau=start, value=float(vals[i]),
-                interval_end=end))
-            if j + 1 < len(vals):
-                birth_tau = end if quantifier is not None else float(taus[j + 1])
-                series_events.append(EventRecord(
-                    kind="birth", tau=birth_tau, value=float(vals[j + 1])))
-        events.append(series_events)
+    series of one (channel, quantifier) pair, in one pass over the series
+    laid end to end. With a quantifier callable ((eps, taus) -> values:
+    `series_values` with the pair bound) every interval edge of the group is
+    refined in one lockstep bisection, so the group makes as many calls as
+    its slowest series; a call lists the series in group order, each one's
+    left edges first. The callable must equal each series at its taus and
+    eps: each bracket's grid end is read from the series, so the callable
+    never runs at a grid tau."""
+    if not group:
+        return []
+    # each series is followed by a pad point that is never dead, so no dead
+    # run spans two series
+    pads = np.cumsum([s.values.size + 1 for s in group]) - 1
+    taus = np.concatenate([np.append(s.taus, np.inf) for s in group])
+    vals = np.concatenate([np.append(s.values, np.inf) for s in group])
+    is_pad = np.zeros(vals.size, dtype=bool)
+    is_pad[pads] = True
+    # each run's first dead point and the live point after it
+    first, after = np.flatnonzero(np.diff(is_pad | (vals > zero_tol),
+                                          prepend=True)).reshape(-1, 2).T
+    owner = pads.searchsorted(first)  # the series of each run
+    left, right = ~is_pad[first - 1], ~is_pad[after]  # [-1] is the last pad
+    starts, ends, births = taus[first], taus[after - 1], taus[after]
+    if quantifier is not None:
+        edge_owner = np.concatenate((owner[left], owner[right]))
+        order = np.argsort(edge_owner, kind="stable")
+        lo = np.concatenate((first[left], after[right]))[order] - 1
+        eps = np.array([s.eps_tilde for s in group])[edge_owner[order]]
+        edges = np.empty(lo.size)
+        edges[order] = _bisect_crossings(
+            quantifier, eps, taus[lo], vals[lo] - zero_tol, taus[lo + 1], zero_tol)
+        starts[left], ends[right] = np.split(edges, [left.sum()])
+        births = ends
+    events = [[] for _ in group]
+    for k, start, end, birth, i, j in zip(owner.tolist(), starts.tolist(),
+                                          ends.tolist(), births.tolist(),
+                                          first.tolist(), after.tolist()):
+        events[k].append(EventRecord("death", start, float(vals[i]), end))
+        if not is_pad[j]:
+            events[k].append(EventRecord("birth", birth, float(vals[j])))
     return events
 
 

@@ -10,14 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dipnet.cli
 import dipnet.scan
 from dipnet.cli import (_KNOWN_KEYS, EXIT_COMPUTE, EXIT_OK, EXIT_ORACLE,
                         EXIT_USAGE, ParseError, Scenario, UnknownKey,
                         ValidationError, main, parse_scenario, render_csv,
-                        run)
+                        render_events, run)
 from dipnet.closedform import OracleMismatch
 from dipnet.netmodel import NetworkConfig
-from dipnet.scan import ScanGrid
+from dipnet.scan import ScanGrid, sweep
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS_DIR = REPO / "scenarios"
@@ -334,6 +335,63 @@ def test_render_csv_significant_digits():
                       values=np.array([0.987654321098765]))
     text = render_csv("x", [s])
     assert "0.123456789012" in text and "0.987654321099" in text
+
+
+PAIRS = """
+name = pairs
+network = MM
+tau_steps = 41
+eps_values = -0.2,0,0.1,0.3
+channels = 12
+quantifiers = negativity,naqc
+"""
+
+
+def test_render_events_refines_each_pair_in_one_group(monkeypatch):
+    # one pair_zero_intervals call per (channel, quantifier) pair; each
+    # bisection step lists the series in group order, a series' left edges
+    # before its right edges
+    scenario = parse_scenario(PAIRS)
+    series = sweep(scenario.network, scenario.grid)
+    grouped = dipnet.cli.pair_zero_intervals
+    groups = []
+
+    def spy(group, zero_tol, quantifier):
+        steps = []
+        groups.append((group, steps))
+        return grouped(group, zero_tol, lambda eps, taus: steps.append(
+            list(zip(eps.tolist(), taus.tolist()))) or quantifier(eps, taus))
+
+    monkeypatch.setattr(dipnet.cli, "pair_zero_intervals", spy)
+    render_events(scenario, series)
+    assert [group for group, _ in groups] == [series[:4], series[4:]]
+    eps_values = list(scenario.grid.eps_values)
+    for group, steps in groups:
+        first_step = []
+        for s in group:
+            t, dead = s.taus.tolist(), (s.values <= scenario.zero_tol).tolist()
+            first_step += [(s.eps_tilde, 0.5 * (t[i - 1] + t[i]))
+                           for i in range(1, len(t)) if dead[i] > dead[i - 1]]
+            first_step += [(s.eps_tilde, 0.5 * (t[i] + t[i + 1]))
+                           for i in range(len(t) - 1) if dead[i] > dead[i + 1]]
+        assert len(steps) > 1 and steps[0] == first_step
+        for step in steps:
+            owners = [eps_values.index(eps) for eps, _ in step]
+            assert owners == sorted(owners)
+
+
+def test_render_events_of_interleaved_pairs_equals_sweep_order():
+    # a pair whose series are not adjacent is refined one run at a time, and
+    # each series still gets the block of lines it gets in sweep order
+    scenario = parse_scenario(PAIRS)
+    series = sweep(scenario.network, scenario.grid)
+    interleaved = [s for pair in zip(series[:4], series[4:]) for s in pair]
+    blocks = lambda text: re.split(r"^(?=# )", text, flags=re.M)[1:]
+    in_order = blocks(render_events(scenario, series))
+    mixed = blocks(render_events(scenario, interleaved))
+    assert len(mixed) == 8 and mixed != in_order
+    assert mixed == [in_order[i] for pair in zip(range(4), range(4, 8))
+                     for i in pair]
 
 
 @pytest.mark.parametrize("name", [f"fig{k}" for k in range(2, 11)])

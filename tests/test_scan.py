@@ -96,6 +96,15 @@ def test_series_validation():
         _series([[0.0, 1.0]], [[1.0, 1.0]])
     with pytest.raises(ValueError):  # empty
         _series([], [])
+    nan, inf = float("nan"), float("inf")
+    for taus, vals, eps in [([0.0, nan, 2.0], [inf, nan, 0.0], 0.1),
+                            ([0.0, inf], [1.0, 1.0], 0.0),
+                            ([0.0, 1.0], [1.0, nan], 0.0),
+                            ([0.0, 1.0], [inf, 1.0], 0.0),
+                            ([0.0, 1.0], [1.0, 1.0], nan),
+                            ([0.0, 1.0], [1.0, 1.0], -inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            _series(taus, vals, eps=eps)
     series = _series([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):  # read-only
         series.values[0] = 0.5
