@@ -75,13 +75,18 @@ class Scenario:
                                         f"{_NAME.pattern}")
         if self.mode not in MODES:
             raise FieldError(("mode",), f"unknown mode {self.mode!r}")
-        if "18" in self.grid.channels and self.extension is None:
+        has_18 = "18" in self.grid.channels
+        if has_18 and self.extension is None:
             raise FieldError(("channels", "extension"),
                              "channel 18 needs an extension")
+        if not has_18 and self.extension is not None:
+            raise FieldError(("extension",), "only channel 18 reads an "
+                                             "extension")
         for key in ("zero_tol", "peak_prominence", "slope_jump_tol"):
             value = getattr(self, key)
-            if value is not None and not value >= 0.0:
-                raise FieldError((key,), f"{key} must be >= 0, got {value}")
+            if value is not None and not 0.0 <= value < math.inf:
+                raise FieldError((key,), f"{key} must be finite and >= 0, "
+                                         f"got {value}")
 
 
 def _number(raw: str) -> float:
@@ -102,8 +107,7 @@ def _integer(raw: str) -> int:
 
 
 def _listed(convert: Callable[[str], object]) -> Callable[[str], tuple]:
-    return lambda raw: tuple(convert(s.strip()) for s in raw.split(",")
-                             if s.strip())
+    return lambda raw: tuple(convert(s.strip()) for s in raw.split(","))
 
 
 _BOOL_WORDS = {"yes": True, "true": True, "1": True,

@@ -21,9 +21,11 @@ the dense path's route (`netmodel.network_channel_states`), and
 block of a `series_values` vector (`validate_channel` is its one-point
 case).
 
-`channel_states` is array-first: it evaluates a whole vector of tau at
-once as an (N, d, d) stack (`closed_channel_states` for a named network
-channel), and the one-point functions are its N = 1 case.
+`channel_states` is array-first: it evaluates a whole vector of tau, with
+one eps per tau, at once as a raw (N, d, d) stack (`closed_channel_states`
+for a named network channel), which `series_values` validates once per
+block; the one-point functions are its N = 1 case, validated by
+`density_matrix`.
 A sweep's CSV and events bytes must not depend on N, so every elementwise
 formula here and in `measures` rounds exactly as the per-point scalar code
 it replaced. Keep these rules when editing:
@@ -41,8 +43,7 @@ it replaced. Keep these rules when editing:
 
 import numpy as np
 
-from .qmat import (BadSubsystem, DensityMatrix, ORACLE_TOL, density_matrix,
-                   require_density_stack)
+from .qmat import BadSubsystem, DensityMatrix, ORACLE_TOL, density_matrix
 from .netmodel import (IDENTITY_4, PAULIS, DipolarParams, NetworkConfig,
                        XStateParams, coupling_matrices, network_channel_state,
                        propagator_gammas, x_states)
@@ -156,50 +157,43 @@ def channel_states(channel: str, pair1: XStateParams, pair2: XStateParams,
                               gammas)
 
 
-def _assembled_states(cfg: NetworkConfig, channel: str,
-                      eps_tilde: float | np.ndarray, taus: np.ndarray,
-                      p_bridge: DipolarParams | None) -> np.ndarray:
+def closed_channel_states(cfg: NetworkConfig, channel: str,
+                          eps_tilde: np.ndarray, taus: np.ndarray,
+                          p_bridge: DipolarParams | None = None) -> np.ndarray:
+    """(N, d, d) closed-form states of a named channel at every tau of the
+    1-d array `taus`, with `eps_tilde` a 1-d array of one eps per tau,
+    unvalidated; channel "18" crosses a bridge coupling at `p_bridge`
+    (default: the inner coupling at each tau)."""
     bridge_gammas = None
     if channel == "18" and p_bridge is not None:
-        bridge_gammas = propagator_gammas(p_bridge.eps_tilde,
+        bridge_gammas = propagator_gammas(np.array([p_bridge.eps_tilde]),
                                           np.array([p_bridge.tau]))
     return channel_states(channel, *cfg.pair_params(),
                           propagator_gammas(eps_tilde, taus), bridge_gammas)
 
 
-def closed_channel_states(cfg: NetworkConfig, channel: str,
-                          eps_tilde: float | np.ndarray, taus: np.ndarray,
-                          p_bridge: DipolarParams | None = None) -> np.ndarray:
-    """(N, d, d) closed-form states of a named channel at every tau of the
-    1-d array `taus`, with `eps_tilde` one float or one per tau, validated
-    as one stack; channel "18" crosses a bridge coupling at `p_bridge`
-    (default: the inner coupling at each tau)."""
-    states = _assembled_states(cfg, channel, eps_tilde, taus, p_bridge)
-    return require_density_stack(states, states.shape[-1].bit_length() - 1)
-
-
 def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
                          p_bridge: DipolarParams | None = None) -> DensityMatrix:
     """Closed-form reduced state of a named channel at one point."""
-    return density_matrix(_assembled_states(
-        cfg, channel, p.eps_tilde, np.array([p.tau]), p_bridge)[0])
+    return density_matrix(closed_channel_states(
+        cfg, channel, np.array([p.eps_tilde]), np.array([p.tau]), p_bridge)[0])
 
 
 def require_oracle_agreement(channel: str, closed: np.ndarray,
-                             dense: np.ndarray,
-                             eps_tilde: float | np.ndarray, taus) -> None:
+                             dense: np.ndarray, eps_tilde: np.ndarray,
+                             taus: np.ndarray) -> None:
     """Assert elementwise agreement, within ORACLE_TOL, of the closed and
-    dense (N, d, d) state stacks at `taus` (`eps_tilde` one float or one per
-    tau); raises OracleMismatch at the first offending tau, naming its eps,
-    its tau and its largest deviation."""
+    dense (N, d, d) state stacks at `taus` and their eps (1-d arrays);
+    raises OracleMismatch at the first offending tau, naming its eps, its
+    tau and its largest deviation."""
     diff = np.abs(closed - dense)
     bad = diff.max(axis=(-2, -1)) > ORACLE_TOL
     if np.count_nonzero(bad):
         i = int(bad.argmax())
-        eps = float(np.broadcast_to(eps_tilde, np.shape(taus))[i])
         r, c = np.unravel_index(int(diff[i].argmax()), diff.shape[1:])
         raise OracleMismatch(channel, (int(r), int(c)), closed[i, r, c],
-                             dense[i, r, c], f"tau={float(taus[i])} eps={eps}")
+                             dense[i, r, c],
+                             f"tau={float(taus[i])} eps={float(eps_tilde[i])}")
 
 
 def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,
@@ -208,5 +202,5 @@ def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,
     closed = closed_channel_state(cfg, p, channel, p_bridge)
     dense = network_channel_state(cfg, p, channel, p_bridge)
     require_oracle_agreement(channel, closed.mat[None], dense.mat[None],
-                             p.eps_tilde, [p.tau])
+                             np.array([p.eps_tilde]), np.array([p.tau]))
     return closed

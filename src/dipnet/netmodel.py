@@ -198,11 +198,10 @@ _R_FACTORS = np.array([[0, 1, 2], [0, 4, 5], [1, 3, 5], [2, 3, 4],
                        [3, 4, 5], [1, 2, 3], [0, 2, 4], [0, 1, 5]]).T
 
 
-def propagator_gammas(eps_tilde: float | np.ndarray,
-                      taus: np.ndarray) -> np.ndarray:
+def propagator_gammas(eps_tilde: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """(4, N) propagator entries g1..g4 = (r2 - r3, r2 + r3, r1 - r4,
-    r1 + r4) at every tau of the 1-d array `taus`, with `eps_tilde` one
-    float or one per tau: the closed-form kernel's vectorised
+    r1 + r4) at every tau of the 1-d array `taus`, with `eps_tilde` a 1-d
+    array of one eps per tau: the closed-form kernel's vectorised
     `propagator_coeffs(p).gammas()`, rounding as it does, with tau >= 0 and
     sum |r_k|^2 = 1 checked for every element. The dense path keeps the
     scalar `propagator_coeffs`, so each route computes the propagator's
@@ -297,14 +296,27 @@ def channel_qubits(channel: str) -> tuple[int, ...]:
         raise BadSubsystem(f"unknown channel {channel!r}") from None
 
 
-def _dense_channel_states(cfg: NetworkConfig, channel: str,
-                          eps_tilde: float | np.ndarray, taus: np.ndarray,
-                          p_bridge: DipolarParams | None) -> np.ndarray:
-    """`network_channel_states` before the reduced states are validated."""
+def network_channel_states(cfg: NetworkConfig, channel: str,
+                           eps_tilde: np.ndarray, taus: np.ndarray,
+                           p_bridge: DipolarParams | None = None) -> np.ndarray:
+    """(N, d, d) dense-path states of a named channel at every tau of the
+    1-d array `taus` (a block of `scan.series_values`), with `eps_tilde` a
+    1-d array of one eps per tau, in one pass: the initial network
+    conjugated on qubits (1, 2) by the scalar `propagator_matrix` of each
+    tau's `DipolarParams`, then reduced. The unitaries and the evolved
+    network stack are validated here, the reduced states by the caller.
+
+    Channel "18" joins two such four-node hops (qubits 0-3 and 4-7) by a
+    bridge coupling at `p_bridge` (default: the inner coupling at each tau)
+    on hop 1's terminal node (qubit 2) and hop 2's first node (qubit 4),
+    and keeps the terminal qubits (0, 4); it bridges only the 32 8x8 slices
+    of kron(hop, hop) that trace reads (no 256x256 state, the same bits). A
+    bridge on (3, 4) keeping (0, 7) instead provably returns I/4 for every
+    parameter value, so this layout carries the extension's entanglement.
+    """
     us = require_unitary(np.array([
         propagator_matrix(DipolarParams(eps_tilde=eps, tau=tau))
-        for eps, tau in zip(np.broadcast_to(eps_tilde, taus.shape).tolist(),
-                            taus.tolist())]))
+        for eps, tau in zip(eps_tilde.tolist(), taus.tolist())]))
     hops = require_density_stack(conjugate_pair_stack(np.broadcast_to(
         initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2)), 4)
     if channel != "18":
@@ -326,30 +338,8 @@ def _dense_channel_states(cfg: NetworkConfig, channel: str,
     return t.reshape(-1, 4, 4)
 
 
-def network_channel_states(cfg: NetworkConfig, channel: str,
-                           eps_tilde: float | np.ndarray, taus: np.ndarray,
-                           p_bridge: DipolarParams | None = None) -> np.ndarray:
-    """(N, d, d) dense-path states of a named channel at every tau of the
-    1-d array `taus` (a block of `scan.series_values`), with `eps_tilde` one
-    float or one per tau, in one pass: the initial network conjugated on
-    qubits (1, 2) by the scalar `propagator_matrix` of each tau's
-    `DipolarParams`, then reduced; the network stack and the state stack
-    are each validated once.
-
-    Channel "18" joins two such four-node hops (qubits 0-3 and 4-7) by a
-    bridge coupling at `p_bridge` (default: the inner coupling at each tau)
-    on hop 1's terminal node (qubit 2) and hop 2's first node (qubit 4),
-    and keeps the terminal qubits (0, 4); it bridges only the 32 8x8 slices
-    of kron(hop, hop) that trace reads (no 256x256 state, the same bits). A
-    bridge on (3, 4) keeping (0, 7) instead provably returns I/4 for every
-    parameter value, so this layout carries the extension's entanglement.
-    """
-    states = _dense_channel_states(cfg, channel, eps_tilde, taus, p_bridge)
-    return require_density_stack(states, states.shape[-1].bit_length() - 1)
-
-
 def network_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
                           p_bridge: DipolarParams | None = None) -> DensityMatrix:
     """Dense-path reduced state of a named channel at one point."""
-    return density_matrix(_dense_channel_states(
-        cfg, channel, p.eps_tilde, np.array([p.tau]), p_bridge)[0])
+    return density_matrix(network_channel_states(
+        cfg, channel, np.array([p.eps_tilde]), np.array([p.tau]), p_bridge)[0])

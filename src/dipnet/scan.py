@@ -1,10 +1,11 @@
 """Parameter sweeps over (tau, eps_tilde) and series post-processing:
 sudden death/birth intervals, peaks, sudden slope changes. In every mode
 `series_values` builds and scores the series of a (channel, quantifier)
-pair in blocks of (eps, tau) points, every eps in one call."""
+pair in blocks of (eps, tau) points, every eps in one call, from one eps
+per tau. Its block loop is the one place where each route's raw stack of
+states is validated and, in validate mode, checked against the oracle."""
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Callable, Optional
 
@@ -15,6 +16,7 @@ from .measures import naqc_degree_stack, negativity_stack, pi_tangle_stack
 from .netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS, DipolarParams,
                        FieldError, NetworkConfig, network_channel_states,
                        require_finite_phases)
+from .qmat import require_density_stack
 
 ZERO_TOL = 1e-6
 PEAK_PROMINENCE_FRACTION = 0.05
@@ -162,23 +164,26 @@ def _clamped(values: np.ndarray) -> np.ndarray:
 
 
 def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
-                  eps_tilde: float | np.ndarray, taus: np.ndarray,
+                  eps_tilde: np.ndarray, taus: np.ndarray,
                   mode: str = "closed_form",
                   extension: Optional[ExtensionSpec] = None) -> np.ndarray:
     """Quantifier values of one (channel, quantifier) pair at every tau of
-    the 1-d array `taus`, with `eps_tilde` one float or a 1-d array of one
-    eps per tau. Per block of BLOCK_TAUS taus (and their eps) it builds an
-    (n, d, d) stack of states, closed-form, dense, or (validate) both,
-    required to agree, and scores the closed one unless dense; the earliest
-    failing tau raises. `sweep`, the event refinement and `evaluate_point`
-    (N = 1) come here."""
+    the 1-d array `taus`, with `eps_tilde` a 1-d array of one eps per tau.
+    Per block of BLOCK_TAUS taus (and their eps) it builds an (n, d, d)
+    stack of states, closed-form, dense, or (validate) both; this loop is
+    the one place each stack is validated, once, before the validate-mode
+    oracle check, and scores the first. The earliest failing tau raises.
+    `sweep`, the event refinement and `evaluate_point` (N = 1) come here."""
     if not len(taus):
         raise ValueError("series_values needs at least one tau")
-    per_tau = isinstance(eps_tilde, np.ndarray)
-    if per_tau and eps_tilde.shape != taus.shape:
-        raise ValueError("eps_tilde must be one float or one per tau")
+    if not isinstance(eps_tilde, np.ndarray) or eps_tilde.shape != taus.shape:
+        raise ValueError("eps_tilde must be an array of one eps per tau")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    routes = {"closed_form": [closed_channel_states],
+              "dense": [network_channel_states],
+              "validate": [closed_channel_states, network_channel_states]}[mode]
+    nqubits = 3 if channel in THREE_NODE_CHANNELS else 2
     p_bridge = None
     if channel == "18":
         if extension is None:
@@ -186,17 +191,13 @@ def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
         p_bridge = extension.bridge  # None in track mode
     values = []
     for i in range(0, len(taus), BLOCK_TAUS):
-        block = taus[i:i + BLOCK_TAUS]
-        eps = eps_tilde[i:i + BLOCK_TAUS] if per_tau else eps_tilde
-        args = (cfg, channel, eps, block, p_bridge)
-        if mode != "dense":
-            closed = closed_channel_states(*args)
-        if mode != "closed_form":
-            dense = network_channel_states(*args)
+        block, eps = taus[i:i + BLOCK_TAUS], eps_tilde[i:i + BLOCK_TAUS]
+        stacks = [require_density_stack(route(cfg, channel, eps, block,
+                                              p_bridge), nqubits)
+                  for route in routes]
         if mode == "validate":
-            require_oracle_agreement(channel, closed, dense, eps, block)
-        values.append(_QUANTIFIER_STACK[quantifier](
-            dense if mode == "dense" else closed))
+            require_oracle_agreement(channel, *stacks, eps, block)
+        values.append(_QUANTIFIER_STACK[quantifier](stacks[0]))
     return _clamped(np.concatenate(values))
 
 
@@ -204,8 +205,9 @@ def evaluate_point(cfg: NetworkConfig, p: DipolarParams, channel: str,
                    quantifier: str, mode: str = "closed_form",
                    extension: Optional[ExtensionSpec] = None) -> float:
     """Single quantifier value at one parameter point."""
-    return float(series_values(cfg, channel, quantifier, p.eps_tilde,
-                               np.array([p.tau]), mode, extension)[0])
+    return float(series_values(cfg, channel, quantifier,
+                               np.array([p.eps_tilde]), np.array([p.tau]),
+                               mode, extension)[0])
 
 
 def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
@@ -229,9 +231,10 @@ def series_evaluator(cfg: NetworkConfig, series: MeasureSeries,
                      extension: Optional[ExtensionSpec] = None
                      ) -> Callable[[np.ndarray], np.ndarray]:
     """taus -> values callable matching a swept series, for event refinement:
-    `series_values` on a 1-d tau vector."""
-    return partial(series_values, cfg, series.channel, series.quantifier,
-                   series.eps_tilde, mode=mode, extension=extension)
+    `series_values` on a 1-d tau vector at the series' eps."""
+    return lambda taus: series_values(
+        cfg, series.channel, series.quantifier,
+        np.full(len(taus), series.eps_tilde), taus, mode, extension)
 
 
 def _bisect_crossings(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],

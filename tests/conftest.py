@@ -149,7 +149,7 @@ def dense_channel_18_reference(cfg, eps_tilde: float, taus: np.ndarray,
     """Channel 18 by brute force, as the dense route built it before it went
     to slices: the hop stack as `netmodel` builds it, then per tau the
     256x256 kron(hop, hop), the bridge on qubits (2, 4) and the trace to
-    (0, 4); unvalidated, like `netmodel._dense_channel_states`."""
+    (0, 4); unvalidated, like `netmodel.network_channel_states`."""
     us = np.array([propagator_matrix(DipolarParams(eps_tilde=eps_tilde,
                                                    tau=tau))
                    for tau in taus.tolist()])

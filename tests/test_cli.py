@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ from dipnet.cli import (_KNOWN_KEYS, EXIT_COMPUTE, EXIT_OK, EXIT_ORACLE,
                         render_events, run)
 from dipnet.closedform import OracleMismatch
 from dipnet.netmodel import NetworkConfig
-from dipnet.scan import ScanGrid, sweep
+from dipnet.scan import ExtensionSpec, ScanGrid, sweep
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS_DIR = REPO / "scenarios"
@@ -231,6 +232,9 @@ def test_python_m_entry_points(module):
     "werner_x2 = 1.5", "werner_x1 = -0.1",
     # channel 18 without an extension is the channels line's fault
     "quantifiers = naqc\nchannels = 18",
+    # an extension without channel 18 is never read
+    "extension = track",
+    "channels = 12\nbridge_tau = 1\nbridge_eps_tilde = 0.1\nextension = fixed",
 ], ids=lambda line: line.rsplit("\n", 1)[-1])
 def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     # the offending assignment is always the last line of the file
@@ -252,6 +256,9 @@ def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     (["eps_values = ,"], 3),
     (["channels = ,"], 3),
     (["quantifiers = ,", "tau_max = 2"], 3),
+    # an empty entry is refused, not dropped
+    (["channels = 12,,14", "tau_max = 2"], 3),
+    (["eps_values = 0.1,,0.2", "tau_max = 2"], 3),
     # a repeated entry would write two series under one key
     (["eps_values = 0.1,0.1", "tau_max = 2"], 3),
     (["eps_values = -0,0"], 3),
@@ -288,7 +295,9 @@ def test_main_refuses_unsafe_names(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("change", [
     {"name": "../escaped"}, {"mode": "bogus"}, {"zero_tol": -1.0},
+    pytest.param({"zero_tol": math.inf}, id="zero_tol_inf"),
     {"grid": ScanGrid(channels=("18",)), "extension": None},
+    {"extension": ExtensionSpec("track")},
 ], ids=lambda change: next(iter(change)))
 def test_hand_built_scenarios_are_refused(tmp_path, change):
     # Scenario owns the rules parse_scenario applies, so a hand-built or

@@ -4,6 +4,7 @@ import pytest
 import dipnet.closedform
 import dipnet.netmodel
 import dipnet.qmat
+import dipnet.scan
 from dipnet.closedform import (OracleMismatch, channel_states,
                                closed_channel_state, closed_channel_states,
                                cross_pair_damping, kept_pair_damping,
@@ -17,6 +18,7 @@ from dipnet.netmodel import (PAULIS, DipolarParams, NetworkConfig,
                              propagator_coeffs, propagator_matrix, x_state)
 from dipnet.qmat import (ORACLE_TOL, DensityMatrix, conjugate_pair_stack,
                          kron, partial_trace, require_unitary)
+from dipnet.scan import ExtensionSpec, series_values
 
 MM = NetworkConfig("MM")
 WW = NetworkConfig("WW", werner_x1=0.7, werner_x2=0.7)
@@ -196,27 +198,48 @@ def test_validate_channel_passes_and_raises():
     dense[1, 2] += 2 * ORACLE_TOL
     with pytest.raises(OracleMismatch) as err:
         require_oracle_agreement("12", closed.mat[None], dense[None],
-                                 p.eps_tilde, [p.tau])
+                                 np.array([p.eps_tilde]), np.array([p.tau]))
     assert err.value.coord == (1, 2)
 
 
 @pytest.mark.parametrize("channel", ["12", "14", "18", "123", "234"])
 def test_closed_states_are_validated_once(monkeypatch, channel):
+    # the one-point state is validated once, by density_matrix; the builder
+    # returns its stack raw; series_values validates each block of each
+    # route once, before the validate-mode oracle check
     calls = []
     validate = dipnet.qmat.require_density_stack
+    oracle = dipnet.scan.require_oracle_agreement
 
     def spy(mats, nqubits):
         calls.append(nqubits)
         return validate(mats, nqubits)
 
-    for module in (dipnet.qmat, dipnet.netmodel, dipnet.closedform):
+    def oracle_spy(*args):
+        calls.append("oracle")
+        return oracle(*args)
+
+    for module in (dipnet.qmat, dipnet.netmodel, dipnet.closedform,
+                   dipnet.scan):
         monkeypatch.setattr(module, "require_density_stack", spy,
                             raising=False)
+    monkeypatch.setattr(dipnet.scan, "require_oracle_agreement", oracle_spy)
+    monkeypatch.setattr(dipnet.scan, "BLOCK_TAUS", 2)
     p = DipolarParams(eps_tilde=0.17, tau=0.83)
+    n = 2 if channel == "18" else len(channel)
     closed_channel_state(WW, p, channel, p)
-    assert len(calls) == 1
-    closed_channel_states(WW, channel, p.eps_tilde, np.array([0.1, p.tau]), p)
-    assert len(calls) == 2
+    assert calls == [n]
+    taus, eps = np.array([0.1, p.tau, 1.7]), np.full(3, p.eps_tilde)
+    closed_channel_states(WW, channel, eps, taus, p)
+    assert calls == [n]
+    dipnet.netmodel.initial_network(WW)  # validated on its first call only
+    quantifier = "tangle" if n == 3 else "negativity"
+    for mode, block in (("closed_form", [n]),
+                        ("validate", [n, 4, n, "oracle"])):
+        calls.clear()
+        series_values(WW, channel, quantifier, eps, taus, mode,
+                      ExtensionSpec("fixed", p))
+        assert calls == 2 * block, mode  # blocks of 2 and 1 taus
 
 
 def test_typo_ledger_contents():

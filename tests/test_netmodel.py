@@ -7,6 +7,7 @@ from dipnet.closedform import kept_pair_damping
 from dipnet.measures import negativity
 import dipnet.netmodel as netmodel
 import dipnet.qmat as qmat
+import dipnet.scan as scan
 from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, FieldError,
                              NetworkConfig, XStateParams, bell_weights,
                              evolved_network, extend_to_eight,
@@ -336,7 +337,8 @@ def test_channel_18_slices_equal_the_256_dim_route(bridge):
             eps_tilde=float(rng.uniform(-0.5, 0.5)),
             tau=float(rng.uniform(0.0, 10.0)))
         want = dense_channel_18_reference(cfg, eps, taus, p_bridge)
-        got = network_channel_states(cfg, "18", eps, taus, p_bridge)
+        got = network_channel_states(cfg, "18", np.full(taus.shape, eps),
+                                     taus, p_bridge)
         assert np.array_equal(got, want), (cfg, eps, taus, p_bridge)
         p = DipolarParams(eps_tilde=eps, tau=float(taus[-1]))
         one = network_channel_state(cfg, p, "18", p_bridge).mat
@@ -362,32 +364,50 @@ def test_channel_18_refuses_a_non_unitary_fixed_bridge(monkeypatch):
     with pytest.raises(NotUnitary):
         network_channel_state(cfg, p, "18", bridge)
     with pytest.raises(NotUnitary):
-        network_channel_states(cfg, "18", 0.1, np.array([0.2, 0.7]), bridge)
+        network_channel_states(cfg, "18", np.full(2, 0.1),
+                               np.array([0.2, 0.7]), bridge)
 
 
 @pytest.mark.parametrize("channel", ["12", "14", "18", "123", "234"])
 def test_dense_states_are_validated_once(monkeypatch, channel):
     # the initial network's two pairs and the network itself on the first
     # call for a config only, then one validation of the evolved 16x16
-    # networks and one of the reduced states, at one point or on a vector
+    # networks per call; the reduced states once at one point (by
+    # density_matrix), never in the builder, and once per block of each
+    # route in series_values, before the validate-mode oracle check
     calls = []
     validate = qmat.require_density_stack
+    oracle = scan.require_oracle_agreement
 
     def spy(mats, nqubits):
         calls.append(nqubits)
         return validate(mats, nqubits)
 
-    for module in (qmat, netmodel):
+    def oracle_spy(*args):
+        calls.append("oracle")
+        return oracle(*args)
+
+    for module in (qmat, netmodel, scan):
         monkeypatch.setattr(module, "require_density_stack", spy)
+    monkeypatch.setattr(scan, "require_oracle_agreement", oracle_spy)
+    monkeypatch.setattr(scan, "BLOCK_TAUS", 2)
     cfg = NetworkConfig("WW", werner_x1=0.7, werner_x2=0.7)
     p = DipolarParams(eps_tilde=0.17, tau=0.83)
     reduced = len(channel) if channel != "18" else 2
     netmodel.initial_network.cache_clear()
     network_channel_state(cfg, p, channel, p)
     assert calls == [2, 2, 4, 4, reduced]
-    network_channel_states(cfg, channel, p.eps_tilde, np.array([0.1, p.tau]),
-                           p)
-    assert calls == [2, 2, 4, 4, reduced, 4, reduced]
+    taus, eps = np.array([0.1, p.tau, 1.7]), np.full(3, p.eps_tilde)
+    calls.clear()
+    network_channel_states(cfg, channel, eps, taus, p)
+    assert calls == [4]
+    quantifier = "tangle" if reduced == 3 else "negativity"
+    for mode, block in (("dense", [4, reduced]),
+                        ("validate", [reduced, 4, reduced, "oracle"])):
+        calls.clear()
+        scan.series_values(cfg, channel, quantifier, eps, taus, mode,
+                           scan.ExtensionSpec("fixed", p))
+        assert calls == 2 * block, mode  # blocks of 2 and 1 taus
 
 
 def test_extend_to_eight_trace_and_weakness():

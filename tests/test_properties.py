@@ -128,8 +128,8 @@ def test_kernel_on_any_tau_vector_equals_points(mode, cfg, kind, ext, eps, taus)
     # unsorted and repeated taus included; event refinement sends such
     # vectors in every mode
     channel, quantifier = kind
-    values = series_values(cfg, channel, quantifier, eps, np.array(taus),
-                           mode, ext)
+    values = series_values(cfg, channel, quantifier, np.full(len(taus), eps),
+                           np.array(taus), mode, ext)
     points = [evaluate_point(cfg, DipolarParams(eps_tilde=eps, tau=t), channel,
                              quantifier, mode, ext) for t in taus]
     assert values.tolist() == points
@@ -220,14 +220,15 @@ def test_dense_stack_rows_equal_points_and_agree_with_closed_form(
         cfg, channel, ext, eps, taus):
     bridge = ext.bridge if channel == "18" else None
     taus = np.array(taus)
-    dense = network_channel_states(cfg, channel, eps, taus, bridge)
+    eps_per_tau = np.full(taus.shape, eps)
+    dense = network_channel_states(cfg, channel, eps_per_tau, taus, bridge)
     for t, row in zip(taus.tolist(), dense):
         p = DipolarParams(eps_tilde=eps, tau=t)
         one = network_channel_state(cfg, p, channel, bridge)
         assert np.array_equal(row, one.mat), t
         assert np.array_equal(row, _dense_point_by_point(cfg, p, channel,
                                                          bridge)), t
-    closed = closed_channel_states(cfg, channel, eps, taus, bridge)
+    closed = closed_channel_states(cfg, channel, eps_per_tau, taus, bridge)
     assert np.abs(dense - closed).max() <= ORACLE_TOL
 
 
@@ -246,8 +247,8 @@ def _bell_diagonal_oracle(rho: DensityMatrix, quantifier: str) -> float:
 def test_analytic_bell_diagonal_oracle(cfg, channel, quantifier, ext, eps, t):
     p = DipolarParams(eps_tilde=eps, tau=t)
     dense = network_channel_state(cfg, p, channel, ext.bridge)
-    kernel = series_values(cfg, channel, quantifier, eps, np.array([t]),
-                           extension=ext)[0]
+    kernel = series_values(cfg, channel, quantifier, np.array([eps]),
+                           np.array([t]), extension=ext)[0]
     assert math.isclose(kernel, _bell_diagonal_oracle(dense, quantifier),
                         rel_tol=0.0, abs_tol=1e-12)
 
@@ -297,7 +298,8 @@ def test_propagator_group_law(eps, t1, t2):
     taus = (t1, t2, t1 + t2)
     dense = [propagator_matrix(DipolarParams(eps_tilde=eps, tau=t))
              for t in taus]
-    closed = coupling_matrices(propagator_gammas(eps, np.array(taus)))
+    closed = coupling_matrices(propagator_gammas(np.full(3, eps),
+                                                 np.array(taus)))
     for u1, u2, u12 in (dense, closed):
         assert np.abs(u1 @ u2 - u12).max() < 1e-10
         for u in (u1, u2, u12):

@@ -16,7 +16,7 @@ from dipnet.cli import EXIT_ORACLE, main, parse_scenario
 from dipnet.closedform import OracleMismatch, closed_channel_state
 from dipnet.netmodel import (DipolarParams, FieldError, NetworkConfig,
                              network_channel_state)
-from dipnet.qmat import ORACLE_TOL, NotPositive, conjugate_pair_stack
+from dipnet.qmat import NotPositive, conjugate_pair_stack
 from dipnet.scan import (BISECTION_MAX_ITER, BISECTION_RESOLUTION,
                          PEAK_PROMINENCE_FRACTION, ZERO_TOL, EventRecord,
                          ExtensionSpec, MeasureSeries, ScanGrid, _uneven,
@@ -115,8 +115,16 @@ def test_series_validation():
     ("12", "negativity"), ("123", "tangle"), ("18", "negativity")])
 def test_series_values_refuses_empty_taus(mode, channel, quantifier):
     with pytest.raises(ValueError, match="at least one tau"):
-        series_values(MM, channel, quantifier, 0.1, np.array([]), mode,
-                      ExtensionSpec("track"))
+        series_values(MM, channel, quantifier, np.array([]), np.array([]),
+                      mode, ExtensionSpec("track"))
+
+
+@pytest.mark.parametrize("eps", [0.1, np.array(0.1), np.array([0.1]),
+                                 np.full(3, 0.1), [0.1, 0.1]],
+                         ids=["float", "0-d", "short", "long", "list"])
+def test_series_values_refuses_eps_not_one_per_tau(eps):
+    with pytest.raises(ValueError, match="one eps per tau"):
+        series_values(MM, "12", "negativity", eps, np.array([0.3, 0.6]))
 
 
 def test_sweep_starts_at_maximum():
@@ -189,7 +197,8 @@ def test_dense_route_is_independent_of_the_closed_form(monkeypatch):
              ("18", "naqc", ExtensionSpec("track")),
              ("18", "negativity",
               ExtensionSpec("fixed", DipolarParams(eps_tilde=0.1, tau=0.5)))]
-    expected = [series_values(cfg, ch, q, 0.1, taus, "dense", ext)
+    eps = np.full(taus.shape, 0.1)
+    expected = [series_values(cfg, ch, q, eps, taus, "dense", ext)
                 for ch, q, ext in cases]
 
     def forbidden(*args, **kwargs):
@@ -205,9 +214,9 @@ def test_dense_route_is_independent_of_the_closed_form(monkeypatch):
             if any(obj is g for g in guarded):
                 monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(ClosedFormCalled):  # the guard is live
-        series_values(cfg, "12", "negativity", 0.1, taus, "closed_form")
+        series_values(cfg, "12", "negativity", eps, taus, "closed_form")
     for (ch, q, ext), want in zip(cases, expected):
-        got = series_values(cfg, ch, q, 0.1, taus, "dense", ext)
+        got = series_values(cfg, ch, q, eps, taus, "dense", ext)
         assert np.array_equal(got, want), (ch, ext)
 
 
@@ -252,7 +261,8 @@ def test_series_is_built_in_bounded_blocks(monkeypatch):
     cfg = NetworkConfig("WW", werner_x1=0.9, werner_x2=0.6)
     n = dipnet.scan.BLOCK_TAUS
     taus = np.linspace(0.0, 10.0, n + 2)
-    got = series_values(cfg, "14", "negativity", 0.2, taus, "dense")
+    got = series_values(cfg, "14", "negativity", np.full(taus.shape, 0.2),
+                        taus, "dense")
     assert sizes == [n, 2]
     assert [block for block, _ in dense] == [taus[:n].tolist(),
                                              taus[n:].tolist()]
@@ -282,7 +292,8 @@ def test_series_blocks_join_to_the_one_point_values(monkeypatch, mode,
     if channel == "18":
         ext = ExtensionSpec("track" if bridge is None else "fixed", bridge)
     taus = np.linspace(0.0, 6.0, 7)
-    got = series_values(cfg, channel, quantifier, 0.15, taus, mode, ext)
+    got = series_values(cfg, channel, quantifier, np.full(taus.shape, 0.15),
+                        taus, mode, ext)
     blocks = [taus[:3].tolist(), taus[3:6].tolist(), taus[6:].tolist()]
     for calls, used in ((closed, mode != "dense"),
                         (dense, mode != "closed_form"),
@@ -303,22 +314,21 @@ def test_series_blocks_join_to_the_one_point_values(monkeypatch, mode,
 def test_validate_raises_at_the_earliest_failing_tau(monkeypatch):
     # a series is built and checked block by block in tau order, so an
     # oracle mismatch in block 0 wins over a state that fails validation in
-    # block 1
+    # block 1; block 0's dense states are valid, but at a shifted eps
     monkeypatch.setattr(dipnet.scan, "BLOCK_TAUS", 2)
     route = dipnet.scan.network_channel_states
 
     def faulty(cfg, channel, eps_tilde, taus, p_bridge):
         if taus.max() > 1.0:
             raise NotPositive("a block-1 state fails validation")
-        states = route(cfg, channel, eps_tilde, taus, p_bridge).copy()
-        states[:, 1, 2] += 2 * ORACLE_TOL
-        return states
+        return route(cfg, channel, eps_tilde + 0.05, taus, p_bridge)
 
     monkeypatch.setattr(dipnet.scan, "network_channel_states", faulty)
     taus = np.array([0.3, 0.6, 1.2, 1.5])
     with pytest.raises(OracleMismatch) as err:
-        series_values(MM, "12", "negativity", 0.1, taus, "validate")
-    assert err.value.coord == (1, 2) and "tau=0.3 " in str(err.value)
+        series_values(MM, "12", "negativity", np.full(taus.shape, 0.1), taus,
+                      "validate")
+    assert "tau=0.3 eps=0.1 " in str(err.value)
 
 
 def test_zero_intervals_constant_series():
@@ -432,15 +442,14 @@ def test_grouped_refinement_calls_as_often_as_its_slowest_series():
 
 def _mismatch_off_grid(monkeypatch, eps_bad, grid_taus):
     """Make the dense route disagree with the closed form at every tau of
-    eps `eps_bad` that is not a grid tau: only refinement reaches those."""
+    eps `eps_bad` that is not a grid tau: only refinement reaches those.
+    There it returns valid states, but at a shifted eps."""
     route = dipnet.scan.network_channel_states
 
     def faulty(cfg, channel, eps_tilde, taus, p_bridge):
-        states = route(cfg, channel, eps_tilde, taus, p_bridge).copy()
-        hit = ((np.broadcast_to(eps_tilde, taus.shape) == eps_bad)
-               & ~np.isin(taus, grid_taus))
-        states[hit, 1, 2] += 2 * ORACLE_TOL
-        return states
+        hit = (eps_tilde == eps_bad) & ~np.isin(taus, grid_taus)
+        return route(cfg, channel, np.where(hit, eps_tilde + 0.05, eps_tilde),
+                     taus, p_bridge)
 
     monkeypatch.setattr(dipnet.scan, "network_channel_states", faulty)
 
@@ -465,7 +474,6 @@ def test_grouped_refinement_names_the_failing_eps(monkeypatch, tmp_path,
         pair_zero_intervals(group, ZERO_TOL, spy)
     (eps, taus), = calls
     first = taus[eps.index(0.1)]
-    assert err.value.coord == (1, 2)
     assert f"tau={first} eps=0.1 " in str(err.value)
     assert first not in grid.taus().tolist()
 
@@ -583,7 +591,8 @@ def test_series_values_match_pinned_bits():
         for net, cfg in BIT_NETWORKS.items():
             for channel, quantifier in BIT_SERIES:
                 for eps in (-0.2, 0.1):
-                    values = series_values(cfg, channel, quantifier, eps,
+                    values = series_values(cfg, channel, quantifier,
+                                           np.full(mode_taus.shape, eps),
                                            mode_taus, mode,
                                            ExtensionSpec("track"))
                     lines.append(" ".join(
