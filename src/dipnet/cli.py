@@ -11,9 +11,8 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import groupby
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .closedform import OracleMismatch
 from .ledger import render_typo_report
@@ -208,39 +207,44 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def render_csv(scenario_name: str, series_list: list[MeasureSeries]) -> str:
-    blocks = ["scenario,channel,quantifier,eps_tilde,tau,value\n"]
-    for s in series_list:  # one string per series, not one per row
+def _csv_blocks(scenario_name: str,
+                series_list: list[MeasureSeries]) -> Iterator[str]:
+    """The CSV's header, then one string per series, not one per row."""
+    yield "scenario,channel,quantifier,eps_tilde,tau,value\n"
+    for s in series_list:
         prefix = (f"{scenario_name},{s.channel},{s.quantifier},"
                   f"{_fmt(s.eps_tilde)},")
-        blocks.append("".join(
-            f"{prefix}{_fmt(tau)},{_fmt(value)}\n"
-            for tau, value in zip(s.taus.tolist(), s.values.tolist())))
-    return "".join(blocks)
+        yield "".join(f"{prefix}{_fmt(tau)},{_fmt(value)}\n"
+                      for tau, value in zip(s.taus.tolist(), s.values.tolist()))
+
+
+def render_csv(scenario_name: str, series_list: list[MeasureSeries]) -> str:
+    return "".join(_csv_blocks(scenario_name, series_list))
 
 
 def render_events(scenario: Scenario, series_list: list[MeasureSeries]) -> str:
     """Events of each series, in list order: death/birth intervals refined
-    in one `pair_zero_intervals` call per run of adjacent series of one
-    (channel, quantifier) pair, then peaks and (tangle) sudden changes."""
-    lines = []
-    for (channel, quantifier), group in groupby(
-            series_list, key=lambda s: (s.channel, s.quantifier)):
-        group = list(group)
-        refine = partial(series_values, scenario.network, channel, quantifier,
+    in one `pair_zero_intervals` call per quantifier, over its series in
+    list order, then peaks and (tangle) sudden changes."""
+    intervals = {}  # series -> its death/birth events
+    for quantifier in dict.fromkeys(s.quantifier for s in series_list):
+        group = [s for s in series_list if s.quantifier == quantifier]
+        refine = partial(series_values, scenario.network, quantifier,
                          mode=scenario.mode, extension=scenario.extension)
-        for s, events in zip(group, pair_zero_intervals(
-                group, scenario.zero_tol, refine)):
-            events += count_peaks(s, scenario.peak_prominence)
-            if quantifier == "tangle":
-                events += detect_sudden_changes(s, scenario.slope_jump_tol)
-            lines.append(f"# channel={channel} quantifier={quantifier} "
-                         f"eps_tilde={_fmt(s.eps_tilde)}")
-            for e in events:
-                line = f"{e.kind} tau={e.tau:.4f} value={e.value:.6f}"
-                if e.interval_end is not None:
-                    line += f" interval_end={e.interval_end:.4f}"
-                lines.append(line)
+        intervals.update(zip(group, pair_zero_intervals(
+            group, scenario.zero_tol, refine)))
+    lines = []
+    for s in series_list:
+        events = intervals[s] + count_peaks(s, scenario.peak_prominence)
+        if s.quantifier == "tangle":
+            events += detect_sudden_changes(s, scenario.slope_jump_tol)
+        lines.append(f"# channel={s.channel} quantifier={s.quantifier} "
+                     f"eps_tilde={_fmt(s.eps_tilde)}")
+        for e in events:
+            line = f"{e.kind} tau={e.tau:.4f} value={e.value:.6f}"
+            if e.interval_end is not None:
+                line += f" interval_end={e.interval_end:.4f}"
+            lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -279,7 +283,6 @@ def run(scenario: Scenario) -> int:
     try:
         series_list = sweep(scenario.network, scenario.grid, scenario.mode,
                             scenario.extension)
-        csv_text = render_csv(scenario.name, series_list)
         events_text = render_events(scenario, series_list)
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
@@ -288,12 +291,13 @@ def run(scenario: Scenario) -> int:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     csv_path = scenario.output_dir / f"{scenario.name}.csv"
-    outputs = {csv_path: csv_text,
-               scenario.output_dir / f"{scenario.name}_events.txt": events_text}
+    outputs = {scenario.output_dir / f"{scenario.name}_events.txt": events_text}
     if scenario.emit_plot_script:
         outputs[scenario.output_dir / f"{scenario.name}_plots.gp"] = (
             render_plot_script(scenario, csv_path.name))
     try:
+        with csv_path.open("w") as csv_file:  # written as it is formed
+            csv_file.writelines(_csv_blocks(scenario.name, series_list))
         for path, text in outputs.items():
             path.write_text(text)
     except OSError as exc:

@@ -13,7 +13,8 @@ channel "18" of the eight-node extension is pair 1 sent across the inner
 coupling and then across the bridge: (a, b, c) * eta(inner) * eta(bridge).
 Channels "13" and "24" stay maximally mixed for all parameters. The
 three-node channels conjugate the Pauli words of the coupled qubits by the
-4x4 coupling and trace out what the channel drops.
+4x4 coupling and trace out what the channel drops; channels "124" and
+"234" conjugate only the four words their traced far qubit leaves.
 
 The closed form never builds a 16x16 network or channel 18's slices; that is
 the dense path's route (`netmodel.network_channel_states`), and
@@ -109,17 +110,19 @@ def _three_node_states(channel: str, w1: np.ndarray, w2: np.ndarray,
     The network state is 1/16 sum_kl w1[k] w2[l] P_k (x) u (P_k (x) P_l) u^+
     (x) P_l; each channel keeps one such sum with the dropped qubit traced.
     """
+    # a traced far qubit keeps only the identity word of its pair
+    words = {"124": _WORDS[:, :1], "234": _WORDS[:1]}.get(channel, _WORDS)
     u = coupling_matrices(gammas)[:, None, None]
     # conj[N, k, l, a, m, b, n]: coupled qubits (a, m) out, (b, n) in
-    conj = (u @ _WORDS @ u.conj().swapaxes(-1, -2)).reshape(
-        -1, 4, 4, 2, 2, 2, 2)
+    conj = (u @ words @ u.conj().swapaxes(-1, -2)).reshape(
+        -1, *words.shape[:2], 2, 2, 2, 2)
     p = _PAULI_STACK
     if channel == "124":  # pair 1 and both coupled qubits; qubit 3 traced
         m = np.einsum("k,kij,Nkambn->Niamjbn", w1, p, conj[:, :, 0]) / 8.0
     elif channel == "234":  # both coupled qubits and pair 2; qubit 0 traced
         m = np.einsum("l,Nlambn,lcd->Namcbnd", w2, conj[:, 0], p) / 8.0
     elif channel == "123":  # far nodes and the first coupled qubit
-        psi = np.trace(conj, axis1=4, axis2=6)
+        psi = conj[..., 0, :, 0] + conj[..., 1, :, 1]  # trace over (m, n)
         m = np.einsum("kl,kij,Nklab,lcd->Niacjbd", np.outer(w1, w2), p, psi,
                       p) / 16.0
     else:
@@ -179,20 +182,20 @@ def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
         cfg, channel, np.array([p.eps_tilde]), np.array([p.tau]), p_bridge)[0])
 
 
-def require_oracle_agreement(channel: str, closed: np.ndarray,
+def require_oracle_agreement(channels: np.ndarray, closed: np.ndarray,
                              dense: np.ndarray, eps_tilde: np.ndarray,
                              taus: np.ndarray) -> None:
     """Assert elementwise agreement, within ORACLE_TOL, of the closed and
-    dense (N, d, d) state stacks at `taus` and their eps (1-d arrays);
-    raises OracleMismatch at the first offending tau, naming its eps, its
-    tau and its largest deviation."""
+    dense (N, d, d) state stacks at `taus` and their channels and eps (1-d
+    arrays); raises OracleMismatch at the first offending tau, naming its
+    channel, its eps, its tau and its largest deviation."""
     diff = np.abs(closed - dense)
     bad = diff.max(axis=(-2, -1)) > ORACLE_TOL
     if np.count_nonzero(bad):
         i = int(bad.argmax())
         r, c = np.unravel_index(int(diff[i].argmax()), diff.shape[1:])
-        raise OracleMismatch(channel, (int(r), int(c)), closed[i, r, c],
-                             dense[i, r, c],
+        raise OracleMismatch(str(channels[i]), (int(r), int(c)),
+                             closed[i, r, c], dense[i, r, c],
                              f"tau={float(taus[i])} eps={float(eps_tilde[i])}")
 
 
@@ -201,6 +204,7 @@ def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,
     """`require_oracle_agreement` at one point; returns the closed state."""
     closed = closed_channel_state(cfg, p, channel, p_bridge)
     dense = network_channel_state(cfg, p, channel, p_bridge)
-    require_oracle_agreement(channel, closed.mat[None], dense.mat[None],
-                             np.array([p.eps_tilde]), np.array([p.tau]))
+    require_oracle_agreement(np.array([channel]), closed.mat[None],
+                             dense.mat[None], np.array([p.eps_tilde]),
+                             np.array([p.tau]))
     return closed

@@ -1,12 +1,13 @@
 """Parameter sweeps over (tau, eps_tilde) and series post-processing:
 sudden death/birth intervals, peaks, sudden slope changes. In every mode
-`series_values` builds and scores the series of a (channel, quantifier)
-pair in blocks of (eps, tau) points, every eps in one call, from one eps
-per tau. Its block loop is the one place where each route's raw stack of
-states is validated and, in validate mode, checked against the oracle."""
+`series_values` builds and scores the series of one quantifier in blocks
+of (channel, eps, tau) points, every channel and eps in one call, from one
+channel and one eps per tau. Its block loop is the one place where each
+route's raw stack of states is validated and, in validate mode, checked
+against the oracle."""
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ BISECTION_MAX_ITER = 40
 MIN_TAU_STEPS = 3  # count_peaks needs both neighbours of a point
 # taus per block of a series: a (block, 16, 16) dense stack is about 1 MB
 BLOCK_TAUS = 256
-# built in blocks, fig9's four tangle series peak near 90 MB at this bound
+# built in blocks, fig9's four tangle series peak near 70 MB at this bound
 MAX_TAU_STEPS = 100_000
 SPACING_TOL = 1e-9  # relative spread of tau steps that still counts as uniform
 
@@ -56,6 +57,12 @@ class ScanGrid:
         if not MIN_TAU_STEPS <= self.tau_steps <= MAX_TAU_STEPS:
             raise FieldError(("tau_steps",), f"tau_steps must be in "
                              f"[{MIN_TAU_STEPS}, {MAX_TAU_STEPS}]")
+        for ch in self.channels:
+            if ch not in ALL_CHANNELS:
+                raise FieldError(("channels",), f"unknown channel {ch!r}")
+        for q in self.quantifiers:
+            if q not in QUANTIFIERS:
+                raise FieldError(("quantifiers",), f"unknown quantifier {q!r}")
         for key in ("eps_values", "channels", "quantifiers"):
             entries = getattr(self, key)
             if not entries:
@@ -73,12 +80,6 @@ class ScanGrid:
                              f"{self.tau_steps} tau points over [tau_min, "
                              f"tau_max] are not strictly increasing (evenly, "
                              f"for tangle) at float resolution")
-        for ch in self.channels:
-            if ch not in ALL_CHANNELS:
-                raise FieldError(("channels",), f"unknown channel {ch!r}")
-        for q in self.quantifiers:
-            if q not in QUANTIFIERS:
-                raise FieldError(("quantifiers",), f"unknown quantifier {q!r}")
         for ch in self.channels:
             for q in self.quantifiers:
                 # tangle is the three-node quantifier, and the only one
@@ -163,40 +164,58 @@ def _clamped(values: np.ndarray) -> np.ndarray:
     return np.where((values > -1e-10) & (values <= 0.0), 0.0, values)
 
 
-def series_values(cfg: NetworkConfig, channel: str, quantifier: str,
+def series_values(cfg: NetworkConfig, quantifier: str, channels: np.ndarray,
                   eps_tilde: np.ndarray, taus: np.ndarray,
                   mode: str = "closed_form",
                   extension: Optional[ExtensionSpec] = None) -> np.ndarray:
-    """Quantifier values of one (channel, quantifier) pair at every tau of
-    the 1-d array `taus`, with `eps_tilde` a 1-d array of one eps per tau.
-    Per block of BLOCK_TAUS taus (and their eps) it builds an (n, d, d)
-    stack of states, closed-form, dense, or (validate) both; this loop is
-    the one place each stack is validated, once, before the validate-mode
-    oracle check, and scores the first. The earliest failing tau raises.
-    `sweep`, the event refinement and `evaluate_point` (N = 1) come here."""
+    """Values of one quantifier at every tau of the 1-d array `taus`, with
+    `channels` and `eps_tilde` 1-d arrays of one channel and one eps per
+    tau; the channels' states must share one shape. Per block of
+    BLOCK_TAUS taus each route builds the states of each run of equal
+    channels and joins them into one (n, d, d) stack, closed-form, dense,
+    or (validate) both; this loop is the one place each stack is validated,
+    once, before the validate-mode oracle check, and scores the first. The
+    earliest failing tau raises. `sweep`, the event refinement and
+    `evaluate_point` (N = 1) come here."""
     if not len(taus):
         raise ValueError("series_values needs at least one tau")
-    if not isinstance(eps_tilde, np.ndarray) or eps_tilde.shape != taus.shape:
-        raise ValueError("eps_tilde must be an array of one eps per tau")
+    for name, noun, arr in (("channels", "channel", channels),
+                            ("eps_tilde", "eps", eps_tilde)):
+        if not isinstance(arr, np.ndarray) or arr.shape != taus.shape:
+            raise ValueError(f"{name} must be an array of one {noun} per tau")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     routes = {"closed_form": [closed_channel_states],
               "dense": [network_channel_states],
               "validate": [closed_channel_states, network_channel_states]}[mode]
-    nqubits = 3 if channel in THREE_NODE_CHANNELS else 2
+    used = set(channels.tolist())
+    shapes = {3 if ch in THREE_NODE_CHANNELS else 2 for ch in used}
+    if len(shapes) > 1:
+        raise ValueError(f"channels {sorted(used)} differ in state shape")
+    nqubits, = shapes
     p_bridge = None
-    if channel == "18":
+    if "18" in used:
         if extension is None:
             raise ValueError("channel 18 requires an ExtensionSpec")
         p_bridge = extension.bridge  # None in track mode
     values = []
     for i in range(0, len(taus), BLOCK_TAUS):
         block, eps = taus[i:i + BLOCK_TAUS], eps_tilde[i:i + BLOCK_TAUS]
-        stacks = [require_density_stack(route(cfg, channel, eps, block,
-                                              p_bridge), nqubits)
-                  for route in routes]
+        chs = channels[i:i + BLOCK_TAUS]
+        runs, stop = [], 0  # (channel, slice) of each run of equal channels
+        for ch, run in groupby(chs.tolist()):
+            start, stop = stop, stop + len(list(run))
+            runs.append((ch, slice(start, stop)))
+        stacks = []
+        for route in routes:
+            parts = [route(cfg, ch, eps[run], block[run],
+                           p_bridge if ch == "18" else None)
+                     for ch, run in runs]
+            stacks.append(require_density_stack(
+                np.concatenate(parts) if len(parts) > 1 else parts[0],
+                nqubits))
         if mode == "validate":
-            require_oracle_agreement(channel, *stacks, eps, block)
+            require_oracle_agreement(chs, *stacks, eps, block)
         values.append(_QUANTIFIER_STACK[quantifier](stacks[0]))
     return _clamped(np.concatenate(values))
 
@@ -205,7 +224,7 @@ def evaluate_point(cfg: NetworkConfig, p: DipolarParams, channel: str,
                    quantifier: str, mode: str = "closed_form",
                    extension: Optional[ExtensionSpec] = None) -> float:
     """Single quantifier value at one parameter point."""
-    return float(series_values(cfg, channel, quantifier,
+    return float(series_values(cfg, quantifier, np.array([channel]),
                                np.array([p.eps_tilde]), np.array([p.tau]),
                                mode, extension)[0])
 
@@ -213,17 +232,21 @@ def evaluate_point(cfg: NetworkConfig, p: DipolarParams, channel: str,
 def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
           extension: Optional[ExtensionSpec] = None) -> list[MeasureSeries]:
     """One series per (channel, quantifier, eps), grid order: one
-    `series_values` call per (channel, quantifier) pair on every eps's taus
-    end to end, split back by eps."""
+    `series_values` call per quantifier on every (channel, eps) series' taus
+    end to end, split back by series."""
     taus = grid.taus()
-    pair_eps = np.repeat(grid.eps_values, len(taus))
-    pair_taus = np.tile(taus, len(grid.eps_values))
-    series = []
-    for ch, q in product(grid.channels, grid.quantifiers):
-        values = series_values(cfg, ch, q, pair_eps, pair_taus, mode, extension)
-        series += [MeasureSeries(ch, q, eps, taus, v) for eps, v in
-                   zip(grid.eps_values, np.split(values, len(grid.eps_values)))]
-    return series
+    n_series = len(grid.channels) * len(grid.eps_values)
+    all_channels = np.repeat(grid.channels, len(grid.eps_values) * len(taus))
+    all_eps = np.tile(np.repeat(grid.eps_values, len(taus)), len(grid.channels))
+    all_taus = np.tile(taus, n_series)
+    # each quantifier's values, consumed in (channel, eps) order
+    parts = {q: iter(np.split(series_values(cfg, q, all_channels, all_eps,
+                                            all_taus, mode, extension),
+                              n_series))
+             for q in grid.quantifiers}
+    return [MeasureSeries(ch, q, eps, taus, next(parts[q]))
+            for ch, q in product(grid.channels, grid.quantifiers)
+            for eps in grid.eps_values]
 
 
 def series_evaluator(cfg: NetworkConfig, series: MeasureSeries,
@@ -231,26 +254,30 @@ def series_evaluator(cfg: NetworkConfig, series: MeasureSeries,
                      extension: Optional[ExtensionSpec] = None
                      ) -> Callable[[np.ndarray], np.ndarray]:
     """taus -> values callable matching a swept series, for event refinement:
-    `series_values` on a 1-d tau vector at the series' eps."""
+    `series_values` on a 1-d tau vector at the series' channel and eps."""
     return lambda taus: series_values(
-        cfg, series.channel, series.quantifier,
+        cfg, series.quantifier, np.full(len(taus), series.channel),
         np.full(len(taus), series.eps_tilde), taus, mode, extension)
 
 
-def _bisect_crossings(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      eps: np.ndarray, lo: np.ndarray, f_lo: np.ndarray,
-                      hi: np.ndarray, tol: float) -> np.ndarray:
-    """taus where fn(eps, .) crosses `tol` inside each bracket (lo, hi), to
-    BISECTION_RESOLUTION; f_lo holds the known values fn(eps, lo) - tol.
-    All brackets advance together, in place: one fn call per step, on the
-    midpoints of the brackets still wider than the resolution, in bracket
-    order, and their eps."""
+# (channels, eps, taus) -> values, one channel and one eps per tau
+Refiner = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _bisect_crossings(fn: Refiner, channels: np.ndarray, eps: np.ndarray,
+                      lo: np.ndarray, f_lo: np.ndarray, hi: np.ndarray,
+                      tol: float) -> np.ndarray:
+    """taus where fn(channel, eps, .) crosses `tol` inside each bracket (lo,
+    hi), to BISECTION_RESOLUTION; f_lo holds the known values fn(channel,
+    eps, lo) - tol. All brackets advance together, in place: one fn call
+    per step, on the midpoints of the brackets still wider than the
+    resolution, in bracket order, and their channels and eps."""
     for _ in range(BISECTION_MAX_ITER):
         wide = np.flatnonzero(hi - lo > BISECTION_RESOLUTION)
         if not wide.size:
             break
         mid = 0.5 * (lo[wide] + hi[wide])
-        f_mid = fn(eps[wide], mid) - tol
+        f_mid = fn(channels[wide], eps[wide], mid) - tol
         same = (f_mid > 0) == (f_lo[wide] > 0)
         lo[wide[same]], f_lo[wide[same]] = mid[same], f_mid[same]
         hi[wide[~same]] = mid[~same]
@@ -258,18 +285,18 @@ def _bisect_crossings(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def pair_zero_intervals(group: list[MeasureSeries], zero_tol: float = ZERO_TOL,
-                        quantifier: Optional[Callable[[np.ndarray, np.ndarray],
-                                                      np.ndarray]] = None
+                        quantifier: Optional[Refiner] = None
                         ) -> list[list[EventRecord]]:
-    """`detect_zero_intervals` of each series of a group, such as the eps
-    series of one (channel, quantifier) pair, in one pass over the series
-    laid end to end. With a quantifier callable ((eps, taus) -> values:
-    `series_values` with the pair bound) every interval edge of the group is
-    refined in one lockstep bisection, so the group makes as many calls as
-    its slowest series; a call lists the series in group order, each one's
-    left edges first. The callable must equal each series at its taus and
-    eps: each bracket's grid end is read from the series, so the callable
-    never runs at a grid tau."""
+    """`detect_zero_intervals` of each series of a group, such as every
+    (channel, eps) series of one quantifier, in one pass over the series
+    laid end to end. With a quantifier callable ((channels, eps, taus) ->
+    values: `series_values` with the quantifier bound) every interval edge
+    of the group is refined in one lockstep bisection, so the group makes
+    as many calls as its slowest series; a call gives one channel and one
+    eps per midpoint and lists the series in group order, each one's left
+    edges first. The callable must equal each series at its taus, channel
+    and eps: each bracket's grid end is read from the series, so the
+    callable never runs at a grid tau."""
     if not group:
         return []
     # each series is followed by a pad point that is never dead, so no dead
@@ -289,10 +316,13 @@ def pair_zero_intervals(group: list[MeasureSeries], zero_tol: float = ZERO_TOL,
         edge_owner = np.concatenate((owner[left], owner[right]))
         order = np.argsort(edge_owner, kind="stable")
         lo = np.concatenate((first[left], after[right]))[order] - 1
-        eps = np.array([s.eps_tilde for s in group])[edge_owner[order]]
+        owners = edge_owner[order]
+        channels = np.array([s.channel for s in group])[owners]
+        eps = np.array([s.eps_tilde for s in group])[owners]
         edges = np.empty(lo.size)
         edges[order] = _bisect_crossings(
-            quantifier, eps, taus[lo], vals[lo] - zero_tol, taus[lo + 1], zero_tol)
+            quantifier, channels, eps, taus[lo], vals[lo] - zero_tol,
+            taus[lo + 1], zero_tol)
         starts[left], ends[right] = np.split(edges, [left.sum()])
         births = ends
     events = [[] for _ in group]
@@ -313,7 +343,8 @@ def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
     (taus -> values, as `series_evaluator` returns) every interval edge of
     the series is refined in one lockstep bisection, never at a grid tau:
     `pair_zero_intervals` on a group of one."""
-    pair = None if quantifier is None else lambda eps, taus: quantifier(taus)
+    pair = (None if quantifier is None
+            else lambda channels, eps, taus: quantifier(taus))
     return pair_zero_intervals([series], zero_tol, pair)[0]
 
 

@@ -3,8 +3,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import dipnet.closedform as closedform
 import dipnet.measures as measures
-from dipnet.netmodel import DipolarParams, initial_network, propagator_matrix
+from dipnet.netmodel import (DipolarParams, coupling_matrices, initial_network,
+                             propagator_matrix)
 from dipnet.qmat import (BadSubsystem, DensityMatrix, as_complex_matrix,
                          conjugate_pair_stack, kron, partial_trace_stack,
                          require_hermitian_stack)
@@ -159,3 +161,26 @@ def dense_channel_18_reference(cfg, eps_tilde: float, taus: np.ndarray,
     return np.array([partial_trace_stack(conjugate_pair_stack(
         kron(hop, hop)[None], 8, bridge, (2, 4)), 8, (0, 4))[0]
         for hop, bridge in zip(hops, bridges)])
+
+
+def three_node_states_reference(channel: str, w1: np.ndarray, w2: np.ndarray,
+                                gammas: np.ndarray) -> np.ndarray:
+    """The three-node closed states as `closedform` assembled them before it
+    conjugated only the Pauli words a channel reads: all 16 words
+    conjugated for every channel, and channel 123's trace by `np.trace`."""
+    u = coupling_matrices(gammas)[:, None, None]
+    # conj[N, k, l, a, m, b, n]: coupled qubits (a, m) out, (b, n) in
+    conj = (u @ closedform._WORDS @ u.conj().swapaxes(-1, -2)).reshape(
+        -1, 4, 4, 2, 2, 2, 2)
+    p = closedform._PAULI_STACK
+    if channel == "124":  # pair 1 and both coupled qubits; qubit 3 traced
+        m = np.einsum("k,kij,Nkambn->Niamjbn", w1, p, conj[:, :, 0]) / 8.0
+    elif channel == "234":  # both coupled qubits and pair 2; qubit 0 traced
+        m = np.einsum("l,Nlambn,lcd->Namcbnd", w2, conj[:, 0], p) / 8.0
+    elif channel == "123":  # far nodes and the first coupled qubit
+        psi = np.trace(conj, axis1=4, axis2=6)
+        m = np.einsum("kl,kij,Nklab,lcd->Niacjbd", np.outer(w1, w2), p, psi,
+                      p) / 16.0
+    else:
+        raise BadSubsystem(f"unknown channel {channel!r}")
+    return m.reshape(-1, 8, 8)

@@ -279,7 +279,23 @@ def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line):
     bad = tmp_path / "bad.scn"
     bad.write_text(text)
     assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
-    assert f"line {bad_line}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"line {bad_line}:" in err
+    assert GRID_ERROR_REASONS.get(lines[0], "") in err
+
+
+# the reason a grid error must give, by the first line of its case; an
+# empty entry is an unknown name, not a repeat
+GRID_ERROR_REASONS = {
+    "channels = ,": "unknown channel ''",
+    "quantifiers = ,": "unknown quantifier ''",
+    "channels = 12,,14": "unknown channel ''",
+    "channels = 12,99": "unknown channel '99'",
+    "quantifiers = negativity,bogus": "unknown quantifier 'bogus'",
+    "channels = 12,12": "channels repeats an entry",
+    "quantifiers = negativity,negativity": "quantifiers repeats an entry",
+    "eps_values = -0,0": "eps_values repeats an entry",
+}
 
 
 @pytest.mark.parametrize("name", ["a/b", "../escaped", "a,b", "it's"])
@@ -335,6 +351,11 @@ def test_oracle_mismatch_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(dipnet.scan, "require_oracle_agreement", boom)
     s = parse_scenario(MINIMAL + f"output_dir = {tmp_path}\nmode = validate\n")
     assert run(s) == EXIT_ORACLE
+    # a failure in the sweep or in the events refinement writes no file
+    monkeypatch.undo()
+    monkeypatch.setattr(dipnet.cli, "pair_zero_intervals", boom)
+    assert run(s) == EXIT_ORACLE
+    assert not any(tmp_path.iterdir())
 
 
 def test_render_csv_significant_digits():
@@ -356,11 +377,15 @@ quantifiers = negativity,naqc
 """
 
 
-def test_render_events_refines_each_pair_in_one_group(monkeypatch):
-    # one pair_zero_intervals call per (channel, quantifier) pair; each
-    # bisection step lists the series in group order, a series' left edges
-    # before its right edges
-    scenario = parse_scenario(PAIRS)
+CHANNEL_PAIRS = PAIRS.replace("channels = 12", "channels = 12,14")
+
+
+def test_render_events_refines_each_quantifier_in_one_group(monkeypatch):
+    # one pair_zero_intervals call per quantifier, over its (channel, eps)
+    # series in list order; each bisection step gives one channel and one
+    # eps per midpoint and lists the series in group order, a series' left
+    # edges before its right edges
+    scenario = parse_scenario(CHANNEL_PAIRS)
     series = sweep(scenario.network, scenario.grid)
     grouped = dipnet.cli.pair_zero_intervals
     groups = []
@@ -368,30 +393,36 @@ def test_render_events_refines_each_pair_in_one_group(monkeypatch):
     def spy(group, zero_tol, quantifier):
         steps = []
         groups.append((group, steps))
-        return grouped(group, zero_tol, lambda eps, taus: steps.append(
-            list(zip(eps.tolist(), taus.tolist()))) or quantifier(eps, taus))
+        return grouped(group, zero_tol, lambda channels, eps, taus: steps.append(
+            list(zip(channels.tolist(), eps.tolist(), taus.tolist())))
+            or quantifier(channels, eps, taus))
 
     monkeypatch.setattr(dipnet.cli, "pair_zero_intervals", spy)
     render_events(scenario, series)
-    assert [group for group, _ in groups] == [series[:4], series[4:]]
-    eps_values = list(scenario.grid.eps_values)
+    assert [group for group, _ in groups] == [series[:4] + series[8:12],
+                                              series[4:8] + series[12:]]
     for group, steps in groups:
+        keys = [(s.channel, s.eps_tilde) for s in group]
         first_step = []
         for s in group:
             t, dead = s.taus.tolist(), (s.values <= scenario.zero_tol).tolist()
-            first_step += [(s.eps_tilde, 0.5 * (t[i - 1] + t[i]))
+            first_step += [(s.channel, s.eps_tilde, 0.5 * (t[i - 1] + t[i]))
                            for i in range(1, len(t)) if dead[i] > dead[i - 1]]
-            first_step += [(s.eps_tilde, 0.5 * (t[i] + t[i + 1]))
+            first_step += [(s.channel, s.eps_tilde, 0.5 * (t[i] + t[i + 1]))
                            for i in range(len(t) - 1) if dead[i] > dead[i + 1]]
         assert len(steps) > 1 and steps[0] == first_step
         for step in steps:
-            owners = [eps_values.index(eps) for eps, _ in step]
+            owners = [keys.index((ch, eps)) for ch, eps, _ in step]
             assert owners == sorted(owners)
+    # NAQC never lives on channel 14 of this network; negativity refines
+    # both channels in one step
+    (_, negativity_steps), _ = groups
+    assert {ch for ch, _, _ in negativity_steps[0]} == {"12", "14"}
 
 
 def test_render_events_of_interleaved_pairs_equals_sweep_order():
-    # a pair whose series are not adjacent is refined one run at a time, and
-    # each series still gets the block of lines it gets in sweep order
+    # the series of a quantifier need not be adjacent: each series still
+    # gets the block of lines it gets in sweep order
     scenario = parse_scenario(PAIRS)
     series = sweep(scenario.network, scenario.grid)
     interleaved = [s for pair in zip(series[:4], series[4:]) for s in pair]

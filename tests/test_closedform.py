@@ -15,10 +15,13 @@ from dipnet.measures import pi_tangle
 from dipnet.netmodel import (PAULIS, DipolarParams, NetworkConfig,
                              XStateParams, channel_qubits,
                              extend_to_eight, network_channel_state,
-                             propagator_coeffs, propagator_matrix, x_state)
+                             THREE_NODE_CHANNELS, propagator_coeffs,
+                             propagator_gammas, propagator_matrix, x_state)
 from dipnet.qmat import (ORACLE_TOL, DensityMatrix, conjugate_pair_stack,
                          kron, partial_trace, require_unitary)
 from dipnet.scan import ExtensionSpec, series_values
+
+from conftest import three_node_states_reference
 
 MM = NetworkConfig("MM")
 WW = NetworkConfig("WW", werner_x1=0.7, werner_x2=0.7)
@@ -151,6 +154,28 @@ def test_closed_forms_match_dense_random_params(rng):
             assert np.abs(closed - dense.mat).max() < 1e-12, channel
 
 
+def test_three_node_states_equal_the_all_words_reference():
+    # conjugating only the Pauli words a channel reads, and channel 123's
+    # two-slice trace, must keep the bits of the all-words assembly on any
+    # network and any tau vector, eps = 0 and tau = 0 included
+    rng = np.random.default_rng(124)
+    for i in range(45):
+        cfg = NetworkConfig(("MM", "WW", "MW")[i % 3],
+                            werner_x1=float(rng.uniform()),
+                            werner_x2=float(rng.uniform()))
+        n = int(rng.integers(1, 301))
+        eps = rng.uniform(-0.5, 0.5, size=n)
+        taus = rng.uniform(0.0, 10.0, size=n)
+        eps[rng.random(n) < 0.1] = 0.0
+        taus[rng.random(n) < 0.1] = 0.0
+        weights = [np.array([1.0, q.a, q.b, q.c]) for q in cfg.pair_params()]
+        gammas = propagator_gammas(eps, taus)
+        for channel in THREE_NODE_CHANNELS:
+            got = closed_channel_states(cfg, channel, eps, taus)
+            want = three_node_states_reference(channel, *weights, gammas)
+            assert got.tobytes() == want.tobytes(), (cfg, channel, n)
+
+
 def test_dead_channels_are_maximally_mixed():
     p = DipolarParams(eps_tilde=0.17, tau=0.83)
     for channel in ("13", "24"):
@@ -197,8 +222,9 @@ def test_validate_channel_passes_and_raises():
     dense = network_channel_state(MM, p, "12").mat.copy()
     dense[1, 2] += 2 * ORACLE_TOL
     with pytest.raises(OracleMismatch) as err:
-        require_oracle_agreement("12", closed.mat[None], dense[None],
-                                 np.array([p.eps_tilde]), np.array([p.tau]))
+        require_oracle_agreement(np.array(["12"]), closed.mat[None],
+                                 dense[None], np.array([p.eps_tilde]),
+                                 np.array([p.tau]))
     assert err.value.coord == (1, 2)
 
 
@@ -237,7 +263,7 @@ def test_closed_states_are_validated_once(monkeypatch, channel):
     for mode, block in (("closed_form", [n]),
                         ("validate", [n, 4, n, "oracle"])):
         calls.clear()
-        series_values(WW, channel, quantifier, eps, taus, mode,
+        series_values(WW, quantifier, np.full(3, channel), eps, taus, mode,
                       ExtensionSpec("fixed", p))
         assert calls == 2 * block, mode  # blocks of 2 and 1 taus
 

@@ -1,7 +1,6 @@
 import inspect
 from dataclasses import replace
 from functools import partial
-from itertools import groupby
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -115,8 +114,8 @@ def test_series_validation():
     ("12", "negativity"), ("123", "tangle"), ("18", "negativity")])
 def test_series_values_refuses_empty_taus(mode, channel, quantifier):
     with pytest.raises(ValueError, match="at least one tau"):
-        series_values(MM, channel, quantifier, np.array([]), np.array([]),
-                      mode, ExtensionSpec("track"))
+        series_values(MM, quantifier, np.full(0, channel), np.array([]),
+                      np.array([]), mode, ExtensionSpec("track"))
 
 
 @pytest.mark.parametrize("eps", [0.1, np.array(0.1), np.array([0.1]),
@@ -124,7 +123,60 @@ def test_series_values_refuses_empty_taus(mode, channel, quantifier):
                          ids=["float", "0-d", "short", "long", "list"])
 def test_series_values_refuses_eps_not_one_per_tau(eps):
     with pytest.raises(ValueError, match="one eps per tau"):
-        series_values(MM, "12", "negativity", eps, np.array([0.3, 0.6]))
+        series_values(MM, "negativity", np.full(2, "12"), eps,
+                      np.array([0.3, 0.6]))
+
+
+@pytest.mark.parametrize("channels", ["12", np.array("12"), np.array(["12"]),
+                                      np.full(3, "12"), ["12", "12"]],
+                         ids=["str", "0-d", "short", "long", "list"])
+def test_series_values_refuses_channels_not_one_per_tau(channels):
+    with pytest.raises(ValueError, match="one channel per tau"):
+        series_values(MM, "negativity", channels, np.full(2, 0.1),
+                      np.array([0.3, 0.6]))
+
+
+@pytest.mark.parametrize("mode", dipnet.scan.MODES)
+@pytest.mark.parametrize("channels", [("12", "123"), ("124", "14", "124"),
+                                      ("234", "18")], ids="|".join)
+def test_series_values_refuses_mixed_state_shapes(mode, channels):
+    # one call scores one stack, so its channels' states share one shape
+    with pytest.raises(ValueError, match="differ in state shape"):
+        series_values(MM, "negativity", np.array(channels),
+                      np.full(len(channels), 0.1),
+                      np.linspace(0.3, 0.9, len(channels)), mode,
+                      ExtensionSpec("track"))
+
+
+@pytest.mark.parametrize("mode", dipnet.scan.MODES)
+@pytest.mark.parametrize("quantifier, channels, ext", [
+    ("tangle", ("123", "124", "234"), None),
+    ("negativity", ("12", "34", "14", "23"), None),
+    ("naqc", ("12", "34", "14", "23"), None),
+    ("negativity", ("12", "18", "23"), ExtensionSpec("track")),
+    ("naqc", ("18", "34", "14"),
+     ExtensionSpec("fixed", DipolarParams(eps_tilde=-0.1, tau=2.5)))],
+    ids=lambda v: "|".join(v) if isinstance(v, tuple) else None)
+def test_mixed_channel_vector_equals_each_channel_alone(monkeypatch, mode,
+                                                        quantifier, channels,
+                                                        ext):
+    # a sweep or a refinement step of one quantifier sends one vector across
+    # several channels and eps, in blocks that straddle channel changes and
+    # hold runs of one point; each channel's values are its own vector's,
+    # bit for bit
+    monkeypatch.setattr(dipnet.scan, "BLOCK_TAUS", 3)
+    rng = np.random.default_rng(len(channels))
+    cfg = NetworkConfig("WW", 0.9, 0.75)
+    chs = rng.permutation(np.repeat(channels, 4))
+    eps = rng.choice([-0.2, 0.1, 0.3], size=chs.size)
+    taus = rng.uniform(0.0, 6.0, size=chs.size)
+    got = series_values(cfg, quantifier, chs, eps, taus, mode, ext)
+    assert (chs[1:] == chs[:-1]).any() and (chs[1:] != chs[:-1]).sum() > 3
+    for ch in channels:
+        own = chs == ch
+        alone = series_values(cfg, quantifier, chs[own], eps[own], taus[own],
+                              mode, ext)
+        assert got[own].tobytes() == alone.tobytes(), ch
 
 
 def test_sweep_starts_at_maximum():
@@ -198,7 +250,8 @@ def test_dense_route_is_independent_of_the_closed_form(monkeypatch):
              ("18", "negativity",
               ExtensionSpec("fixed", DipolarParams(eps_tilde=0.1, tau=0.5)))]
     eps = np.full(taus.shape, 0.1)
-    expected = [series_values(cfg, ch, q, eps, taus, "dense", ext)
+    expected = [series_values(cfg, q, np.full(taus.shape, ch), eps, taus,
+                              "dense", ext)
                 for ch, q, ext in cases]
 
     def forbidden(*args, **kwargs):
@@ -214,9 +267,11 @@ def test_dense_route_is_independent_of_the_closed_form(monkeypatch):
             if any(obj is g for g in guarded):
                 monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(ClosedFormCalled):  # the guard is live
-        series_values(cfg, "12", "negativity", eps, taus, "closed_form")
+        series_values(cfg, "negativity", np.full(taus.shape, "12"), eps, taus,
+                      "closed_form")
     for (ch, q, ext), want in zip(cases, expected):
-        got = series_values(cfg, ch, q, eps, taus, "dense", ext)
+        got = series_values(cfg, q, np.full(taus.shape, ch), eps, taus,
+                            "dense", ext)
         assert np.array_equal(got, want), (ch, ext)
 
 
@@ -261,8 +316,8 @@ def test_series_is_built_in_bounded_blocks(monkeypatch):
     cfg = NetworkConfig("WW", werner_x1=0.9, werner_x2=0.6)
     n = dipnet.scan.BLOCK_TAUS
     taus = np.linspace(0.0, 10.0, n + 2)
-    got = series_values(cfg, "14", "negativity", np.full(taus.shape, 0.2),
-                        taus, "dense")
+    got = series_values(cfg, "negativity", np.full(taus.shape, "14"),
+                        np.full(taus.shape, 0.2), taus, "dense")
     assert sizes == [n, 2]
     assert [block for block, _ in dense] == [taus[:n].tolist(),
                                              taus[n:].tolist()]
@@ -292,8 +347,8 @@ def test_series_blocks_join_to_the_one_point_values(monkeypatch, mode,
     if channel == "18":
         ext = ExtensionSpec("track" if bridge is None else "fixed", bridge)
     taus = np.linspace(0.0, 6.0, 7)
-    got = series_values(cfg, channel, quantifier, np.full(taus.shape, 0.15),
-                        taus, mode, ext)
+    got = series_values(cfg, quantifier, np.full(taus.shape, channel),
+                        np.full(taus.shape, 0.15), taus, mode, ext)
     blocks = [taus[:3].tolist(), taus[3:6].tolist(), taus[6:].tolist()]
     for calls, used in ((closed, mode != "dense"),
                         (dense, mode != "closed_form"),
@@ -326,9 +381,30 @@ def test_validate_raises_at_the_earliest_failing_tau(monkeypatch):
     monkeypatch.setattr(dipnet.scan, "network_channel_states", faulty)
     taus = np.array([0.3, 0.6, 1.2, 1.5])
     with pytest.raises(OracleMismatch) as err:
-        series_values(MM, "12", "negativity", np.full(taus.shape, 0.1), taus,
-                      "validate")
+        series_values(MM, "negativity", np.full(taus.shape, "12"),
+                      np.full(taus.shape, 0.1), taus, "validate")
     assert "tau=0.3 eps=0.1 " in str(err.value)
+
+
+def test_validate_names_the_failing_channel_of_a_mixed_block(monkeypatch):
+    # one block holds three channels; only channel 14's dense states are
+    # wrong (valid, but at a shifted eps), and only at tau 0.6: the
+    # mismatch names that channel, that tau and its eps
+    route = dipnet.scan.network_channel_states
+
+    def faulty(cfg, channel, eps_tilde, taus, p_bridge):
+        hit = (taus == 0.6) if channel == "14" else np.zeros(taus.shape, bool)
+        return route(cfg, channel, np.where(hit, eps_tilde + 0.05, eps_tilde),
+                     taus, p_bridge)
+
+    monkeypatch.setattr(dipnet.scan, "network_channel_states", faulty)
+    channels = np.array(["12", "12", "14", "14", "23", "23"])
+    taus = np.array([0.6, 0.9, 0.3, 0.6, 0.6, 0.9])
+    with pytest.raises(OracleMismatch) as err:
+        series_values(MM, "negativity", channels, np.full(taus.shape, 0.1),
+                      taus, "validate")
+    assert err.value.channel == "14"
+    assert str(err.value).startswith("channel 14 tau=0.6 eps=0.1 ")
 
 
 def test_zero_intervals_constant_series():
@@ -393,15 +469,18 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 @pytest.mark.parametrize("name", [f"fig{k}" for k in range(2, 9)])
 def test_grouped_refinement_equals_per_series(name):
     # the bundled two-node surfaces and line cuts (MM, WW and MW) at a small
-    # grid: refining all eps of a pair together finds every series' events
+    # grid, on all four correlated two-node channels: refining every
+    # (channel, eps) series of a quantifier together finds every series'
+    # events
     scenario = parse_scenario((SCENARIOS / f"{name}.scn").read_text())
     cfg = scenario.network
-    grid = replace(scenario.grid, tau_steps=41)
-    for (channel, quantifier), group in groupby(
-            sweep(cfg, grid), key=lambda s: (s.channel, s.quantifier)):
-        group = list(group)
+    grid = replace(scenario.grid, tau_steps=41,
+                   channels=("12", "34", "14", "23"))
+    series = sweep(cfg, grid)
+    for quantifier in grid.quantifiers:
+        group = [s for s in series if s.quantifier == quantifier]
         grouped = pair_zero_intervals(group, scenario.zero_tol, partial(
-            series_values, cfg, channel, quantifier))
+            series_values, cfg, quantifier))
         assert grouped == [detect_zero_intervals(s, scenario.zero_tol,
                                                  series_evaluator(cfg, s))
                            for s in group]
@@ -421,12 +500,13 @@ def test_grouped_refinement_calls_as_often_as_its_slowest_series():
         detect_zero_intervals(s, ZERO_TOL,
                               lambda taus: calls.append(taus.tolist()) or fn(taus))
         alone.append(calls)
-    pair = partial(series_values, MM, "12", "naqc")
+    pair = partial(series_values, MM, "naqc")
     together = []
 
-    def spy(eps, taus):
+    def spy(channels, eps, taus):
+        assert channels.tolist() == ["12"] * len(taus)
         together.append((eps.tolist(), taus.tolist()))
-        return pair(eps, taus)
+        return pair(channels, eps, taus)
 
     pair_zero_intervals(group, ZERO_TOL, spy)
     counts = [len(calls) for calls in alone]
@@ -464,11 +544,11 @@ def test_grouped_refinement_names_the_failing_eps(monkeypatch, tmp_path,
     group = sweep(MM, grid, "validate")
     _mismatch_off_grid(monkeypatch, 0.1, grid.taus())
     calls = []
-    pair = partial(series_values, MM, "12", "negativity", mode="validate")
+    pair = partial(series_values, MM, "negativity", mode="validate")
 
-    def spy(eps, taus):
+    def spy(channels, eps, taus):
         calls.append((eps.tolist(), taus.tolist()))
-        return pair(eps, taus)
+        return pair(channels, eps, taus)
 
     with pytest.raises(OracleMismatch) as err:
         pair_zero_intervals(group, ZERO_TOL, spy)
@@ -591,7 +671,8 @@ def test_series_values_match_pinned_bits():
         for net, cfg in BIT_NETWORKS.items():
             for channel, quantifier in BIT_SERIES:
                 for eps in (-0.2, 0.1):
-                    values = series_values(cfg, channel, quantifier,
+                    values = series_values(cfg, quantifier,
+                                           np.full(mode_taus.shape, channel),
                                            np.full(mode_taus.shape, eps),
                                            mode_taus, mode,
                                            ExtensionSpec("track"))
@@ -780,7 +861,8 @@ def test_grouped_refinement_equals_each_series_alone(shifts, steps, zero_tol):
              for taus in [np.linspace(0.0, 6.0, n)]]
     calls = []
     grouped = pair_zero_intervals(
-        group, zero_tol, lambda eps, taus: calls.append(eps) or fn(eps, taus))
+        group, zero_tol,
+        lambda channels, eps, taus: calls.append(eps) or fn(eps, taus))
     alone, counts = [], []
     for s in group:
         n = []
