@@ -148,7 +148,7 @@ class PropagatorCoeffs:
 
     def __post_init__(self):
         norm = sum(abs(r) ** 2 for r in (self.r1, self.r2, self.r3, self.r4))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"sum |r_k|^2 = {norm} deviates from 1")
 
     def gammas(self) -> tuple[complex, complex, complex, complex]:
@@ -202,13 +202,17 @@ def propagator_gammas(eps_tilde: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """(4, N) propagator entries g1..g4 = (r2 - r3, r2 + r3, r1 - r4,
     r1 + r4) at every tau of the 1-d array `taus`, with `eps_tilde` a 1-d
     array of one eps per tau: the closed-form kernel's vectorised
-    `propagator_coeffs(p).gammas()`, rounding as it does, with tau >= 0 and
-    sum |r_k|^2 = 1 checked for every element. The dense path keeps the
-    scalar `propagator_coeffs`, so each route computes the propagator's
-    phases on its own."""
-    if np.count_nonzero(taus < 0):
-        raise ValueError(f"tau must be >= 0, got {taus.min()}")
-    phases = np.array([k * taus for k in kappas(eps_tilde)])
+    `propagator_coeffs(p).gammas()`, rounding as it does. It refuses what
+    `DipolarParams` refuses, before any cos or sin, and checks sum |r_k|^2
+    = 1 for every element; the dense path keeps the scalar
+    `propagator_coeffs`, so each route computes the phases on its own."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        phases = np.array([k * taus for k in kappas(eps_tilde)])
+    bad = ~((taus >= 0) & np.isfinite(phases).all(axis=0))  # NaN tau too
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
+        raise ValueError(f"need tau >= 0 and finite phases kappa * tau, got "
+                         f"eps_tilde = {eps_tilde[i]}, tau = {taus[i]}")
     cs = np.concatenate([np.cos(phases), np.sin(phases)])
     f = cs[_R_FACTORS]
     prod = f[0] * f[1] * f[2]
@@ -216,7 +220,7 @@ def propagator_gammas(eps_tilde: np.ndarray, taus: np.ndarray) -> np.ndarray:
     r.real = prod[:4]
     np.negative(prod[4:], out=r.imag)
     norm = np.float_power(np.hypot(r.real, r.imag), 2.0).sum(axis=0)
-    bad = np.abs(norm - 1.0) > 1e-12
+    bad = ~(np.abs(norm - 1.0) <= 1e-12)
     if np.count_nonzero(bad):
         raise ValueError(f"sum |r_k|^2 = {norm[bad.argmax()]} deviates from 1")
     head, tail = r[[1, 0]], r[[2, 3]]
@@ -287,9 +291,7 @@ def extend_to_eight(cfg: NetworkConfig, p_inner: DipolarParams,
 
 
 def channel_qubits(channel: str) -> tuple[int, ...]:
-    if channel == "18":
-        raise BadSubsystem("channel 18 lives on the extended network; "
-                           "use extend_to_eight")
+    """Qubits of a four-node channel ("18" lives on the extension)."""
     try:
         return CHANNEL_QUBITS[channel]
     except KeyError:

@@ -208,6 +208,6 @@ def require_unitary(u: ComplexMatrix) -> ComplexMatrix:
     matrix or for every matrix of an (N, d, d) stack."""
     u = np.asarray(u, dtype=complex)
     dev = float(np.abs(u @ _adjoint(u) - np.eye(u.shape[-1])).max())
-    if dev > HERM_TOL:
+    if not dev <= HERM_TOL:  # NaN fails too
         raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
     return u

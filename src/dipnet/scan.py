@@ -3,8 +3,8 @@ sudden death/birth intervals, peaks, sudden slope changes. In every mode
 `series_values` builds and scores the series of one quantifier in blocks
 of (channel, eps, tau) points, every channel and eps in one call, from one
 channel and one eps per tau. Its block loop is the one place where each
-route's raw stack of states is validated and, in validate mode, checked
-against the oracle."""
+run of channels is checked against `QUANTIFIER_TABLE` and each route's
+stack of states is validated and, in validate mode, oracle-checked."""
 
 from dataclasses import dataclass
 from itertools import groupby, product
@@ -14,9 +14,9 @@ import numpy as np
 
 from .closedform import closed_channel_states, require_oracle_agreement
 from .measures import naqc_degree_stack, negativity_stack, pi_tangle_stack
-from .netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS, DipolarParams,
-                       FieldError, NetworkConfig, network_channel_states,
-                       require_finite_phases)
+from .netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS, TWO_NODE_CHANNELS,
+                       DipolarParams, FieldError, NetworkConfig,
+                       network_channel_states, require_finite_phases)
 from .qmat import require_density_stack
 
 ZERO_TOL = 1e-6
@@ -31,7 +31,20 @@ MAX_TAU_STEPS = 100_000
 SPACING_TOL = 1e-9  # relative spread of tau steps that still counts as uniform
 
 MODES = ("closed_form", "dense", "validate")
-QUANTIFIERS = ("negativity", "naqc", "tangle")
+# quantifier -> (qubits of the states it reads, the channels it reads, its
+# scorer of a validated (n, d, d) stack); ScanGrid and series_values obey it
+QUANTIFIER_TABLE = {
+    "negativity": (2, TWO_NODE_CHANNELS + ("18",), negativity_stack),
+    "naqc": (2, TWO_NODE_CHANNELS + ("18",), naqc_degree_stack),
+    "tangle": (3, THREE_NODE_CHANNELS, lambda mats: pi_tangle_stack(mats).pi),
+}
+QUANTIFIERS = tuple(QUANTIFIER_TABLE)
+
+
+def _require_readable(q: str, ch: str) -> None:
+    if ch not in QUANTIFIER_TABLE[q][1]:
+        raise FieldError(("channels", "quantifiers"), f"quantifier {q!r} "
+                         f"cannot be evaluated on channel {ch!r}")
 
 
 def _uneven(steps: np.ndarray) -> bool:
@@ -80,13 +93,8 @@ class ScanGrid:
                              f"{self.tau_steps} tau points over [tau_min, "
                              f"tau_max] are not strictly increasing (evenly, "
                              f"for tangle) at float resolution")
-        for ch in self.channels:
-            for q in self.quantifiers:
-                # tangle is the three-node quantifier, and the only one
-                if (q == "tangle") != (ch in THREE_NODE_CHANNELS):
-                    raise FieldError(
-                        ("channels", "quantifiers"),
-                        f"quantifier {q!r} cannot be evaluated on channel {ch!r}")
+        for ch, q in product(self.channels, self.quantifiers):
+            _require_readable(q, ch)
 
     def taus(self) -> np.ndarray:
         return np.linspace(self.tau_min, self.tau_max, self.tau_steps)
@@ -152,13 +160,6 @@ class ExtensionSpec:
                              "bridge parameters")
 
 
-_QUANTIFIER_STACK = {
-    "negativity": negativity_stack,
-    "naqc": naqc_degree_stack,
-    "tangle": lambda mats: pi_tangle_stack(mats).pi,
-}
-
-
 def _clamped(values: np.ndarray) -> np.ndarray:
     """Round values in (-1e-10, 0] up to +0.0; keep every other value."""
     return np.where((values > -1e-10) & (values <= 0.0), 0.0, values)
@@ -170,13 +171,14 @@ def series_values(cfg: NetworkConfig, quantifier: str, channels: np.ndarray,
                   extension: Optional[ExtensionSpec] = None) -> np.ndarray:
     """Values of one quantifier at every tau of the 1-d array `taus`, with
     `channels` and `eps_tilde` 1-d arrays of one channel and one eps per
-    tau; the channels' states must share one shape. Per block of
-    BLOCK_TAUS taus each route builds the states of each run of equal
-    channels and joins them into one (n, d, d) stack, closed-form, dense,
-    or (validate) both; this loop is the one place each stack is validated,
-    once, before the validate-mode oracle check, and scores the first. The
-    earliest failing tau raises. `sweep`, the event refinement and
-    `evaluate_point` (N = 1) come here."""
+    tau. Per block of BLOCK_TAUS taus each run of equal channels is checked
+    against `QUANTIFIER_TABLE` (channel 18 also needs an extension), and
+    each route joins the runs' states into one (n, d, d) stack, closed-form,
+    dense, or (validate) both; this loop is the one place each stack is
+    validated, once, before the validate-mode oracle check, and scores the
+    first. The first failing block raises: a refused channel before any
+    state is built, else the earliest failing tau. `sweep`, the event
+    refinement and `evaluate_point` (N = 1) come here."""
     if not len(taus):
         raise ValueError("series_values needs at least one tau")
     for name, noun, arr in (("channels", "channel", channels),
@@ -185,38 +187,33 @@ def series_values(cfg: NetworkConfig, quantifier: str, channels: np.ndarray,
             raise ValueError(f"{name} must be an array of one {noun} per tau")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    nqubits, _, score = QUANTIFIER_TABLE[quantifier]
     routes = {"closed_form": [closed_channel_states],
               "dense": [network_channel_states],
               "validate": [closed_channel_states, network_channel_states]}[mode]
-    used = set(channels.tolist())
-    shapes = {3 if ch in THREE_NODE_CHANNELS else 2 for ch in used}
-    if len(shapes) > 1:
-        raise ValueError(f"channels {sorted(used)} differ in state shape")
-    nqubits, = shapes
-    p_bridge = None
-    if "18" in used:
-        if extension is None:
-            raise ValueError("channel 18 requires an ExtensionSpec")
-        p_bridge = extension.bridge  # None in track mode
+    # both routes read the bridge only for channel 18; None tracks the inner
+    p_bridge = None if extension is None else extension.bridge
     values = []
     for i in range(0, len(taus), BLOCK_TAUS):
         block, eps = taus[i:i + BLOCK_TAUS], eps_tilde[i:i + BLOCK_TAUS]
         chs = channels[i:i + BLOCK_TAUS]
         runs, stop = [], 0  # (channel, slice) of each run of equal channels
         for ch, run in groupby(chs.tolist()):
+            _require_readable(quantifier, ch)
+            if ch == "18" and extension is None:
+                raise ValueError("channel 18 requires an ExtensionSpec")
             start, stop = stop, stop + len(list(run))
             runs.append((ch, slice(start, stop)))
         stacks = []
         for route in routes:
-            parts = [route(cfg, ch, eps[run], block[run],
-                           p_bridge if ch == "18" else None)
+            parts = [route(cfg, ch, eps[run], block[run], p_bridge)
                      for ch, run in runs]
             stacks.append(require_density_stack(
                 np.concatenate(parts) if len(parts) > 1 else parts[0],
                 nqubits))
         if mode == "validate":
             require_oracle_agreement(chs, *stacks, eps, block)
-        values.append(_QUANTIFIER_STACK[quantifier](stacks[0]))
+        values.append(score(stacks[0]))
     return _clamped(np.concatenate(values))
 
 

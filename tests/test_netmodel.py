@@ -54,12 +54,28 @@ def test_hamiltonian_eigenvalues_oracle():
 
 @pytest.mark.parametrize("eps, tau, key", [
     (0.1, float("nan"), "tau"), (float("nan"), 1.0, "eps_tilde"),
-    (0.1, float("inf"), "tau"), (0.1, 1e308, "tau"), (1e308, 0.0, "eps_tilde")])
+    (0.1, float("inf"), "tau"), (0.1, 1e308, "tau"), (1e308, 0.0, "eps_tilde"),
+    (0.1, -1.0, "tau"), (1 / 3, float("inf"), "tau")])
 def test_coupling_refuses_non_finite_phases(eps, tau, key):
     # a phase kappa * tau that is not finite would reach the eigensolver
     with pytest.raises(FieldError) as err:
         DipolarParams(eps_tilde=eps, tau=tau)
     assert err.value.keys == (key,)
+    # the closed route's propagator refuses the point too, wherever it
+    # stands in the vector, before any cos, sin or overflowing product
+    for k in range(3):
+        eps_tilde, taus = np.full(3, 0.2), np.full(3, 0.5)
+        eps_tilde[k], taus[k] = eps, tau
+        with pytest.raises(ValueError, match="need tau >= 0 and finite"):
+            netmodel.propagator_gammas(eps_tilde, taus)
+
+
+@pytest.mark.parametrize("coeffs", [(complex("nan"), 0, 0, 0),
+                                    (1, complex(0, float("nan")), 0, 0),
+                                    (float("inf"), 0, 0, 0)])
+def test_propagator_coeffs_refuse_non_finite_entries(coeffs):
+    with pytest.raises(ValueError, match="deviates from 1"):
+        netmodel.PropagatorCoeffs(*coeffs)
 
 
 def test_propagator_coeffs_tau_zero():
@@ -243,6 +259,13 @@ def test_require_unitary_checks_every_member_of_a_stack():
             require_unitary(bad)
 
 
+@pytest.mark.parametrize("channel", ["18", "99", ""])
+def test_channel_qubits_knows_only_the_four_node_channels(channel):
+    # channel 18 lives on the eight-node extension, so it is unknown here
+    with pytest.raises(BadSubsystem, match="unknown channel"):
+        netmodel.channel_qubits(channel)
+
+
 def test_conjugate_pair_stack_refuses_other_pairs():
     mats = initial_network(NetworkConfig("MM")).mat[None]
     for pair in [(2, 1), (1, 1), (0, 4)]:
@@ -268,6 +291,13 @@ def test_conjugate_pair_stack_and_require_unitary_reject_bad_input():
         conjugate_pair_stack(mats, 4, np.eye(4), (1, 4))
     with pytest.raises(NotUnitary):
         require_unitary(np.eye(4) * 2.0)
+    # NaN compares false with the tolerance, so it must fail the check
+    with pytest.raises(NotUnitary):
+        require_unitary(np.full((4, 4), np.nan))
+    us = np.array([np.eye(4, dtype=complex)] * 3)
+    us[1, 2, 3] = complex("nan")
+    with pytest.raises(NotUnitary):
+        require_unitary(us)
 
 
 def test_evolved_network_matches_pair_closed_form():

@@ -1,6 +1,7 @@
 import inspect
 from dataclasses import replace
 from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -13,7 +14,8 @@ import dipnet.netmodel
 import dipnet.scan
 from dipnet.cli import EXIT_ORACLE, main, parse_scenario
 from dipnet.closedform import OracleMismatch, closed_channel_state
-from dipnet.netmodel import (DipolarParams, FieldError, NetworkConfig,
+from dipnet.netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS,
+                             DipolarParams, FieldError, NetworkConfig,
                              network_channel_state)
 from dipnet.qmat import NotPositive, conjugate_pair_stack
 from dipnet.scan import (BISECTION_MAX_ITER, BISECTION_RESOLUTION,
@@ -141,11 +143,64 @@ def test_series_values_refuses_channels_not_one_per_tau(channels):
                                       ("234", "18")], ids="|".join)
 def test_series_values_refuses_mixed_state_shapes(mode, channels):
     # one call scores one stack, so its channels' states share one shape
-    with pytest.raises(ValueError, match="differ in state shape"):
+    with pytest.raises(ValueError, match="cannot be evaluated on channel"):
         series_values(MM, "negativity", np.array(channels),
                       np.full(len(channels), 0.1),
                       np.linspace(0.3, 0.9, len(channels)), mode,
                       ExtensionSpec("track"))
+
+
+@pytest.mark.parametrize("mode", dipnet.scan.MODES)
+def test_scan_grid_and_series_values_refuse_the_same_pairs(mode):
+    # one rule: the pi-tangle reads the three-node channels and only those;
+    # a grid refuses a pair exactly when series_values refuses its vector
+    taus, eps = np.array([0.3, 0.9]), np.full(2, 0.1)
+    refused = set()
+    for q, ch in product(dipnet.scan.QUANTIFIERS, ALL_CHANNELS):
+        try:
+            ScanGrid(channels=(ch,), quantifiers=(q,))
+        except FieldError:
+            refused.add((q, ch))
+        ext = ExtensionSpec("track") if ch == "18" else None
+        try:
+            series_values(MM, q, np.full(2, ch), eps, taus, mode, ext)
+        except ValueError:
+            assert (q, ch) in refused, (q, ch)
+        else:
+            assert (q, ch) not in refused, (q, ch)
+    assert refused == {(q, ch) for q, ch in product(dipnet.scan.QUANTIFIERS,
+                                                    ALL_CHANNELS)
+                       if (q == "tangle") != (ch in THREE_NODE_CHANNELS)}
+
+
+@pytest.mark.parametrize("mode", dipnet.scan.MODES)
+@pytest.mark.parametrize("quantifier", ["negativity", "naqc"])
+def test_series_values_refuses_channel_18_without_an_extension(mode,
+                                                               quantifier):
+    with pytest.raises(ValueError, match="requires an ExtensionSpec"):
+        series_values(MM, quantifier, np.array(["12", "18"]),
+                      np.full(2, 0.1), np.array([0.3, 0.9]), mode)
+
+
+@pytest.mark.parametrize("mode", dipnet.scan.MODES)
+@pytest.mark.parametrize("channel, quantifier, ext", [
+    ("12", "negativity", None), ("123", "tangle", None),
+    ("18", "naqc", ExtensionSpec("track"))], ids=["12", "123", "18"])
+@pytest.mark.parametrize("eps, tau", [
+    (0.1, float("nan")), (float("nan"), 1.0), (0.1, float("inf")),
+    (0.1, 1e308), (1e308, 0.0), (0.1, -1.0)])
+def test_series_values_refuses_what_dipolar_params_refuses(
+        mode, channel, quantifier, ext, eps, tau):
+    # each route refuses a point DipolarParams refuses, with its reason,
+    # before any cos, sin or overflow warns; the bad point is not the first
+    with pytest.raises(FieldError):
+        DipolarParams(eps_tilde=eps, tau=tau)
+    with pytest.raises(ValueError, match=r"need tau >= 0 and finite "
+                                         r"phases|tau must be >= 0|phase "
+                                         r"kappa \* tau is not finite"):
+        series_values(MM, quantifier, np.full(3, channel),
+                      np.array([0.2, eps, 0.2]), np.array([0.5, tau, 0.7]),
+                      mode, ext)
 
 
 @pytest.mark.parametrize("mode", dipnet.scan.MODES)

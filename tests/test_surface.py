@@ -1,7 +1,9 @@
 """The library is what runs: every top-level function and class of
 `src/dipnet` is used by the package itself, by the benchmark (`perfbench`)
 or by the acceptance tests. A helper that only unit tests call belongs in
-`tests/conftest.py`, next to the other reference helpers."""
+`tests/conftest.py`, next to the other reference helpers. No module but
+`__init__.py`, whose imports are the package's re-exports, imports a name
+it never reads."""
 
 import ast
 from pathlib import Path
@@ -31,3 +33,20 @@ def test_every_library_name_has_a_caller_outside_the_unit_tests():
               and node.name not in used]
     assert not unused, (f"only unit tests use {', '.join(unused)}; move "
                         f"them to tests/conftest.py")
+
+
+def test_no_library_module_imports_a_name_it_never_reads():
+    leftover = []
+    for path in PACKAGE:
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        leftover += [f"{path.stem}: {name}" for node in ast.walk(tree)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     for alias in node.names
+                     # `import a.b` binds a
+                     for name in [alias.asname or alias.name.split(".")[0]]
+                     if name not in read]
+    assert not leftover, f"imported but never read: {', '.join(leftover)}"
