@@ -19,7 +19,7 @@ import numpy as np
 
 from .qmat import (DensityMatrix, conjugate_pair_stack, kron, partial_trace,
                    require_unitary)
-from .netmodel import (DipolarParams, PropagatorCoeffs, XStateParams,
+from .netmodel import (DipolarParams, XStateParams, coeff_gammas,
                        propagator_coeffs, propagator_matrix, x_state)
 
 SOURCE_FRAME_MAX_ENTANGLED = XStateParams(1.0, -1.0, 1.0)
@@ -39,31 +39,29 @@ class LedgerEntry:
     cause: str
 
 
-def _printed_pair_corner_naive(pair: XStateParams,
-                               pc: PropagatorCoeffs) -> complex:
+def _printed_pair_corner_naive(pair: XStateParams, pc: np.ndarray) -> complex:
     # literal reading: the second duplicated "A3" definition shadows the
     # first, leaving the undefined A4 symbol to collapse onto A3
-    R = [abs(r) ** 2 for r in (pc.r1, pc.r2, pc.r3, pc.r4)]
+    R = [abs(r) ** 2 for r in pc.tolist()]
     A3 = 0.25 * (pair.a - pair.b)
     A4_naive = A3
     return A3 * R[0] + A4_naive * R[1] - A4_naive * R[2] - A3 * R[3]
 
 
-def _printed_pair_inner_naive(pair: XStateParams,
-                              pc: PropagatorCoeffs) -> complex:
-    R = [abs(r) ** 2 for r in (pc.r1, pc.r2, pc.r3, pc.r4)]
+def _printed_pair_inner_naive(pair: XStateParams, pc: np.ndarray) -> complex:
+    R = [abs(r) ** 2 for r in pc.tolist()]
     A3 = 0.25 * (pair.a - pair.b)
     A4_naive = A3
     return A4_naive * R[0] + A3 * R[1] - A3 * R[2] - A4_naive * R[3]
 
 
 def _printed_malformed_diag(pair1: XStateParams, pair2: XStateParams,
-                            pc: PropagatorCoeffs) -> complex:
+                            pc: np.ndarray) -> complex:
     # the malformed trio (|011><000| + |100><111| + |111><111|) puts an
     # off-diagonal coefficient onto the (7,7) diagonal entry
     A1, A2 = 0.25 * (pair1.c + 1), 0.25 * (1 - pair1.c)
     B3, B4 = 0.25 * (pair2.a - pair2.b), 0.25 * (pair2.a + pair2.b)
-    g = pc.gammas()
+    g = coeff_gammas(pc)
     cc = lambda i, j: g[i - 1] * np.conj(g[j - 1])
     return (A2 * B3 * cc(4, 1) + A2 * B4 * cc(3, 2)
             + A1 * B4 * cc(2, 3) + A1 * B3 * cc(1, 4))

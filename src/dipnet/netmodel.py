@@ -18,7 +18,6 @@ Hamiltonian and time map as an oracle (tests/conftest.py).
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,54 +106,37 @@ def werner_params(x: float) -> XStateParams:
     return XStateParams(-x, -x, -x)
 
 
-def kappas(eps_tilde: float | np.ndarray) -> tuple:
-    """Phase rates of the propagator's three Pauli-pair terms, elementwise
-    in `eps_tilde` (kappa_z is the float -2 for any eps_tilde)."""
-    return (1 - 3 * eps_tilde, 1 + 3 * eps_tilde, -2.0)
-
-
-def require_finite_phases(eps_tilde: float, tau: float, eps_key: str,
-                          tau_key: str) -> None:
-    """FieldError unless every propagator phase kappa * tau is finite. As
-    kappa_z = -2 for any eps_tilde, an overflow there is the tau's fault."""
-    tau = float(tau)
-    if all(math.isfinite(k * tau) for k in kappas(float(eps_tilde))):
-        return
-    raise FieldError((tau_key,) if not math.isfinite(2.0 * tau) else (eps_key,),
-                     f"propagator phase kappa * tau is not finite at "
-                     f"eps_tilde = {eps_tilde}, tau = {tau}")
+def propagator_phases(eps_tilde: np.ndarray, taus: np.ndarray, eps_key: str,
+                      tau_key: str) -> np.ndarray:
+    """(3, N) phases kappa * tau of the propagator's three Pauli-pair terms,
+    kappa = (1 - 3 eps_tilde, 1 + 3 eps_tilde, -2), at every (eps_tilde,
+    tau) of two 1-d arrays: the one phase rule. FieldError at the first tau
+    that is negative or NaN or whose phases are not finite; as kappa_z = -2
+    for any eps_tilde, it blames `tau_key` when the tau is negative or 2 tau
+    is not finite, else `eps_key`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        phases = np.array([(1 - 3 * eps_tilde) * taus,
+                           (1 + 3 * eps_tilde) * taus, -2.0 * taus])
+    bad_tau = ~((taus >= 0) & np.isfinite(phases[2]))  # NaN tau too
+    bad = bad_tau | ~np.isfinite(phases[:2]).all(axis=0)
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
+        raise FieldError((tau_key,) if bad_tau[i] else (eps_key,),
+                         f"need tau >= 0 and finite phases kappa * tau, got "
+                         f"eps_tilde = {eps_tilde[i]}, tau = {taus[i]}")
+    return phases
 
 
 @dataclass(frozen=True)
 class DipolarParams:
-    """Dimensionless coupling parameters; the phase rates are always derived
-    (`kappas`) and must be finite once multiplied by tau."""
+    """Dimensionless coupling parameters that `propagator_phases` accepts."""
 
     eps_tilde: float
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise FieldError(("tau",), f"tau must be >= 0, got {self.tau}")
-        require_finite_phases(self.eps_tilde, self.tau, "eps_tilde", "tau")
-
-
-@dataclass(frozen=True)
-class PropagatorCoeffs:
-    r1: complex
-    r2: complex
-    r3: complex
-    r4: complex
-
-    def __post_init__(self):
-        norm = sum(abs(r) ** 2 for r in (self.r1, self.r2, self.r3, self.r4))
-        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"sum |r_k|^2 = {norm} deviates from 1")
-
-    def gammas(self) -> tuple[complex, complex, complex, complex]:
-        """(r2 - r3, r2 + r3, r1 - r4, r1 + r4): the propagator's entries."""
-        return (self.r2 - self.r3, self.r2 + self.r3,
-                self.r1 - self.r4, self.r1 + self.r4)
+        propagator_phases(np.array([self.eps_tilde], dtype=float),
+                          np.array([self.tau], dtype=float), "eps_tilde", "tau")
 
 
 @dataclass(frozen=True)
@@ -181,50 +163,61 @@ class NetworkConfig:
         return SINGLET_PARAMS, werner_params(self.werner_x2)
 
 
-def propagator_coeffs(p: DipolarParams) -> PropagatorCoeffs:
-    kx, ky, kz = kappas(p.eps_tilde)
-    c1, c2, c3 = np.cos(kx * p.tau), np.cos(ky * p.tau), np.cos(kz * p.tau)
-    s1, s2, s3 = np.sin(kx * p.tau), np.sin(ky * p.tau), np.sin(kz * p.tau)
-    return PropagatorCoeffs(
-        r1=complex(c1 * c2 * c3, -s1 * s2 * s3),
-        r2=complex(c1 * s2 * s3, -c2 * c3 * s1),
-        r3=complex(c2 * s1 * s3, -c1 * c3 * s2),
-        r4=complex(c3 * s1 * s2, -c1 * c2 * s3))
+def _require_unit_norm(r: np.ndarray) -> np.ndarray:
+    """The (4, N) coefficients r1..r4, once sum |r_k|^2 = 1 holds to 1e-12
+    at every tau (NaN fails)."""
+    norm = np.float_power(np.hypot(r.real, r.imag), 2.0).sum(axis=0)
+    bad = ~(np.abs(norm - 1.0) <= 1e-12)
+    if np.count_nonzero(bad):
+        raise ValueError(f"sum |r_k|^2 = {norm[bad.argmax()]} deviates from 1")
+    return r
+
+
+def propagator_coeff_stack(eps_tilde: np.ndarray,
+                           taus: np.ndarray) -> np.ndarray:
+    """(4, N) dense-route propagator coefficients r1..r4 at every tau of the
+    1-d array `taus`, with `eps_tilde` a 1-d array of one eps per tau, each
+    a product of the phases' cosines c1..c3 and sines s1..s3."""
+    phases = propagator_phases(eps_tilde, taus, "eps_tilde", "tau")
+    (c1, c2, c3), (s1, s2, s3) = np.cos(phases), np.sin(phases)
+    r = np.empty((4, len(taus)), dtype=complex)
+    r.real = c1 * c2 * c3, c1 * s2 * s3, c2 * s1 * s3, c3 * s1 * s2
+    r.imag = -s1 * s2 * s3, -c2 * c3 * s1, -c1 * c3 * s2, -c1 * c2 * s3
+    return _require_unit_norm(r)
+
+
+def coeff_gammas(r: np.ndarray) -> np.ndarray:
+    """Propagator entries g1..g4 = (r2 - r3, r2 + r3, r1 - r4, r1 + r4) of
+    the coefficients r1..r4 stacked on the first axis."""
+    return np.array([r[1] - r[2], r[1] + r[2], r[0] - r[3], r[0] + r[3]])
+
+
+def propagator_coeffs(p: DipolarParams) -> np.ndarray:
+    """(4,) r1..r4 at one point: `propagator_coeff_stack`'s N = 1 column."""
+    return propagator_coeff_stack(np.array([p.eps_tilde]),
+                                  np.array([p.tau]))[:, 0]
 
 
 # Factor indices into (c1, c2, c3, s1, s2, s3) of the products, taken left
-# to right, that form Re r1..r4 and -Im r1..r4 in `propagator_coeffs`.
+# to right, that form Re r1..r4 and -Im r1..r4 in `propagator_coeff_stack`.
 _R_FACTORS = np.array([[0, 1, 2], [0, 4, 5], [1, 3, 5], [2, 3, 4],
                        [3, 4, 5], [1, 2, 3], [0, 2, 4], [0, 1, 5]]).T
 
 
 def propagator_gammas(eps_tilde: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """(4, N) propagator entries g1..g4 = (r2 - r3, r2 + r3, r1 - r4,
-    r1 + r4) at every tau of the 1-d array `taus`, with `eps_tilde` a 1-d
-    array of one eps per tau: the closed-form kernel's vectorised
-    `propagator_coeffs(p).gammas()`, rounding as it does. It refuses what
-    `DipolarParams` refuses, before any cos or sin, and checks sum |r_k|^2
-    = 1 for every element; the dense path keeps the scalar
-    `propagator_coeffs`, so each route computes the phases on its own."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        phases = np.array([k * taus for k in kappas(eps_tilde)])
-    bad = ~((taus >= 0) & np.isfinite(phases).all(axis=0))  # NaN tau too
-    if np.count_nonzero(bad):
-        i = int(bad.argmax())
-        raise ValueError(f"need tau >= 0 and finite phases kappa * tau, got "
-                         f"eps_tilde = {eps_tilde[i]}, tau = {taus[i]}")
+    """(4, N) propagator entries g1..g4 at every tau of the 1-d array
+    `taus`, with `eps_tilde` a 1-d array of one eps per tau, for the
+    closed-form kernel: the phase rule, norm check and r -> g map of
+    `propagator_coeff_stack`, but its own gather of the cos and sin
+    products, so each route forms the propagator on its own."""
+    phases = propagator_phases(eps_tilde, taus, "eps_tilde", "tau")
     cs = np.concatenate([np.cos(phases), np.sin(phases)])
     f = cs[_R_FACTORS]
     prod = f[0] * f[1] * f[2]
     r = np.empty((4, len(taus)), dtype=complex)
     r.real = prod[:4]
     np.negative(prod[4:], out=r.imag)
-    norm = np.float_power(np.hypot(r.real, r.imag), 2.0).sum(axis=0)
-    bad = ~(np.abs(norm - 1.0) <= 1e-12)
-    if np.count_nonzero(bad):
-        raise ValueError(f"sum |r_k|^2 = {norm[bad.argmax()]} deviates from 1")
-    head, tail = r[[1, 0]], r[[2, 3]]
-    return np.concatenate([head - tail, head + tail])[[0, 2, 1, 3]]
+    return coeff_gammas(_require_unit_norm(r))
 
 
 # Entry of (g1, g2, g3, g4, 0) at each position of the 4x4 propagator.
@@ -249,8 +242,7 @@ def coupling_matrices(gammas: np.ndarray) -> np.ndarray:
 
 def propagator_matrix(p: DipolarParams) -> ComplexMatrix:
     """The two-qubit dipolar propagator (layout: `coupling_matrices`)."""
-    return coupling_matrices(np.reshape(propagator_coeffs(p).gammas(),
-                                        (4, 1)))[0]
+    return coupling_matrices(coeff_gammas(propagator_coeffs(p))[:, None])[0]
 
 
 def x_states(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -304,9 +296,10 @@ def network_channel_states(cfg: NetworkConfig, channel: str,
     """(N, d, d) dense-path states of a named channel at every tau of the
     1-d array `taus` (a block of `scan.series_values`), with `eps_tilde` a
     1-d array of one eps per tau, in one pass: the initial network
-    conjugated on qubits (1, 2) by the scalar `propagator_matrix` of each
-    tau's `DipolarParams`, then reduced. The unitaries and the evolved
-    network stack are validated here, the reduced states by the caller.
+    conjugated on qubits (1, 2) by the block's propagators (one
+    `propagator_coeff_stack`, one `coupling_matrices` call), then reduced.
+    The unitaries and the evolved network stack are validated here, the
+    reduced states by the caller.
 
     Channel "18" joins two such four-node hops (qubits 0-3 and 4-7) by a
     bridge coupling at `p_bridge` (default: the inner coupling at each tau)
@@ -316,9 +309,8 @@ def network_channel_states(cfg: NetworkConfig, channel: str,
     bridge on (3, 4) keeping (0, 7) instead provably returns I/4 for every
     parameter value, so this layout carries the extension's entanglement.
     """
-    us = require_unitary(np.array([
-        propagator_matrix(DipolarParams(eps_tilde=eps, tau=tau))
-        for eps, tau in zip(eps_tilde.tolist(), taus.tolist())]))
+    us = require_unitary(coupling_matrices(coeff_gammas(
+        propagator_coeff_stack(eps_tilde, taus))))
     hops = require_density_stack(conjugate_pair_stack(np.broadcast_to(
         initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2)), 4)
     if channel != "18":

@@ -16,7 +16,7 @@ from .closedform import closed_channel_states, require_oracle_agreement
 from .measures import naqc_degree_stack, negativity_stack, pi_tangle_stack
 from .netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS, TWO_NODE_CHANNELS,
                        DipolarParams, FieldError, NetworkConfig,
-                       network_channel_states, require_finite_phases)
+                       network_channel_states, propagator_phases)
 from .qmat import require_density_stack
 
 ZERO_TOL = 1e-6
@@ -83,8 +83,9 @@ class ScanGrid:
             # a repeat would key two series alike; -0 equals 0 here
             if len(set(entries)) < len(entries):
                 raise FieldError((key,), f"{key} repeats an entry")
-        for eps in self.eps_values:
-            require_finite_phases(eps, self.tau_max, "eps_values", "tau_max")
+        propagator_phases(np.array(self.eps_values, dtype=float),
+                          np.full(len(self.eps_values), float(self.tau_max)),
+                          "eps_values", "tau_max")
         steps = np.diff(self.taus())
         # tangle series are scanned for sudden changes, which need even steps
         if (steps <= 0).any() or ("tangle" in self.quantifiers
@@ -187,6 +188,8 @@ def series_values(cfg: NetworkConfig, quantifier: str, channels: np.ndarray,
             raise ValueError(f"{name} must be an array of one {noun} per tau")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if quantifier not in QUANTIFIER_TABLE:
+        raise ValueError(f"unknown quantifier {quantifier!r}")
     nqubits, _, score = QUANTIFIER_TABLE[quantifier]
     routes = {"closed_form": [closed_channel_states],
               "dense": [network_channel_states],

@@ -5,8 +5,7 @@ import pytest
 
 import dipnet.closedform as closedform
 import dipnet.measures as measures
-from dipnet.netmodel import (DipolarParams, coupling_matrices, initial_network,
-                             propagator_matrix)
+from dipnet.netmodel import channel_qubits, coupling_matrices, initial_network
 from dipnet.qmat import (BadSubsystem, DensityMatrix, as_complex_matrix,
                          conjugate_pair_stack, kron, partial_trace_stack,
                          require_hermitian_stack)
@@ -146,18 +145,48 @@ def naqc_average(rho2: DensityMatrix) -> float:
     return float(measures._naqc_average_stack(rho2.mat[None])[0])
 
 
-def dense_channel_18_reference(cfg, eps_tilde: float, taus: np.ndarray,
-                               p_bridge=None) -> np.ndarray:
-    """Channel 18 by brute force, as the dense route built it before it went
-    to slices: the hop stack as `netmodel` builds it, then per tau the
-    256x256 kron(hop, hop), the bridge on qubits (2, 4) and the trace to
-    (0, 4); unvalidated, like `netmodel.network_channel_states`."""
-    us = np.array([propagator_matrix(DipolarParams(eps_tilde=eps_tilde,
-                                                   tau=tau))
-                   for tau in taus.tolist()])
+def propagator_coeffs_reference(eps_tilde: float, tau: float) -> tuple:
+    """r1..r4 at one (eps_tilde, tau), as the scalar `propagator_coeffs`
+    formed them before the dense route built one stack per block."""
+    kx, ky, kz = 1 - 3 * eps_tilde, 1 + 3 * eps_tilde, -2.0
+    c1, c2, c3 = np.cos(kx * tau), np.cos(ky * tau), np.cos(kz * tau)
+    s1, s2, s3 = np.sin(kx * tau), np.sin(ky * tau), np.sin(kz * tau)
+    return (complex(c1 * c2 * c3, -s1 * s2 * s3),
+            complex(c1 * s2 * s3, -c2 * c3 * s1),
+            complex(c2 * s1 * s3, -c1 * c3 * s2),
+            complex(c3 * s1 * s2, -c1 * c2 * s3))
+
+
+def gammas_reference(eps_tilde: float, tau: float) -> tuple:
+    """g1..g4 = (r2 - r3, r2 + r3, r1 - r4, r1 + r4) of the reference r."""
+    r1, r2, r3, r4 = propagator_coeffs_reference(eps_tilde, tau)
+    return r2 - r3, r2 + r3, r1 - r4, r1 + r4
+
+
+def dense_unitaries_reference(eps_tilde: np.ndarray,
+                              taus: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) propagators, one `coupling_matrices` call per tau on the
+    reference g1..g4: the dense route's per-tau loop before its stack."""
+    return np.array([coupling_matrices(np.reshape(gammas_reference(e, t),
+                                                  (4, 1)))[0]
+                     for e, t in zip(eps_tilde.tolist(), taus.tolist())])
+
+
+def dense_channel_states_reference(cfg, channel: str, eps_tilde: np.ndarray,
+                                   taus: np.ndarray,
+                                   p_bridge=None) -> np.ndarray:
+    """The dense route's states from the per-tau reference propagators: the
+    hop stack as `netmodel` builds it, then the partial trace, or for
+    channel 18, by brute force, per tau the 256x256 kron(hop, hop), the
+    bridge on qubits (2, 4) and the trace to (0, 4); unvalidated, like
+    `netmodel.network_channel_states`."""
+    us = dense_unitaries_reference(eps_tilde, taus)
     hops = conjugate_pair_stack(np.broadcast_to(
         initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2))
-    bridges = us if p_bridge is None else [propagator_matrix(p_bridge)] * len(us)
+    if channel != "18":
+        return partial_trace_stack(hops, 4, channel_qubits(channel))
+    bridges = us if p_bridge is None else np.repeat(dense_unitaries_reference(
+        np.array([p_bridge.eps_tilde]), np.array([p_bridge.tau])), len(us), 0)
     return np.array([partial_trace_stack(conjugate_pair_stack(
         kron(hop, hop)[None], 8, bridge, (2, 4)), 8, (0, 4))[0]
         for hop, bridge in zip(hops, bridges)])

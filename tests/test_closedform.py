@@ -15,7 +15,8 @@ from dipnet.measures import pi_tangle
 from dipnet.netmodel import (PAULIS, DipolarParams, NetworkConfig,
                              XStateParams, channel_qubits,
                              extend_to_eight, network_channel_state,
-                             THREE_NODE_CHANNELS, propagator_coeffs,
+                             THREE_NODE_CHANNELS, coeff_gammas,
+                             propagator_coeffs,
                              propagator_gammas, propagator_matrix, x_state)
 from dipnet.qmat import (ORACLE_TOL, DensityMatrix, conjugate_pair_stack,
                          kron, partial_trace, require_unitary)
@@ -44,7 +45,8 @@ def _pauli_coeffs(rho):
 def test_coeffs_singlet_pairs():
     # singlet pairs carry (a, b, c) = (-1, -1, -1); each two-node channel
     # holds it damped elementwise by its pair's damping
-    gammas = propagator_coeffs(DipolarParams(eps_tilde=0.2, tau=0.9)).gammas()
+    gammas = coeff_gammas(propagator_coeffs(DipolarParams(eps_tilde=0.2,
+                                                          tau=0.9)))
     lam = np.array(kept_pair_damping(gammas))
     eta = np.array(cross_pair_damping(gammas))
     for channel, damping in (("12", lam), ("34", lam), ("14", eta),
@@ -54,8 +56,9 @@ def test_coeffs_singlet_pairs():
 
 
 def test_coeffs_gammas_at_tau_zero():
-    gammas = propagator_coeffs(DipolarParams(eps_tilde=0.35, tau=0.0)).gammas()
-    assert gammas == (0.0, 0.0, 1.0, 1.0)
+    gammas = coeff_gammas(propagator_coeffs(DipolarParams(eps_tilde=0.35,
+                                                          tau=0.0)))
+    assert gammas.tolist() == [0.0, 0.0, 1.0, 1.0]
     # no evolution: kept pairs are untouched and nothing crosses
     assert kept_pair_damping(gammas) == (1.0, 1.0, 1.0)
     assert cross_pair_damping(gammas) == (0.0, 0.0, 0.0)
@@ -63,7 +66,8 @@ def test_coeffs_gammas_at_tau_zero():
 
 def test_coeffs_maximally_mixed_pairs():
     mixed = XStateParams(0.0, 0.0, 0.0)
-    gammas = propagator_coeffs(DipolarParams(eps_tilde=0.1, tau=0.4)).gammas()
+    gammas = coeff_gammas(propagator_coeffs(DipolarParams(eps_tilde=0.1,
+                                                          tau=0.4)))
     for channel in CLOSED_CHANNELS + ("13", "24", "18"):
         rho = channel_states(channel, mixed, mixed,
                              np.reshape(gammas, (4, 1)))[0]
@@ -143,7 +147,7 @@ def test_closed_forms_match_dense_random_params(rng):
         p1, p2 = _random_pair(rng), _random_pair(rng)
         p = DipolarParams(eps_tilde=float(rng.uniform(-0.4, 0.5)),
                           tau=float(rng.uniform(0.0, 8.0)))
-        gammas = propagator_coeffs(p).gammas()
+        gammas = coeff_gammas(propagator_coeffs(p))
         net = kron(x_state(p1).mat, x_state(p2).mat)
         u = require_unitary(propagator_matrix(p))
         net = DensityMatrix(conjugate_pair_stack(net[None], 4, u, (1, 2))[0], 4)

@@ -8,20 +8,22 @@ from dipnet.measures import negativity
 import dipnet.netmodel as netmodel
 import dipnet.qmat as qmat
 import dipnet.scan as scan
-from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, FieldError,
-                             NetworkConfig, XStateParams, bell_weights,
-                             evolved_network, extend_to_eight,
-                             initial_network, network_channel_state,
-                             network_channel_states, propagator_coeffs,
-                             propagator_matrix, werner_params, x_state)
+from dipnet.netmodel import (ALL_CHANNELS, SINGLET_PARAMS, DipolarParams,
+                             FieldError, NetworkConfig, XStateParams,
+                             bell_weights, coeff_gammas, evolved_network,
+                             extend_to_eight, initial_network,
+                             network_channel_state, network_channel_states,
+                             propagator_coeff_stack, propagator_coeffs,
+                             propagator_gammas, propagator_matrix,
+                             werner_params, x_state)
 from dipnet.qmat import (BadSubsystem, NotPositive, NotUnitary,
                          conjugate_pair_stack, kron, partial_trace,
                          partial_trace_stack, require_unitary)
 
-from conftest import (charpoly_eigenvalues, dense_channel_18_reference,
-                      dipolar_hamiltonian, ginibre_density,
+from conftest import (charpoly_eigenvalues, dense_channel_states_reference,
+                      dipolar_hamiltonian, gammas_reference, ginibre_density,
                       hermitian_eigenvalues, matrix_exp_hermitian,
-                      tau_to_time)
+                      propagator_coeffs_reference, tau_to_time)
 
 SINGLET_MAT = np.array([[0, 0, 0, 0],
                         [0, 0.5, -0.5, 0],
@@ -61,38 +63,89 @@ def test_coupling_refuses_non_finite_phases(eps, tau, key):
     with pytest.raises(FieldError) as err:
         DipolarParams(eps_tilde=eps, tau=tau)
     assert err.value.keys == (key,)
-    # the closed route's propagator refuses the point too, wherever it
-    # stands in the vector, before any cos, sin or overflowing product
+    # both routes' propagator stacks refuse the point too, with the same
+    # keys, wherever it stands in the vector, before any cos, sin or
+    # overflowing product
     for k in range(3):
         eps_tilde, taus = np.full(3, 0.2), np.full(3, 0.5)
         eps_tilde[k], taus[k] = eps, tau
-        with pytest.raises(ValueError, match="need tau >= 0 and finite"):
-            netmodel.propagator_gammas(eps_tilde, taus)
+        for stack in (propagator_gammas, propagator_coeff_stack):
+            with pytest.raises(FieldError, match="need tau >= 0 and finite"
+                               ) as err:
+                stack(eps_tilde, taus)
+            assert err.value.keys == (key,)
 
 
 @pytest.mark.parametrize("coeffs", [(complex("nan"), 0, 0, 0),
                                     (1, complex(0, float("nan")), 0, 0),
                                     (float("inf"), 0, 0, 0)])
 def test_propagator_coeffs_refuse_non_finite_entries(coeffs):
+    # the one norm check of both stacks fails on NaN and inf, at any tau
+    r = np.array([[1, 0, 0, 0], coeffs, [0, 1, 0, 0]], dtype=complex).T
     with pytest.raises(ValueError, match="deviates from 1"):
-        netmodel.PropagatorCoeffs(*coeffs)
+        netmodel._require_unit_norm(r)
 
 
 def test_propagator_coeffs_tau_zero():
-    pc = propagator_coeffs(DipolarParams(eps_tilde=0.4, tau=0.0))
-    assert pc.r1 == 1.0 and pc.r2 == pc.r3 == pc.r4 == 0.0
+    r1, r2, r3, r4 = propagator_coeffs(DipolarParams(eps_tilde=0.4, tau=0.0))
+    assert r1 == 1.0 and r2 == r3 == r4 == 0.0
 
 
 def test_propagator_coeffs_tau_pi_eps_zero():
-    pc = propagator_coeffs(DipolarParams(eps_tilde=0.0, tau=np.pi))
-    assert abs(pc.r1 - 1.0) < 1e-12
-    assert max(abs(pc.r2), abs(pc.r3), abs(pc.r4)) < 1e-12
+    r1, *rest = propagator_coeffs(DipolarParams(eps_tilde=0.0, tau=np.pi))
+    assert abs(r1 - 1.0) < 1e-12
+    assert max(abs(r) for r in rest) < 1e-12
 
 
 def test_propagator_coeffs_normalization():
     pc = propagator_coeffs(DipolarParams(eps_tilde=0.3, tau=0.7))
-    norm = sum(abs(r) ** 2 for r in (pc.r1, pc.r2, pc.r3, pc.r4))
+    norm = sum(abs(r) ** 2 for r in pc)
     assert abs(norm - 1.0) < 1e-12
+
+
+def test_propagator_stacks_equal_the_scalar_reference():
+    # the dense stack, its one-point column and matrix, and the closed
+    # route's gammas keep the scalar formula's bits at every point: eps = 0
+    # of either sign, tau = 0 and both signs of eps among them
+    rng = np.random.default_rng(21)
+    for n in (1, 9, 300):
+        eps = rng.uniform(-0.5, 0.5, size=n)
+        taus = rng.uniform(0.0, 10.0, size=n)
+        eps[:5] = [0.0, -0.0, 0.3, -0.3, 0.0][:n]
+        taus[:5] = [0.0, 1.7, 0.0, 2.9, 1e6][:n]
+        eps[rng.random(n) < 0.1] = 0.0
+        taus[rng.random(n) < 0.1] = 0.0
+        points = list(zip(eps.tolist(), taus.tolist()))
+        want = np.array([propagator_coeffs_reference(*pt) for pt in points]).T
+        assert propagator_coeff_stack(eps, taus).tobytes() == want.tobytes()
+        gammas = np.array([gammas_reference(*pt) for pt in points]).T
+        assert coeff_gammas(want).tobytes() == gammas.tobytes()
+        assert propagator_gammas(eps, taus).tobytes() == gammas.tobytes()
+        for k, (e, t) in enumerate(points[:12]):
+            p = DipolarParams(eps_tilde=e, tau=t)
+            assert propagator_coeffs(p).tobytes() == want[:, k].tobytes()
+            assert propagator_matrix(p).tobytes() == netmodel.coupling_matrices(
+                gammas[:, k:k + 1])[0].tobytes()
+
+
+@pytest.mark.parametrize("channel", ALL_CHANNELS[:-1])
+def test_dense_states_equal_the_per_tau_reference(channel):
+    # one propagator stack per call keeps the bits of a per-tau
+    # coupling_matrices loop on any network and tau vector (channel 18:
+    # test_channel_18_slices_equal_the_256_dim_route)
+    rng = np.random.default_rng(len(channel) * 100 + int(channel))
+    for i in range(6):
+        cfg = NetworkConfig(("MM", "WW", "MW")[i % 3],
+                            werner_x1=float(rng.uniform()),
+                            werner_x2=float(rng.uniform()))
+        n = int(rng.integers(1, 40))
+        eps = rng.uniform(-0.5, 0.5, size=n)
+        taus = rng.uniform(0.0, 10.0, size=n)
+        eps[rng.random(n) < 0.2] = 0.0
+        taus[rng.random(n) < 0.2] = 0.0
+        got = network_channel_states(cfg, channel, eps, taus)
+        want = dense_channel_states_reference(cfg, channel, eps, taus)
+        assert got.tobytes() == want.tobytes(), (cfg, channel, n)
 
 
 def test_propagator_identity_at_tau_zero():
@@ -307,7 +360,7 @@ def test_evolved_network_matches_pair_closed_form():
     for tau, eps in [(0.5, 0.1), (1.4, -0.2), (3.3, 0.3)]:
         p = DipolarParams(eps_tilde=eps, tau=tau)
         dense = partial_trace(evolved_network(cfg, p), (0, 1))
-        lx, ly, lz = kept_pair_damping(propagator_coeffs(p).gammas())
+        lx, ly, lz = kept_pair_damping(coeff_gammas(propagator_coeffs(p)))
         closed = x_state(XStateParams(-lx, -ly, -lz))
         assert np.abs(dense.mat - closed.mat).max() < 1e-12
 
@@ -366,7 +419,8 @@ def test_channel_18_slices_equal_the_256_dim_route(bridge):
         p_bridge = None if bridge == "track" else DipolarParams(
             eps_tilde=float(rng.uniform(-0.5, 0.5)),
             tau=float(rng.uniform(0.0, 10.0)))
-        want = dense_channel_18_reference(cfg, eps, taus, p_bridge)
+        want = dense_channel_states_reference(
+            cfg, "18", np.full(taus.shape, eps), taus, p_bridge)
         got = network_channel_states(cfg, "18", np.full(taus.shape, eps),
                                      taus, p_bridge)
         assert np.array_equal(got, want), (cfg, eps, taus, p_bridge)

@@ -16,7 +16,8 @@ from dipnet.cli import EXIT_ORACLE, main, parse_scenario
 from dipnet.closedform import OracleMismatch, closed_channel_state
 from dipnet.netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS,
                              DipolarParams, FieldError, NetworkConfig,
-                             network_channel_state)
+                             network_channel_state, propagator_coeff_stack,
+                             propagator_gammas)
 from dipnet.qmat import NotPositive, conjugate_pair_stack
 from dipnet.scan import (BISECTION_MAX_ITER, BISECTION_RESOLUTION,
                          PEAK_PROMINENCE_FRACTION, ZERO_TOL, EventRecord,
@@ -182,6 +183,9 @@ def test_series_values_refuses_channel_18_without_an_extension(mode,
                       np.full(2, 0.1), np.array([0.3, 0.9]), mode)
 
 
+PHASE_REFUSAL = r"^need tau >= 0 and finite phases kappa \* tau, got "
+
+
 @pytest.mark.parametrize("mode", dipnet.scan.MODES)
 @pytest.mark.parametrize("channel, quantifier, ext", [
     ("12", "negativity", None), ("123", "tangle", None),
@@ -191,16 +195,33 @@ def test_series_values_refuses_channel_18_without_an_extension(mode,
     (0.1, 1e308), (1e308, 0.0), (0.1, -1.0)])
 def test_series_values_refuses_what_dipolar_params_refuses(
         mode, channel, quantifier, ext, eps, tau):
-    # each route refuses a point DipolarParams refuses, with its reason,
-    # before any cos, sin or overflow warns; the bad point is not the first
-    with pytest.raises(FieldError):
+    # one phase rule: both routes' propagator stacks and series_values
+    # refuse a point DipolarParams refuses with its FieldError, keys and
+    # message, before any cos, sin or overflow warns; the bad point is not
+    # the first
+    with pytest.raises(FieldError) as want:
         DipolarParams(eps_tilde=eps, tau=tau)
-    with pytest.raises(ValueError, match=r"need tau >= 0 and finite "
-                                         r"phases|tau must be >= 0|phase "
-                                         r"kappa \* tau is not finite"):
-        series_values(MM, quantifier, np.full(3, channel),
-                      np.array([0.2, eps, 0.2]), np.array([0.5, tau, 0.7]),
-                      mode, ext)
+    eps_tilde, taus = np.array([0.2, eps, 0.2]), np.array([0.5, tau, 0.7])
+    for refuse in (propagator_gammas, propagator_coeff_stack,
+                   partial(series_values, MM, quantifier, np.full(3, channel),
+                           mode=mode, extension=ext)):
+        with pytest.raises(FieldError, match=PHASE_REFUSAL) as got:
+            refuse(eps_tilde, taus)
+        assert got.value.keys == want.value.keys, refuse
+        assert str(got.value) == str(want.value), refuse
+
+
+@pytest.mark.parametrize("mode", dipnet.scan.MODES)
+def test_series_values_refuses_an_unknown_quantifier(monkeypatch, mode):
+    # refused as an unknown mode is, before any state is built
+    def forbidden(*args):
+        raise AssertionError("a state was built")
+
+    for route in ("closed_channel_states", "network_channel_states"):
+        monkeypatch.setattr(dipnet.scan, route, forbidden)
+    with pytest.raises(ValueError, match="unknown quantifier 'concurrence'"):
+        series_values(MM, "concurrence", np.array(["12"]), np.array([0.1]),
+                      np.array([0.5]), mode)
 
 
 @pytest.mark.parametrize("mode", dipnet.scan.MODES)

@@ -11,6 +11,10 @@
 # write `sha256sum ./*/*.csv ./*/*_events.txt`, taken in OUT_DIR, to the
 # pins file.
 set -eu
+if [ $# -ne 1 ]; then
+    echo "usage: sh tests/three_mode_outputs.sh OUT_DIR" >&2
+    exit 2
+fi
 out=$1
 pins=$(pwd)/tests/data/three_mode_outputs.sha256
 for mode in closed_form dense validate; do
