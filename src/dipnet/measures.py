@@ -9,14 +9,14 @@ Conventions, fixed by test against independent oracles:
    trace-norm convention ||rho^T|| - 1 (identical to 2*sum|neg| for unit
    trace inputs, so the doubled/undoubled distinction is vacuous there).
 
-Each quantifier has a stack form over an (N, d, d) array of states
-(`negativity_stack`, `naqc_degree_stack`, `pi_tangle_stack`); the scalar
-functions are their N = 1 case, so the closed-form kernel and the dense and
-validate routes score with the same arithmetic.
+Each quantifier maps an (N, d, d) stack of states to its (N,) values
+(`negativity_stack`, `naqc_degree_stack`, `pi_tangle_stack`); each scalar
+function returns the float of its N = 1 case, so every route scores with
+the same arithmetic. `global_negativity` and `pairwise_negativity` read the
+pi-tangle's parts of one three-qubit state.
 """
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,23 +45,6 @@ _STEERED_BASES = np.array([[_AXIS_BASIS[j] for j in AXES if j != axis]
                            for axis, _ in _BRANCHES])
 
 
-@dataclass(frozen=True)
-class TangleBreakdown:
-    """One-vs-rest and pairwise negativities with the three residuals; the
-    fields are floats, or (N,) arrays from `pi_tangle_stack`."""
-
-    n_a_bc: float
-    n_b_ac: float
-    n_c_ab: float
-    n_ab: float
-    n_ac: float
-    n_bc: float
-    pi_a: float
-    pi_b: float
-    pi_c: float
-    pi: float
-
-
 def _require_qubits(mats: np.ndarray, n: int, what: str) -> None:
     if mats.shape[-1] != 2 ** n:
         got = mats.shape[-1].bit_length() - 1
@@ -82,8 +65,11 @@ def negativity(rho: DensityMatrix) -> float:
     return float(negativity_stack(rho.mat[None])[0])
 
 
-def _clip_negative(val: np.ndarray) -> np.ndarray:
-    return np.where(val < 0.0, 0.0, val)
+def _negativities(pts: np.ndarray, n: int) -> np.ndarray:
+    """(n, k) negativities ||pt|| - 1, clipped at zero, of a flat stack of
+    n * k partial transposes."""
+    val = trace_norm_stack(pts) - 1.0
+    return np.where(val < 0.0, 0.0, val).reshape(n, -1)
 
 
 def _one_vs_rest_negativities(mats: np.ndarray, foci) -> np.ndarray:
@@ -91,24 +77,22 @@ def _one_vs_rest_negativities(mats: np.ndarray, foci) -> np.ndarray:
     batched trace norm for all foci."""
     pts = np.stack([partial_transpose_stack(mats, 3, (f,)) for f in foci],
                    axis=1).reshape(-1, 8, 8)
-    return _clip_negative(trace_norm_stack(pts) - 1.0).reshape(len(mats), -1)
+    return _negativities(pts, len(mats))
 
 
-def _pairwise_negativities(mats: np.ndarray, nqubits: int,
-                           pairs) -> np.ndarray:
-    """(N, len(pairs)) negativities of the two-qubit marginals, transposed
-    on each pair's second qubit; every marginal is validated."""
-    marginals = np.stack([partial_trace_stack(mats, nqubits, pair)
+def _pairwise_negativities(mats: np.ndarray, pairs) -> np.ndarray:
+    """(N, len(pairs)) negativities of the validated two-qubit marginals of
+    a three-qubit stack, transposed on each pair's second qubit."""
+    marginals = np.stack([partial_trace_stack(mats, 3, pair)
                           for pair in pairs], axis=1).reshape(-1, 4, 4)
     require_density_stack(marginals, 2)
-    pts = partial_transpose_stack(marginals, 2, (1,))
-    return _clip_negative(trace_norm_stack(pts) - 1.0).reshape(len(mats), -1)
+    return _negativities(partial_transpose_stack(marginals, 2, (1,)),
+                         len(mats))
 
 
 def global_negativity(rho: DensityMatrix, focus: int) -> float:
     """One-vs-rest negativity ||rho^{T_focus}|| - 1, clipped at zero."""
-    if rho.nqubits != 3:
-        raise BadSubsystem(f"global_negativity needs 3 qubits, got {rho.nqubits}")
+    _require_qubits(rho.mat, 3, "global_negativity")
     if not 0 <= focus < 3:
         raise BadSubsystem(f"focus {focus} out of range")
     return float(_one_vs_rest_negativities(rho.mat[None], (focus,))[0, 0])
@@ -117,36 +101,29 @@ def global_negativity(rho: DensityMatrix, focus: int) -> float:
 def pairwise_negativity(rho3: DensityMatrix, pair: tuple[int, int]) -> float:
     """Negativity of the two-qubit marginal, trace-norm convention with the
     transpose on the pair's second qubit."""
-    i, j = pair
-    if not 0 <= i < j < 3:
-        raise BadSubsystem(f"need 0 <= i < j < 3, got {pair}")
-    return float(_pairwise_negativities(rho3.mat[None], rho3.nqubits,
-                                        (pair,))[0, 0])
+    _require_qubits(rho3.mat, 3, "pairwise_negativity")
+    if len(pair) != 2 or not 0 <= pair[0] < pair[1] < 3:
+        raise BadSubsystem(f"need a pair 0 <= i < j < 3, got {pair}")
+    return float(_pairwise_negativities(rho3.mat[None], (pair,))[0, 0])
 
 
-def pi_tangle_stack(mats: np.ndarray) -> TangleBreakdown:
-    """Residual tripartite entanglement of every state of an (N, 8, 8)
-    stack, from squared negativities."""
+def pi_tangle_stack(mats: np.ndarray) -> np.ndarray:
+    """Pi-tangle of every state of an (N, 8, 8) stack: the mean over the three
+    foci of the residuals N_a,bc^2 - N_ab^2 - N_ac^2 (and cyclic)."""
     _require_qubits(mats, 3, "pi_tangle")
     n_a, n_b, n_c = _one_vs_rest_negativities(mats, (0, 1, 2)).T
     n_ab, n_ac, n_bc = _pairwise_negativities(
-        mats, 3, ((0, 1), (0, 2), (1, 2))).T
+        mats, ((0, 1), (0, 2), (1, 2))).T
     sq = lambda x: np.float_power(x, 2.0)  # libm pow, as float ** 2
     pi_a = sq(n_a) - sq(n_ab) - sq(n_ac)
     pi_b = sq(n_b) - sq(n_ab) - sq(n_bc)
     pi_c = sq(n_c) - sq(n_ac) - sq(n_bc)
-    return TangleBreakdown(
-        n_a_bc=n_a, n_b_ac=n_b, n_c_ab=n_c,
-        n_ab=n_ab, n_ac=n_ac, n_bc=n_bc,
-        pi_a=pi_a, pi_b=pi_b, pi_c=pi_c,
-        pi=(pi_a + pi_b + pi_c) / 3.0)
+    return (pi_a + pi_b + pi_c) / 3.0
 
 
-def pi_tangle(rho3: DensityMatrix) -> TangleBreakdown:
+def pi_tangle(rho3: DensityMatrix) -> float:
     """Residual tripartite entanglement from squared negativities."""
-    stack = pi_tangle_stack(rho3.mat[None])
-    return TangleBreakdown(*(float(getattr(stack, f.name)[0])
-                             for f in fields(TangleBreakdown)))
+    return float(pi_tangle_stack(rho3.mat[None])[0])
 
 
 def _l1_coherence_stack(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:

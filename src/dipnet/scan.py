@@ -32,11 +32,12 @@ SPACING_TOL = 1e-9  # relative spread of tau steps that still counts as uniform
 
 MODES = ("closed_form", "dense", "validate")
 # quantifier -> (qubits of the states it reads, the channels it reads, its
-# scorer of a validated (n, d, d) stack); ScanGrid and series_values obey it
+# scorer, from a validated (n, d, d) stack to its (n,) values); ScanGrid and
+# series_values obey it
 QUANTIFIER_TABLE = {
     "negativity": (2, TWO_NODE_CHANNELS + ("18",), negativity_stack),
     "naqc": (2, TWO_NODE_CHANNELS + ("18",), naqc_degree_stack),
-    "tangle": (3, THREE_NODE_CHANNELS, lambda mats: pi_tangle_stack(mats).pi),
+    "tangle": (3, THREE_NODE_CHANNELS, pi_tangle_stack),
 }
 QUANTIFIERS = tuple(QUANTIFIER_TABLE)
 

@@ -232,7 +232,7 @@ def test_criterion_11_measure_unit_values(rng):
     checks = {
         "singlet negativity = 1": abs(negativity(singlet) - 1) < 1e-12,
         "werner(0.5) negativity = 0.25": abs(negativity(werner) - 0.25) < 1e-12,
-        "GHZ pi-tangle = 1": abs(pi_tangle(ghz_rho).pi - 1) < 1e-10,
+        "GHZ pi-tangle = 1": abs(pi_tangle(ghz_rho) - 1) < 1e-10,
         "bell naqc_degree = 1": abs(naqc_degree(bell) - 1) < 1e-9,
         "mixed naqc_degree = 0": naqc_degree(mixed) == 0.0,
     }

@@ -120,7 +120,7 @@ def test_three_node_hermitian_and_traced():
 
 
 def test_tangle_of_124_vanishes_at_tau_zero():
-    assert abs(pi_tangle(_closed(MM, 0.0, 0.1, "124")).pi) < 1e-10
+    assert abs(pi_tangle(_closed(MM, 0.0, 0.1, "124"))) < 1e-10
 
 
 @pytest.mark.parametrize("cfg", KINDS, ids=lambda c: c.kind)

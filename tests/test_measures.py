@@ -3,8 +3,10 @@ import pytest
 
 from dipnet.measures import (NAQC_CRITICAL, global_negativity, naqc_degree,
                              negativity, pairwise_negativity, pi_tangle)
-from dipnet.netmodel import SINGLET_PARAMS, werner_params, x_state
-from dipnet.qmat import density_matrix, kron, partial_transpose, trace_norm
+from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, NetworkConfig,
+                             evolved_network, werner_params, x_state)
+from dipnet.qmat import (BadSubsystem, density_matrix, kron,
+                         partial_transpose, trace_norm)
 
 from conftest import (ZeroProbability, charpoly_eigenvalues,
                       conditional_states, ginibre_density, l1_coherence,
@@ -93,26 +95,55 @@ def test_pairwise_negativity_embedded_singlet():
     assert abs(pairwise_negativity(rho, (0, 1)) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("rho", [
+    evolved_network(NetworkConfig("MM"), DipolarParams(0.1, 0.7)), SINGLET],
+    ids=["four_qubit_network", "two_qubit_singlet"])
+def test_tangle_parts_refuse_a_state_of_other_than_three_qubits(rho):
+    # one qubit rule for the tangle and both of its parts
+    with pytest.raises(BadSubsystem, match="needs a 3-qubit state"):
+        pairwise_negativity(rho, (0, 1))
+    with pytest.raises(BadSubsystem, match="needs a 3-qubit state"):
+        global_negativity(rho, 0)
+    with pytest.raises(BadSubsystem, match="needs a 3-qubit state"):
+        pi_tangle(rho)
+
+
+@pytest.mark.parametrize("pair", [(0, 1, 2), (1,), (), (1, 0), (1, 1),
+                                  (0, 3), (-1, 2)])
+def test_pairwise_negativity_refuses_what_is_not_a_pair(pair):
+    with pytest.raises(BadSubsystem, match="need a pair"):
+        pairwise_negativity(W_STATE, pair)
+
+
 def test_pi_tangle_ghz():
-    tb = pi_tangle(GHZ)
-    assert abs(tb.pi - 1.0) < 1e-10
-    assert abs(tb.n_a_bc - 1.0) < 1e-10 and tb.n_ab == 0.0
+    assert abs(pi_tangle(GHZ) - 1.0) < 1e-10
+    assert abs(global_negativity(GHZ, 0) - 1.0) < 1e-10
+    assert pairwise_negativity(GHZ, (0, 1)) == 0.0
 
 
 def test_pi_tangle_w_state_frozen():
     # value frozen from the dense oracle before the build: 4(sqrt5 - 1)/9
-    assert abs(pi_tangle(W_STATE).pi - 0.549363545555) < 1e-9
+    assert abs(pi_tangle(W_STATE) - 0.549363545555) < 1e-9
 
 
 def test_pi_tangle_product_states(rng):
     for _ in range(20):
         rho = random_product_pure(rng, 3)
-        assert abs(pi_tangle(rho).pi) < 1e-10
+        assert abs(pi_tangle(rho)) < 1e-10
 
 
-def test_pi_tangle_breakdown_mean():
-    tb = pi_tangle(W_STATE)
-    assert tb.pi == (tb.pi_a + tb.pi_b + tb.pi_c) / 3.0
+def test_pi_tangle_breakdown_mean(rng):
+    # the tangle is the mean of the three residuals, each formed from the
+    # public parts and squared and subtracted in the library's order; the
+    # bits must match, not only the value
+    for rho in [W_STATE, GHZ] + [random_pure(rng, 3) for _ in range(20)]:
+        n_a, n_b, n_c = (global_negativity(rho, focus) for focus in range(3))
+        n_ab, n_ac, n_bc = (pairwise_negativity(rho, pair)
+                            for pair in ((0, 1), (0, 2), (1, 2)))
+        pi_a = n_a ** 2 - n_ab ** 2 - n_ac ** 2
+        pi_b = n_b ** 2 - n_ab ** 2 - n_bc ** 2
+        pi_c = n_c ** 2 - n_ac ** 2 - n_bc ** 2
+        assert pi_tangle(rho) == (pi_a + pi_b + pi_c) / 3.0
 
 
 def test_monogamy_random_pure(rng):

@@ -188,15 +188,10 @@ def test_stack_quantifiers_equal_scalar_on_dense_states(cfg, channel, points):
     states = [network_channel_state(cfg, DipolarParams(eps_tilde=e, tau=t),
                                     channel) for e, t in points]
     stack = np.array([rho.mat for rho in states])
-    if channel in THREE_NODE:
-        tangles = pi_tangle_stack(stack)
-        for k, rho in enumerate(states):
-            one = pi_tangle(rho)
-            for field, values in vars(tangles).items():
-                assert values[k] == getattr(one, field)
-        return
-    for stack_fn, scalar_fn in ((negativity_stack, negativity),
-                                (naqc_degree_stack, naqc_degree)):
+    scorers = (((pi_tangle_stack, pi_tangle),) if channel in THREE_NODE
+               else ((negativity_stack, negativity),
+                     (naqc_degree_stack, naqc_degree)))
+    for stack_fn, scalar_fn in scorers:
         values = stack_fn(stack)
         for k, rho in enumerate(states):
             assert values[k] == scalar_fn(rho)

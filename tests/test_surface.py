@@ -1,9 +1,10 @@
 """The library is what runs: every top-level function and class of
 `src/dipnet` is used by the package itself, by the benchmark (`perfbench`)
 or by the acceptance tests. A helper that only unit tests call belongs in
-`tests/conftest.py`, next to the other reference helpers. No module but
-`__init__.py`, whose imports are the package's re-exports, imports a name
-it never reads."""
+`tests/conftest.py`, next to the other reference helpers. Every field of
+a `src/dipnet` dataclass is read, as an attribute, by those same callers:
+a field kept for inspection only goes. No module but `__init__.py`, whose
+imports are the package's re-exports, imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,27 @@ def test_every_library_name_has_a_caller_outside_the_unit_tests():
               and node.name not in used]
     assert not unused, (f"only unit tests use {', '.join(unused)}; move "
                         f"them to tests/conftest.py")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read_outside_the_unit_tests():
+    read = {node.attr for path in CALLERS for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls.name}.{stmt.target.id}" for path in PACKAGE
+              for cls in _tree(path).body
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert not unread, (f"no caller outside the unit tests reads "
+                        f"{', '.join(unread)}")
 
 
 def test_no_library_module_imports_a_name_it_never_reads():
