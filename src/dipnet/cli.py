@@ -29,7 +29,6 @@ EXIT_ORACLE = 4
 
 class ScenarioError(Exception):
     def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
         where = f"line {line}: " if line is not None else ""
         super().__init__(where + message)
 

@@ -25,8 +25,8 @@ case).
 `channel_states` is array-first: it evaluates a whole vector of tau, with
 one eps per tau, at once as a raw (N, d, d) stack (`closed_channel_states`
 for a named network channel), which `series_values` validates once per
-block; the one-point functions are its N = 1 case, validated by
-`density_matrix`.
+block; the one-point functions are its N = 1 case, each validated as one
+`DensityMatrix`, whose qubit count is read from the state's dimension.
 A sweep's CSV and events bytes must not depend on N, so every elementwise
 formula here and in `measures` rounds exactly as the per-point scalar code
 it replaced. Keep these rules when editing:
@@ -44,7 +44,7 @@ it replaced. Keep these rules when editing:
 
 import numpy as np
 
-from .qmat import BadSubsystem, DensityMatrix, ORACLE_TOL, density_matrix
+from .qmat import BadSubsystem, DensityMatrix, ORACLE_TOL
 from .netmodel import (IDENTITY_4, PAULIS, DipolarParams, NetworkConfig,
                        XStateParams, coupling_matrices, network_channel_state,
                        propagator_gammas, x_states)
@@ -52,15 +52,6 @@ from .netmodel import (IDENTITY_4, PAULIS, DipolarParams, NetworkConfig,
 
 class OracleMismatch(AssertionError):
     """Closed-form value disagrees with the dense oracle."""
-
-    def __init__(self, channel, coord, closed_value, dense_value, where=""):
-        self.channel = channel
-        self.coord = coord
-        self.closed_value = closed_value
-        self.dense_value = dense_value
-        super().__init__(
-            f"channel {channel} {where} coord {coord}: closed {closed_value} "
-            f"vs dense {dense_value}")
 
 
 def _re_conj(u, v):
@@ -178,7 +169,7 @@ def closed_channel_states(cfg: NetworkConfig, channel: str,
 def closed_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
                          p_bridge: DipolarParams | None = None) -> DensityMatrix:
     """Closed-form reduced state of a named channel at one point."""
-    return density_matrix(closed_channel_states(
+    return DensityMatrix(closed_channel_states(
         cfg, channel, np.array([p.eps_tilde]), np.array([p.tau]), p_bridge)[0])
 
 
@@ -194,9 +185,10 @@ def require_oracle_agreement(channels: np.ndarray, closed: np.ndarray,
     if np.count_nonzero(bad):
         i = int(bad.argmax())
         r, c = np.unravel_index(int(diff[i].argmax()), diff.shape[1:])
-        raise OracleMismatch(str(channels[i]), (int(r), int(c)),
-                             closed[i, r, c], dense[i, r, c],
-                             f"tau={float(taus[i])} eps={float(eps_tilde[i])}")
+        raise OracleMismatch(
+            f"channel {channels[i]} tau={float(taus[i])} "
+            f"eps={float(eps_tilde[i])} coord {(int(r), int(c))}: "
+            f"closed {closed[i, r, c]} vs dense {dense[i, r, c]}")
 
 
 def validate_channel(cfg: NetworkConfig, p: DipolarParams, channel: str,

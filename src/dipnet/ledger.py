@@ -74,7 +74,7 @@ def typo_ledger() -> list[LedgerEntry]:
     pc = propagator_coeffs(LEDGER_REFERENCE)
     rho0 = kron(x_state(pair).mat, x_state(pair).mat)
     u = require_unitary(propagator_matrix(LEDGER_REFERENCE))
-    rho_t = DensityMatrix(conjugate_pair_stack(rho0[None], 4, u, (1, 2))[0], 4)
+    rho_t = DensityMatrix(conjugate_pair_stack(rho0[None], u, (1, 2))[0])
 
     entries: list[LedgerEntry] = []
 

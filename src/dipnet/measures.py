@@ -54,7 +54,7 @@ def _require_qubits(mats: np.ndarray, n: int, what: str) -> None:
 def negativity_stack(mats: np.ndarray) -> np.ndarray:
     """Negativity of every two-qubit state of an (N, 4, 4) stack."""
     _require_qubits(mats, 2, "negativity")
-    pt = partial_transpose_stack(mats, 2, (1,))
+    pt = partial_transpose_stack(mats, (1,))
     w = np.linalg.eigvalsh(0.5 * (pt + pt.conj().swapaxes(-1, -2)))
     return 2.0 * -np.where(w < 0, w, 0.0).sum(axis=-1)
 
@@ -75,7 +75,7 @@ def _negativities(pts: np.ndarray, n: int) -> np.ndarray:
 def _one_vs_rest_negativities(mats: np.ndarray, foci) -> np.ndarray:
     """(N, len(foci)) one-vs-rest negativities of a three-qubit stack, one
     batched trace norm for all foci."""
-    pts = np.stack([partial_transpose_stack(mats, 3, (f,)) for f in foci],
+    pts = np.stack([partial_transpose_stack(mats, (f,)) for f in foci],
                    axis=1).reshape(-1, 8, 8)
     return _negativities(pts, len(mats))
 
@@ -83,18 +83,15 @@ def _one_vs_rest_negativities(mats: np.ndarray, foci) -> np.ndarray:
 def _pairwise_negativities(mats: np.ndarray, pairs) -> np.ndarray:
     """(N, len(pairs)) negativities of the validated two-qubit marginals of
     a three-qubit stack, transposed on each pair's second qubit."""
-    marginals = np.stack([partial_trace_stack(mats, 3, pair)
+    marginals = np.stack([partial_trace_stack(mats, pair)
                           for pair in pairs], axis=1).reshape(-1, 4, 4)
     require_density_stack(marginals, 2)
-    return _negativities(partial_transpose_stack(marginals, 2, (1,)),
-                         len(mats))
+    return _negativities(partial_transpose_stack(marginals, (1,)), len(mats))
 
 
 def global_negativity(rho: DensityMatrix, focus: int) -> float:
     """One-vs-rest negativity ||rho^{T_focus}|| - 1, clipped at zero."""
     _require_qubits(rho.mat, 3, "global_negativity")
-    if not 0 <= focus < 3:
-        raise BadSubsystem(f"focus {focus} out of range")
     return float(_one_vs_rest_negativities(rho.mat[None], (focus,))[0, 0])
 
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import (BadSubsystem, ComplexMatrix, DensityMatrix, NotPositive,
-                   conjugate_pair_stack, density_matrix, kron,
-                   partial_trace_stack, require_density_stack,
-                   require_unitary)
+                   conjugate_pair_stack, kron, partial_trace_stack,
+                   require_density_stack, require_unitary)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -260,20 +259,20 @@ def x_state(params: XStateParams) -> DensityMatrix:
     """Two-qubit Pauli-diagonal state 1/4 (I + a XX + b YY + c ZZ)."""
     m = x_states(*(np.array([x], dtype=float)
                    for x in (params.a, params.b, params.c)))
-    return DensityMatrix(m[0], 2)
+    return DensityMatrix(m[0])
 
 
 @functools.lru_cache(maxsize=INITIAL_NETWORKS_KEPT)
 def initial_network(cfg: NetworkConfig) -> DensityMatrix:
     p1, p2 = cfg.pair_params()
-    return DensityMatrix(kron(x_state(p1).mat, x_state(p2).mat), 4)
+    return DensityMatrix(kron(x_state(p1).mat, x_state(p2).mat))
 
 
 def evolved_network(cfg: NetworkConfig, p: DipolarParams) -> DensityMatrix:
     """Initial network evolved by the dipolar coupling on qubits (1, 2)."""
     u = require_unitary(propagator_matrix(p))
-    return DensityMatrix(conjugate_pair_stack(initial_network(cfg).mat[None], 4,
-                                              u, (1, 2))[0], 4)
+    return DensityMatrix(conjugate_pair_stack(initial_network(cfg).mat[None],
+                                              u, (1, 2))[0])
 
 
 def extend_to_eight(cfg: NetworkConfig, p_inner: DipolarParams,
@@ -312,9 +311,9 @@ def network_channel_states(cfg: NetworkConfig, channel: str,
     us = require_unitary(coupling_matrices(coeff_gammas(
         propagator_coeff_stack(eps_tilde, taus))))
     hops = require_density_stack(conjugate_pair_stack(np.broadcast_to(
-        initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2)), 4)
+        initial_network(cfg).mat, (len(us), 16, 16)), us, (1, 2)), 4)
     if channel != "18":
-        return partial_trace_stack(hops, 4, channel_qubits(channel))
+        return partial_trace_stack(hops, channel_qubits(channel))
     bridge = (np.repeat(us, 32, axis=0) if p_bridge is None
               else require_unitary(propagator_matrix(p_bridge)))
     # kron(hop, hop) where the qubits the bridge leaves and the trace drops
@@ -326,7 +325,7 @@ def network_channel_states(cfg: NetworkConfig, channel: str,
                                                       1, 1, 2, 1, 1, 2)
     slices = hop1 * hop2
     t = np.einsum("npqxyzacebcf->npcqxyzaebf", conjugate_pair_stack(
-        slices.reshape(-1, 8, 8), 3, bridge, (1, 2)).reshape(slices.shape))
+        slices.reshape(-1, 8, 8), bridge, (1, 2)).reshape(slices.shape))
     for _ in range(6):  # partial_trace_stack's order: qubit 7, 6, 5, 3, 2, 1
         t = t.sum(axis=-5)
     return t.reshape(-1, 4, 4)
@@ -335,5 +334,5 @@ def network_channel_states(cfg: NetworkConfig, channel: str,
 def network_channel_state(cfg: NetworkConfig, p: DipolarParams, channel: str,
                           p_bridge: DipolarParams | None = None) -> DensityMatrix:
     """Dense-path reduced state of a named channel at one point."""
-    return density_matrix(network_channel_states(
+    return DensityMatrix(network_channel_states(
         cfg, channel, np.array([p.eps_tilde]), np.array([p.tau]), p_bridge)[0])

@@ -2,9 +2,13 @@
 
 Everything here operates on small (dim <= 16) square complex numpy arrays.
 Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of the
-computational-basis index.
+computational-basis index. Two rules hold for every kernel and for the
+`DensityMatrix` carrier: the qubit count n is read from the matrices
+(`qubit_count`: a (..., 2**n, 2**n) array, else ValueError), and qubit
+indices are integers, strictly increasing and below n (else BadSubsystem).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +46,16 @@ def as_complex_matrix(a) -> ComplexMatrix:
     return m
 
 
+def qubit_count(mats: np.ndarray) -> int:
+    """n of a (..., 2**n, 2**n) array, n >= 1; ValueError for any other
+    shape."""
+    n = mats.shape[-1].bit_length() - 1 if mats.ndim >= 2 else 0
+    if n < 1 or mats.shape[-2:] != (2 ** n, 2 ** n):
+        raise ValueError(f"expected (..., 2**n, 2**n) matrices, got shape "
+                         f"{mats.shape}")
+    return n
+
+
 def _adjoint(mats: np.ndarray) -> np.ndarray:
     return mats.conj().swapaxes(-1, -2)
 
@@ -64,7 +78,7 @@ def require_density_stack(mats: np.ndarray, nqubits: int) -> np.ndarray:
     TRACE_TOL, eigenvalues >= -PSD_TOL (one batched eigvalsh). As in a loop
     over the stack, the lowest-index failing matrix raises, with the first
     check it fails."""
-    if nqubits < 1 or mats.shape[-1] != 2 ** nqubits:
+    if qubit_count(mats) != nqubits:
         raise ValueError(
             f"dim {mats.shape[-1]} does not match 2**{nqubits} qubits")
     adj = _adjoint(mats)
@@ -92,28 +106,21 @@ class DensityMatrix:
     """A validated multi-qubit density matrix.
 
     Invariants checked on construction (`require_density_stack` on a
-    1-stack): dim = 2**nqubits, Hermiticity within HERM_TOL, unit trace
-    within TRACE_TOL, eigenvalues >= -PSD_TOL.
+    1-stack): dim = 2**n for the n that `qubit_count` reads, Hermiticity
+    within HERM_TOL, unit trace within TRACE_TOL, eigenvalues >= -PSD_TOL.
     """
 
     mat: ComplexMatrix
-    nqubits: int
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat)
-        require_density_stack(m[None], self.nqubits)
+        require_density_stack(m[None], qubit_count(m))
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
 
-def density_matrix(mat) -> DensityMatrix:
-    """Build a DensityMatrix, inferring the qubit count from the dimension."""
-    m = as_complex_matrix(mat)
-    n = int(round(np.log2(m.shape[0])))
-    if 2 ** n != m.shape[0]:
-        raise ValueError(f"dim {m.shape[0]} is not a power of two")
-    return DensityMatrix(m, n)
+density_matrix = DensityMatrix
 
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
@@ -132,26 +139,25 @@ def trace_norm(a: ComplexMatrix) -> float:
     return float(trace_norm_stack(as_complex_matrix(a)[None])[0])
 
 
-def _check_keep(indices, nqubits: int, require_sorted: bool) -> tuple:
+def _check_keep(indices, nqubits: int) -> tuple:
+    """The one qubit-index rule: each index an integer (`operator.index`,
+    so numpy integers pass and floats do not), strictly increasing, in
+    range(nqubits); BadSubsystem otherwise."""
     try:
-        idx = tuple(int(q) for q in indices)
-    except (TypeError, ValueError) as exc:
+        idx = tuple(operator.index(q) for q in indices)
+    except TypeError as exc:
         raise BadSubsystem(f"bad qubit indices {indices!r}") from exc
-    if not idx:
-        raise BadSubsystem("empty qubit selection")
-    if len(set(idx)) != len(idx):
-        raise BadSubsystem(f"duplicate qubit indices in {idx}")
-    if any(q < 0 or q >= nqubits for q in idx):
-        raise BadSubsystem(f"qubit indices {idx} out of range for {nqubits} qubits")
-    if require_sorted and list(idx) != sorted(idx):
-        raise BadSubsystem(f"qubit indices {idx} must be strictly increasing")
+    if not idx or idx != tuple(q for q in range(nqubits) if q in idx):
+        raise BadSubsystem(f"qubit indices {idx} must be strictly increasing "
+                           f"in range({nqubits})")
     return idx
 
 
-def partial_trace_stack(mats: np.ndarray, nqubits: int, keep) -> np.ndarray:
+def partial_trace_stack(mats: np.ndarray, keep) -> np.ndarray:
     """Trace out, in every matrix of an (N, d, d) stack, all qubits not in
-    `keep` (strictly increasing indices); the result is not validated."""
-    keep = _check_keep(keep, nqubits, require_sorted=True)
+    `keep`; the result is not validated."""
+    nqubits = qubit_count(mats)
+    keep = _check_keep(keep, nqubits)
     t = mats.reshape((-1,) + (2,) * (2 * nqubits))
     for q in sorted((q for q in range(nqubits) if q not in keep), reverse=True):
         half = (t.ndim - 1) // 2
@@ -160,12 +166,13 @@ def partial_trace_stack(mats: np.ndarray, nqubits: int, keep) -> np.ndarray:
     return t.reshape(-1, 2 ** k, 2 ** k)
 
 
-def conjugate_pair_stack(mats: np.ndarray, nqubits: int, u: ComplexMatrix,
+def conjugate_pair_stack(mats: np.ndarray, u: ComplexMatrix,
                          qubits) -> np.ndarray:
     """u rho u^+ for every rho of an (N, d, d) stack, with u a 4x4 (or one
     per rho, (N, 4, 4)) on the ordered qubit pair (i, j), i < j; a local
     contraction on the (2,)*2n tensor, no d x d operator. Ket side first."""
-    pair = _check_keep(qubits, nqubits, require_sorted=True)
+    nqubits = qubit_count(mats)
+    pair = _check_keep(qubits, nqubits)
     u = np.asarray(u, dtype=complex)
     if len(pair) != 2 or u.shape[-2:] != (4, 4) or u.ndim not in (2, 3):
         raise BadSubsystem(f"need 4x4 operators on a qubit pair, got "
@@ -180,16 +187,15 @@ def conjugate_pair_stack(mats: np.ndarray, nqubits: int, u: ComplexMatrix,
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all qubits not in `keep` (strictly increasing indices)."""
-    out = partial_trace_stack(rho.mat[None], rho.nqubits, keep)[0]
-    return DensityMatrix(out, out.shape[0].bit_length() - 1)
+    """Trace out all qubits not in `keep`."""
+    return DensityMatrix(partial_trace_stack(rho.mat[None], keep)[0])
 
 
-def partial_transpose_stack(mats: np.ndarray, nqubits: int,
-                            subsystem) -> np.ndarray:
+def partial_transpose_stack(mats: np.ndarray, subsystem) -> np.ndarray:
     """Transpose the named qubits' indices in every matrix of an (N, d, d)
     stack."""
-    subsystem = _check_keep(subsystem, nqubits, require_sorted=False)
+    nqubits = qubit_count(mats)
+    subsystem = _check_keep(subsystem, nqubits)
     t = mats.reshape((-1,) + (2,) * (2 * nqubits))
     perm = list(range(1 + 2 * nqubits))
     for q in subsystem:
@@ -200,7 +206,7 @@ def partial_transpose_stack(mats: np.ndarray, nqubits: int,
 def partial_transpose(rho: DensityMatrix, subsystem) -> ComplexMatrix:
     """Transpose the named qubits' indices; returns a plain matrix (the
     result is Hermitian but usually not positive)."""
-    return partial_transpose_stack(rho.mat[None], rho.nqubits, subsystem)[0]
+    return partial_transpose_stack(rho.mat[None], subsystem)[0]
 
 
 def require_unitary(u: ComplexMatrix) -> ComplexMatrix:

@@ -21,14 +21,14 @@ def ginibre_density(rng, nqubits: int) -> DensityMatrix:
     dim = 2 ** nqubits
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(m / m.trace(), nqubits)
+    return DensityMatrix(m / m.trace())
 
 
 def random_pure(rng, nqubits: int) -> DensityMatrix:
     dim = 2 ** nqubits
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()), nqubits)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def random_product_pure(rng, nqubits: int) -> DensityMatrix:
@@ -37,7 +37,7 @@ def random_product_pure(rng, nqubits: int) -> DensityMatrix:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         m = np.kron(m, np.outer(v, v.conj()))
-    return DensityMatrix(m, nqubits)
+    return DensityMatrix(m)
 
 
 def charpoly_eigenvalues(m) -> np.ndarray:
@@ -114,8 +114,8 @@ def _axis_basis(axis: str) -> np.ndarray:
 
 def l1_coherence(rho: DensityMatrix, axis: str) -> float:
     """Sum of |off-diagonal| entries in the eigenbasis of the named Pauli."""
-    if rho.nqubits != 1:
-        raise BadSubsystem(f"l1_coherence needs 1 qubit, got {rho.nqubits}")
+    if rho.mat.shape != (2, 2):
+        raise BadSubsystem(f"l1_coherence needs 1 qubit, got {rho.mat.shape}")
     return float(measures._l1_coherence_stack(rho.mat, _axis_basis(axis)))
 
 
@@ -123,8 +123,9 @@ def conditional_states(rho2: DensityMatrix, axis: str,
                        outcome: int) -> MeasurementOutcome:
     """Measure the named Pauli on qubit 0; return the branch probability and
     the conditional state of qubit 1."""
-    if rho2.nqubits != 2:
-        raise BadSubsystem(f"conditional_states needs 2 qubits, got {rho2.nqubits}")
+    if rho2.mat.shape != (4, 4):
+        raise BadSubsystem(f"conditional_states needs 2 qubits, got "
+                           f"{rho2.mat.shape}")
     if outcome not in (+1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     _axis_basis(axis)  # rejects an unknown axis
@@ -135,7 +136,7 @@ def conditional_states(rho2: DensityMatrix, axis: str,
             f"axis {axis} outcome {outcome:+d} has p={p[0, b]:.2e}")
     return MeasurementOutcome(axis=axis, outcome=outcome,
                               probability=float(p[0, b]),
-                              conditional=DensityMatrix(cond[0, b], 1))
+                              conditional=DensityMatrix(cond[0, b]))
 
 
 def naqc_average(rho2: DensityMatrix) -> float:
@@ -182,13 +183,13 @@ def dense_channel_states_reference(cfg, channel: str, eps_tilde: np.ndarray,
     `netmodel.network_channel_states`."""
     us = dense_unitaries_reference(eps_tilde, taus)
     hops = conjugate_pair_stack(np.broadcast_to(
-        initial_network(cfg).mat, (len(us), 16, 16)), 4, us, (1, 2))
+        initial_network(cfg).mat, (len(us), 16, 16)), us, (1, 2))
     if channel != "18":
-        return partial_trace_stack(hops, 4, channel_qubits(channel))
+        return partial_trace_stack(hops, channel_qubits(channel))
     bridges = us if p_bridge is None else np.repeat(dense_unitaries_reference(
         np.array([p_bridge.eps_tilde]), np.array([p_bridge.tau])), len(us), 0)
     return np.array([partial_trace_stack(conjugate_pair_stack(
-        kron(hop, hop)[None], 8, bridge, (2, 4)), 8, (0, 4))[0]
+        kron(hop, hop)[None], bridge, (2, 4)), (0, 4))[0]
         for hop, bridge in zip(hops, bridges)])
 
 

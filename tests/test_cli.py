@@ -434,12 +434,18 @@ def test_render_events_of_interleaved_pairs_equals_sweep_order():
                      for i in pair]
 
 
-@pytest.mark.parametrize("name", [f"fig{k}" for k in range(2, 11)])
-def test_bundled_scenarios_match_pinned_digests(tmp_path, name):
+@pytest.mark.parametrize("command, name", [
+    pytest.param(command, f"fig{k}",
+                 id=f"fig{k}" if command == "run" else f"fig{k}-validate")
+    for command in ("run", "validate") for k in range(2, 11)])
+def test_bundled_scenarios_match_pinned_digests(tmp_path, command, name):
     # fig2-fig8 cover the two-node negativity/NAQC surfaces, fig9 the
-    # three-node assembly and fig10 the extension's channel 18
+    # three-node assembly and fig10 the extension's channel 18. A validate
+    # run checks every point against the dense oracle (any mismatch exits
+    # 4) and scores the closed states, so it must write the same pinned
+    # bytes as the closed-form run; this pins validate-mode refinement.
     pins = json.loads((REPO / "perfbench" / "pinned_digests.json").read_text())
-    assert main(["run", str(SCENARIOS_DIR / f"{name}.scn"),
+    assert main([command, str(SCENARIOS_DIR / f"{name}.scn"),
                  "--output-dir", str(tmp_path)]) == EXIT_OK
     for kind, path in (("csv", tmp_path / f"{name}.csv"),
                        ("events", tmp_path / f"{name}_events.txt")):

@@ -150,7 +150,7 @@ def test_closed_forms_match_dense_random_params(rng):
         gammas = coeff_gammas(propagator_coeffs(p))
         net = kron(x_state(p1).mat, x_state(p2).mat)
         u = require_unitary(propagator_matrix(p))
-        net = DensityMatrix(conjugate_pair_stack(net[None], 4, u, (1, 2))[0], 4)
+        net = DensityMatrix(conjugate_pair_stack(net[None], u, (1, 2))[0])
         for channel in CLOSED_CHANNELS + ("13", "24"):
             dense = partial_trace(net, channel_qubits(channel))
             closed = channel_states(channel, p1, p2,
@@ -229,12 +229,13 @@ def test_validate_channel_passes_and_raises():
         require_oracle_agreement(np.array(["12"]), closed.mat[None],
                                  dense[None], np.array([p.eps_tilde]),
                                  np.array([p.tau]))
-    assert err.value.coord == (1, 2)
+    assert str(err.value).startswith(
+        "channel 12 tau=0.7 eps=0.3 coord (1, 2): closed ")
 
 
 @pytest.mark.parametrize("channel", ["12", "14", "18", "123", "234"])
 def test_closed_states_are_validated_once(monkeypatch, channel):
-    # the one-point state is validated once, by density_matrix; the builder
+    # the one-point state is validated once, by DensityMatrix; the builder
     # returns its stack raw; series_values validates each block of each
     # route once, before the validate-mode oracle check
     calls = []

@@ -115,6 +115,22 @@ def test_pairwise_negativity_refuses_what_is_not_a_pair(pair):
         pairwise_negativity(W_STATE, pair)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: global_negativity(W_STATE, 1.5),
+    lambda: global_negativity(W_STATE, np.float64(1.0)),
+    lambda: global_negativity(W_STATE, 3),
+    lambda: global_negativity(W_STATE, -1),
+    lambda: pairwise_negativity(W_STATE, (0.5, 1)),
+    lambda: pairwise_negativity(W_STATE, (0, 1.5))],
+    ids=["focus_1.5", "focus_float_1", "focus_3", "focus_-1", "pair_0.5_1",
+         "pair_0_1.5"])
+def test_tangle_parts_refuse_a_qubit_that_is_not_an_index(call):
+    # one index rule: a float is not truncated to a qubit, and a focus out
+    # of range is refused by the same rule
+    with pytest.raises(BadSubsystem):
+        call()
+
+
 def test_pi_tangle_ghz():
     assert abs(pi_tangle(GHZ) - 1.0) < 1e-10
     assert abs(global_negativity(GHZ, 0) - 1.0) < 1e-10

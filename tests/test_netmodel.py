@@ -222,7 +222,7 @@ def test_initial_network_kinds():
 
 def test_conjugate_pair_stack_identity():
     rho = initial_network(NetworkConfig("MM"))
-    out = conjugate_pair_stack(rho.mat[None], 4, np.eye(4, dtype=complex),
+    out = conjugate_pair_stack(rho.mat[None], np.eye(4, dtype=complex),
                                (1, 2))[0]
     assert np.abs(out - rho.mat).max() < 1e-14
 
@@ -250,11 +250,11 @@ def test_conjugate_pair_stack_embedding_adjacent():
     assert np.array_equal(full, kron(kron(np.eye(2), u), np.eye(2)))
     rho = ginibre_density(rng, 4)
     expect = full @ rho.mat @ full.conj().T
-    assert np.array_equal(conjugate_pair_stack(rho.mat[None], 4, u, (1, 2))[0],
+    assert np.array_equal(conjugate_pair_stack(rho.mat[None], u, (1, 2))[0],
                           expect)
     # one unitary per state, as the dense route passes them
     assert np.array_equal(conjugate_pair_stack(
-        rho.mat[None], 4, require_unitary(u[None]), (1, 2))[0], expect)
+        rho.mat[None], require_unitary(u[None]), (1, 2))[0], expect)
 
 
 def test_conjugate_pair_stack_embedding_nonadjacent():
@@ -270,7 +270,7 @@ def test_conjugate_pair_stack_embedding_nonadjacent():
             expect = t[o0, o2, i0, i2] if o1 == i1 else 0.0
             assert full[o, i] == expect
     rho = ginibre_density(rng, 3)
-    assert np.array_equal(conjugate_pair_stack(rho.mat[None], 3, u, (0, 2))[0],
+    assert np.array_equal(conjugate_pair_stack(rho.mat[None], u, (0, 2))[0],
                           full @ rho.mat @ full.conj().T)
 
 
@@ -285,7 +285,7 @@ def test_conjugate_pair_stack_equals_embedded_conjugation():
         full = _embedded(u, i, j, n)
         mats = np.array([ginibre_density(rng, n).mat
                          for _ in range(3 if n < 8 else 1)])
-        out = conjugate_pair_stack(mats, n, u, (i, j))
+        out = conjugate_pair_stack(mats, u, (i, j))
         for rho, got in zip(mats, out):
             assert np.array_equal(got, full @ rho @ full.conj().T), (n, i, j)
 
@@ -295,9 +295,9 @@ def test_conjugate_pair_stack_one_unitary_per_state_equals_single_calls():
     for n, pair, count in ((4, (1, 2), 5), (4, (0, 3), 5), (8, (2, 4), 2)):
         us = np.array([_random_unitary(rng) for _ in range(count)])
         mats = np.array([ginibre_density(rng, n).mat for _ in range(count)])
-        out = conjugate_pair_stack(mats, n, us, pair)
+        out = conjugate_pair_stack(mats, us, pair)
         for rho, u, got in zip(mats, us, out):
-            one = conjugate_pair_stack(rho[None], n, u, pair)[0]
+            one = conjugate_pair_stack(rho[None], u, pair)[0]
             assert np.array_equal(got, one), (n, pair)
 
 
@@ -323,7 +323,7 @@ def test_conjugate_pair_stack_refuses_other_pairs():
     mats = initial_network(NetworkConfig("MM")).mat[None]
     for pair in [(2, 1), (1, 1), (0, 4)]:
         with pytest.raises(BadSubsystem):
-            conjugate_pair_stack(mats, 4, np.eye(4), pair)
+            conjugate_pair_stack(mats, np.eye(4), pair)
 
 
 def test_evolved_network_preserves_spectrum():
@@ -339,9 +339,9 @@ def test_evolved_network_preserves_spectrum():
 def test_conjugate_pair_stack_and_require_unitary_reject_bad_input():
     mats = initial_network(NetworkConfig("MM")).mat[None]
     with pytest.raises(BadSubsystem):
-        conjugate_pair_stack(mats, 4, np.eye(4), (2, 1))
+        conjugate_pair_stack(mats, np.eye(4), (2, 1))
     with pytest.raises(BadSubsystem):
-        conjugate_pair_stack(mats, 4, np.eye(4), (1, 4))
+        conjugate_pair_stack(mats, np.eye(4), (1, 4))
     with pytest.raises(NotUnitary):
         require_unitary(np.eye(4) * 2.0)
     # NaN compares false with the tolerance, so it must fail the check
@@ -398,7 +398,7 @@ def test_channel_18_fixed_bridge_equals_embedded_reference():
         hop = evolved_network(cfg, p).mat
         full = _embedded(propagator_matrix(bridge), 2, 4, 8)
         rho8 = full @ kron(hop, hop) @ full.conj().T
-        expect = partial_trace_stack(rho8[None], 8, (0, 4))[0]
+        expect = partial_trace_stack(rho8[None], (0, 4))[0]
         got = network_channel_state(cfg, p, "18", bridge).mat
         assert np.array_equal(got, expect), kind
 

@@ -203,10 +203,10 @@ def _dense_point_by_point(cfg, p, channel, bridge):
     hops joined by the bridge and reduced to the terminal qubits."""
     hop = evolved_network(cfg, p).mat
     if channel != "18":
-        return partial_trace_stack(hop[None], 4, channel_qubits(channel))[0]
+        return partial_trace_stack(hop[None], channel_qubits(channel))[0]
     u = propagator_matrix(p if bridge is None else bridge)
-    rho8 = conjugate_pair_stack(kron(hop, hop)[None], 8, u, (2, 4))
-    return partial_trace_stack(rho8, 8, (0, 4))[0]
+    rho8 = conjugate_pair_stack(kron(hop, hop)[None], u, (2, 4))
+    return partial_trace_stack(rho8, (0, 4))[0]
 
 
 @settings(PROPERTY, max_examples=200)
@@ -280,7 +280,7 @@ def test_stack_validator_matches_density_matrix(seed, nqubits, size, data,
     k = data.draw(st.integers(0, size - 1))
     stack[k] = _corrupt(stack[k], defect)
     with pytest.raises(ValueError) as single:
-        DensityMatrix(stack[k], nqubits)
+        DensityMatrix(stack[k])
     with pytest.raises(ValueError) as stacked:
         require_density_stack(stack, nqubits)
     assert type(single.value) is EXPECTED[defect]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from dipnet.qmat import (BadSubsystem, DensityMatrix, NotHermitian,
-                         NotPositive, density_matrix, kron, partial_trace,
-                         partial_transpose, trace_norm)
+                         NotPositive, conjugate_pair_stack, density_matrix,
+                         kron, partial_trace, partial_trace_stack,
+                         partial_transpose, partial_transpose_stack,
+                         trace_norm)
 from dipnet.netmodel import SINGLET_PARAMS, x_state
 
 from conftest import (charpoly_eigenvalues, dipolar_hamiltonian,
@@ -112,11 +114,54 @@ def test_partial_trace_preserves_trace(rng):
     assert abs(out.mat.trace() - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("keep", [(), (0, 0), (2, 0), (0, 5)])
+# qubit selections the one index rule refuses on a two-qubit state: empty,
+# repeated, out of order, out of range, not integers, not a sequence
+BAD_QUBITS = [(), (0, 0), (2, 0), (0, 5), (0.5, 1), (1, 0), (-1,),
+              (np.float64(1.0),), ("0",), 1]
+
+
+@pytest.mark.parametrize("keep", BAD_QUBITS[:5])
 def test_partial_trace_bad_subsystem(keep):
     rho = ginibre_density(np.random.default_rng(0), 2)
     with pytest.raises(BadSubsystem):
         partial_trace(rho, keep)
+
+
+@pytest.mark.parametrize("qubits", BAD_QUBITS)
+def test_every_kernel_applies_the_one_index_rule(qubits):
+    mats = ginibre_density(np.random.default_rng(0), 2).mat[None]
+    for kernel in (partial_trace_stack, partial_transpose_stack,
+                   lambda m, q: conjugate_pair_stack(m, np.eye(4), q)):
+        with pytest.raises(BadSubsystem):
+            kernel(mats, qubits)
+
+
+def test_numpy_integer_qubits_give_the_bits_of_int_qubits():
+    rng = np.random.default_rng(3)
+    rho = ginibre_density(rng, 3)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    for qubits in ((0, 2), (1,), (0, 1, 2)):
+        as_numpy = tuple(np.int64(q) for q in qubits)
+        assert np.array_equal(partial_trace(rho, as_numpy).mat,
+                              partial_trace(rho, qubits).mat)
+        assert np.array_equal(partial_transpose(rho, as_numpy),
+                              partial_transpose(rho, qubits))
+    assert np.array_equal(
+        conjugate_pair_stack(rho.mat[None], u, np.array([0, 2])),
+        conjugate_pair_stack(rho.mat[None], u, (0, 2)))
+
+
+def test_qubit_count_comes_from_the_matrices():
+    # a dimension that is not a power of two is refused by every kernel
+    # and by the carrier, before any qubit index is read
+    mats = np.array([np.eye(6) / 6.0] * 4)
+    for call in (lambda: partial_trace_stack(mats, (0,)),
+                 lambda: partial_transpose_stack(mats, (0,)),
+                 lambda: conjugate_pair_stack(mats, np.eye(4), (0, 1)),
+                 lambda: DensityMatrix(mats[0])):
+        with pytest.raises(ValueError, match=r"2\*\*n") as err:
+            call()
+        assert type(err.value) is ValueError
 
 
 def test_partial_transpose_product_state_stays_positive(rng):
@@ -173,13 +218,13 @@ def test_matrix_exp_rejects_nonhermitian():
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
-        DensityMatrix(np.eye(4) / 2.0, 2)   # trace 2
+        DensityMatrix(np.eye(4) / 2.0)   # trace 2
     with pytest.raises(NotHermitian):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), 1)
+        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(NotPositive):
-        DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 1)
+        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError):
-        DensityMatrix(np.eye(3) / 3.0, 1)   # dim not 2**nqubits
+        DensityMatrix(np.eye(3) / 3.0)   # dim not a power of two
 
 
 def test_density_matrix_is_immutable():

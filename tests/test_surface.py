@@ -2,9 +2,10 @@
 `src/dipnet` is used by the package itself, by the benchmark (`perfbench`)
 or by the acceptance tests. A helper that only unit tests call belongs in
 `tests/conftest.py`, next to the other reference helpers. Every field of
-a `src/dipnet` dataclass is read, as an attribute, by those same callers:
-a field kept for inspection only goes. No module but `__init__.py`, whose
-imports are the package's re-exports, imports a name it never reads."""
+a `src/dipnet` dataclass, and every attribute a `src/dipnet` class stores
+on `self`, is read, as an attribute, by those same callers: a value kept
+for inspection only goes. No module but `__init__.py`, whose imports are
+the package's re-exports, imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -42,10 +43,14 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                and d.func.id == "dataclass" for d in node.decorator_list)
 
 
-def test_every_dataclass_field_is_read_outside_the_unit_tests():
-    read = {node.attr for path in CALLERS for node in ast.walk(_tree(path))
+def _attributes_read() -> set:
+    return {node.attr for path in CALLERS for node in ast.walk(_tree(path))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_outside_the_unit_tests():
+    read = _attributes_read()
     unread = [f"{path.stem}.{cls.name}.{stmt.target.id}" for path in PACKAGE
               for cls in _tree(path).body
               if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
@@ -53,6 +58,21 @@ def test_every_dataclass_field_is_read_outside_the_unit_tests():
               if isinstance(stmt, ast.AnnAssign)
               and isinstance(stmt.target, ast.Name)
               and stmt.target.id not in read]
+    assert not unread, (f"no caller outside the unit tests reads "
+                        f"{', '.join(unread)}")
+
+
+def test_every_attribute_stored_on_self_is_read_outside_the_unit_tests():
+    read = _attributes_read()
+    unread = sorted({f"{path.stem}.{cls.name}.{node.attr}" for path in PACKAGE
+                     for cls in _tree(path).body
+                     if isinstance(cls, ast.ClassDef)
+                     for node in ast.walk(cls)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Store)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id == "self"
+                     and node.attr not in read})
     assert not unread, (f"no caller outside the unit tests reads "
                         f"{', '.join(unread)}")
 
