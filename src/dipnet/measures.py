@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .qmat import (BadSubsystem, DensityMatrix, partial_trace_stack,
-                   partial_transpose_stack, require_density_stack,
-                   trace_norm_stack)
+                   partial_transpose_stack, qubit_count,
+                   require_density_stack, trace_norm_stack)
 from .netmodel import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 NAQC_CRITICAL = math.sqrt(6.0)
@@ -46,8 +46,8 @@ _STEERED_BASES = np.array([[_AXIS_BASIS[j] for j in AXES if j != axis]
 
 
 def _require_qubits(mats: np.ndarray, n: int, what: str) -> None:
-    if mats.shape[-1] != 2 ** n:
-        got = mats.shape[-1].bit_length() - 1
+    got = qubit_count(mats)
+    if got != n:
         raise BadSubsystem(f"{what} needs a {n}-qubit state, got {got}")
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dipnet.measures import (NAQC_CRITICAL, global_negativity, naqc_degree,
-                             negativity, pairwise_negativity, pi_tangle)
+                             naqc_degree_stack, negativity, negativity_stack,
+                             pairwise_negativity, pi_tangle, pi_tangle_stack)
 from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, NetworkConfig,
                              evolved_network, werner_params, x_state)
 from dipnet.qmat import (BadSubsystem, density_matrix, kron,
@@ -129,6 +130,16 @@ def test_tangle_parts_refuse_a_qubit_that_is_not_an_index(call):
     # of range is refused by the same rule
     with pytest.raises(BadSubsystem):
         call()
+
+
+def test_scorers_read_the_qubit_count_from_the_matrices():
+    # a 6x6 stack is no qubit state: refused as a shape, not as a state of
+    # some other qubit count
+    mats = np.array([np.eye(6) / 6.0] * 4)
+    for score in (negativity_stack, naqc_degree_stack, pi_tangle_stack):
+        with pytest.raises(ValueError, match=r"2\*\*n") as err:
+            score(mats)
+        assert type(err.value) is ValueError
 
 
 def test_pi_tangle_ghz():
