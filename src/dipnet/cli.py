@@ -28,21 +28,12 @@ EXIT_ORACLE = 4
 
 
 class ScenarioError(Exception):
+    """A scenario file that cannot be parsed or validated; the message
+    names the line when there is one."""
+
     def __init__(self, message: str, line: Optional[int] = None):
         where = f"line {line}: " if line is not None else ""
         super().__init__(where + message)
-
-
-class ParseError(ScenarioError):
-    pass
-
-
-class ValidationError(ScenarioError):
-    pass
-
-
-class UnknownKey(ScenarioError):
-    pass
 
 
 # a name becomes file names in the output directory, the CSV's first column
@@ -156,24 +147,25 @@ def parse_scenario(text: str) -> Scenario:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ParseError(f"expected 'key = value', got {stripped!r}", lineno)
+            raise ScenarioError(f"expected 'key = value', got {stripped!r}",
+                                lineno)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ParseError(f"malformed assignment {stripped!r}", lineno)
+            raise ScenarioError(f"malformed assignment {stripped!r}", lineno)
         if key not in _KNOWN_KEYS:
-            raise UnknownKey(f"unknown key {key!r}", lineno)
+            raise ScenarioError(f"unknown key {key!r}", lineno)
         if key in lines:
-            raise ParseError(f"duplicate key {key!r}", lineno)
+            raise ScenarioError(f"duplicate key {key!r}", lineno)
         try:
             values[key] = _CONVERTERS[key](value)
         except ValueError as exc:
-            raise ValidationError(f"key {key}: {exc}", lineno) from None
+            raise ScenarioError(f"key {key}: {exc}", lineno) from None
         lines[key] = lineno
 
     for key in ("name", "network"):
         if key not in values:
-            raise ValidationError(f"missing required key {key!r}")
+            raise ScenarioError(f"missing required key {key!r}")
 
     def build(cls, fields: dict[str, str], **given):
         try:
@@ -184,7 +176,7 @@ def parse_scenario(text: str) -> Scenario:
             key_of = {field: key for key, field in fields.items()}
             keys = [key_of.get(k, k) for k in exc.keys]
             key = next((k for k in keys if k in lines), keys[0])
-            raise ValidationError(f"key {key}: {exc}", lines.get(key)) from None
+            raise ScenarioError(f"key {key}: {exc}", lines.get(key)) from None
 
     network = build(NetworkConfig, _NETWORK)
     grid = build(ScanGrid, _GRID)
@@ -196,7 +188,7 @@ def parse_scenario(text: str) -> Scenario:
         extension = build(ExtensionSpec, _EXTENSION, bridge=bridge)
     for key in _BRIDGE:
         if key in values and (extension is None or extension.bridge is None):
-            raise ValidationError(f"key {key}: only extension = fixed takes "
+            raise ScenarioError(f"key {key}: only extension = fixed takes "
                                   f"bridge parameters", lines[key])
     return build(Scenario, _SCENARIO, network=network, grid=grid,
                  extension=extension)

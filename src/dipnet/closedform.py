@@ -46,7 +46,7 @@ import numpy as np
 
 from .qmat import BadSubsystem, DensityMatrix, ORACLE_TOL
 from .netmodel import (IDENTITY_4, PAULIS, DipolarParams, NetworkConfig,
-                       XStateParams, coupling_matrices, network_channel_state,
+                       coupling_matrices, network_channel_state,
                        propagator_gammas, x_states)
 
 
@@ -93,14 +93,16 @@ _PAULI_STACK = np.array(PAULIS)
 _MIXED_PAIR = IDENTITY_4 / 4.0
 
 
-def _three_node_states(channel: str, w1: np.ndarray, w2: np.ndarray,
+def _three_node_states(channel: str, pair1: np.ndarray, pair2: np.ndarray,
                        gammas: np.ndarray) -> np.ndarray:
-    """(N, 8, 8) states of a three-node channel from the Pauli weights
-    (1, a, b, c) of both pairs.
+    """(N, 8, 8) states of a three-node channel from the triples (a, b, c)
+    of both pairs.
 
-    The network state is 1/16 sum_kl w1[k] w2[l] P_k (x) u (P_k (x) P_l) u^+
-    (x) P_l; each channel keeps one such sum with the dropped qubit traced.
+    With Pauli weights w = (1, a, b, c) per pair, the network state is
+    1/16 sum_kl w1[k] w2[l] P_k (x) u (P_k (x) P_l) u^+ (x) P_l; each
+    channel keeps one such sum with the dropped qubit traced.
     """
+    w1, w2 = np.array([1.0, *pair1]), np.array([1.0, *pair2])
     # a traced far qubit keeps only the identity word of its pair
     words = {"124": _WORDS[:, :1], "234": _WORDS[:1]}.get(channel, _WORDS)
     u = coupling_matrices(gammas)[:, None, None]
@@ -121,34 +123,28 @@ def _three_node_states(channel: str, w1: np.ndarray, w2: np.ndarray,
     return m.reshape(-1, 8, 8)
 
 
-def _weights(params: XStateParams) -> np.ndarray:
-    return np.array([1.0, params.a, params.b, params.c])
-
-
-def channel_states(channel: str, pair1: XStateParams, pair2: XStateParams,
-                   gammas: np.ndarray, bridge_gammas=None) -> np.ndarray:
+def channel_states(channel: str, pair1, pair2, gammas: np.ndarray,
+                   bridge_gammas=None) -> np.ndarray:
     """(N, d, d) closed-form states of a channel, one per column of the
-    (4, N) propagator entries `gammas`, for any two Pauli-diagonal pairs;
-    channel "18" crosses a bridge coupling with entries `bridge_gammas`
-    (4, N) or (4, 1) (default: `gammas`). Channels "13" and "24" are the
-    constant I/4. Only the Pauli pairs' Bell weights are checked here; the
-    callers validate the assembled states."""
+    (4, N) propagator entries `gammas`, for any two Pauli-diagonal pairs
+    given as triples (a, b, c). A two-node channel is its pair's triple
+    times one damping triple, elementwise; channel "18" is pair 1 times
+    the cross-pair damping of `gammas` and of a bridge coupling with
+    entries `bridge_gammas` (4, N) or (4, 1) (default: `gammas`). Channels
+    "13" and "24" are the constant I/4. Only the Pauli pairs' Bell weights
+    are checked here; the callers validate the assembled states."""
+    pairs = np.asarray(pair1, dtype=float), np.asarray(pair2, dtype=float)
     if channel == "18":
-        ex, ey, ez = cross_pair_damping(gammas)
-        bx, by, bz = cross_pair_damping(
-            gammas if bridge_gammas is None else bridge_gammas)
-        return x_states(pair1.a * ex * bx, pair1.b * ey * by,
-                        pair1.c * ez * bz)
+        bridge = gammas if bridge_gammas is None else bridge_gammas
+        return x_states(*(pairs[0][:, None] * cross_pair_damping(gammas)
+                          * cross_pair_damping(bridge)))
     if channel in ("13", "24"):
         # no correlations are ever generated on these channels
         return np.broadcast_to(_MIXED_PAIR, (gammas.shape[1], 4, 4))
     if channel in TWO_NODE_DAMPING:
         pair, damping = TWO_NODE_DAMPING[channel]
-        params = (pair1, pair2)[pair]
-        dx, dy, dz = damping(gammas)
-        return x_states(params.a * dx, params.b * dy, params.c * dz)
-    return _three_node_states(channel, _weights(pair1), _weights(pair2),
-                              gammas)
+        return x_states(*(pairs[pair][:, None] * damping(gammas)))
+    return _three_node_states(channel, *pairs, gammas)
 
 
 def closed_channel_states(cfg: NetworkConfig, channel: str,

@@ -19,10 +19,10 @@ import numpy as np
 
 from .qmat import (DensityMatrix, conjugate_pair_stack, kron, partial_trace,
                    require_unitary)
-from .netmodel import (DipolarParams, XStateParams, coeff_gammas,
-                       propagator_coeffs, propagator_matrix, x_state)
+from .netmodel import (DipolarParams, coeff_gammas, propagator_coeffs,
+                       propagator_matrix, x_state)
 
-SOURCE_FRAME_MAX_ENTANGLED = XStateParams(1.0, -1.0, 1.0)
+SOURCE_FRAME_MAX_ENTANGLED = (1.0, -1.0, 1.0)
 LEDGER_REFERENCE = DipolarParams(eps_tilde=0.3, tau=0.7)
 
 CAUSE_DUPLICATED_COEFF = "duplicated-pair-coefficient-definition"
@@ -39,28 +39,24 @@ class LedgerEntry:
     cause: str
 
 
-def _printed_pair_corner_naive(pair: XStateParams, pc: np.ndarray) -> complex:
+def _printed_pair_offdiag_naive(pair, pc: np.ndarray) -> complex:
     # literal reading: the second duplicated "A3" definition shadows the
-    # first, leaving the undefined A4 symbol to collapse onto A3
+    # first, leaving the undefined A4 symbol to collapse onto A3. The corner
+    # entries weigh |r1|^2..|r4|^2 by (A3, A4, -A4, -A3) and the inner ones
+    # by (A4, A3, -A3, -A4), so with A4 = A3 both read the same expression.
     R = [abs(r) ** 2 for r in pc.tolist()]
-    A3 = 0.25 * (pair.a - pair.b)
-    A4_naive = A3
-    return A3 * R[0] + A4_naive * R[1] - A4_naive * R[2] - A3 * R[3]
+    a1, b1, _ = pair
+    A3 = 0.25 * (a1 - b1)
+    return A3 * R[0] + A3 * R[1] - A3 * R[2] - A3 * R[3]
 
 
-def _printed_pair_inner_naive(pair: XStateParams, pc: np.ndarray) -> complex:
-    R = [abs(r) ** 2 for r in pc.tolist()]
-    A3 = 0.25 * (pair.a - pair.b)
-    A4_naive = A3
-    return A4_naive * R[0] + A3 * R[1] - A3 * R[2] - A4_naive * R[3]
-
-
-def _printed_malformed_diag(pair1: XStateParams, pair2: XStateParams,
-                            pc: np.ndarray) -> complex:
+def _printed_malformed_diag(pair1, pair2, pc: np.ndarray) -> complex:
     # the malformed trio (|011><000| + |100><111| + |111><111|) puts an
     # off-diagonal coefficient onto the (7,7) diagonal entry
-    A1, A2 = 0.25 * (pair1.c + 1), 0.25 * (1 - pair1.c)
-    B3, B4 = 0.25 * (pair2.a - pair2.b), 0.25 * (pair2.a + pair2.b)
+    _, _, c1 = pair1
+    a2, b2, _ = pair2
+    A1, A2 = 0.25 * (c1 + 1), 0.25 * (1 - c1)
+    B3, B4 = 0.25 * (a2 - b2), 0.25 * (a2 + b2)
     g = coeff_gammas(pc)
     cc = lambda i, j: g[i - 1] * np.conj(g[j - 1])
     return (A2 * B3 * cc(4, 1) + A2 * B4 * cc(3, 2)
@@ -79,11 +75,9 @@ def typo_ledger() -> list[LedgerEntry]:
     entries: list[LedgerEntry] = []
 
     oracle12 = partial_trace(rho_t, (0, 1)).mat
-    corner = _printed_pair_corner_naive(pair, pc)
-    inner = _printed_pair_inner_naive(pair, pc)
-    for (r, c), val in [((0, 3), corner), ((3, 0), corner),
-                        ((1, 2), inner), ((2, 1), inner)]:
-        entries.append(LedgerEntry("12", r, c, complex(val),
+    printed = complex(_printed_pair_offdiag_naive(pair, pc))
+    for r, c in ((0, 3), (3, 0), (1, 2), (2, 1)):
+        entries.append(LedgerEntry("12", r, c, printed,
                                    complex(oracle12[r, c]),
                                    CAUSE_DUPLICATED_COEFF))
 

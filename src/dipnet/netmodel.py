@@ -1,6 +1,7 @@
 """Network construction and dipolar evolution.
 
-A four-node network is two entangled pairs on qubits (0,1) and (2,3); the
+A four-node network is two entangled pairs on qubits (0,1) and (2,3), each
+a Pauli-diagonal triple (a, b, c) (`NetworkConfig.pair_params`); the
 dipolar coupling acts on qubits (1,2). Channel names follow the node
 numbering used throughout the result set, where the second pair's nodes are
 numbered far-member-first (node 3 is qubit 3, node 4 is qubit 2):
@@ -86,25 +87,6 @@ def _require_bell_weights(a, b, c) -> None:
             f"{tuple(weights[:, i].tolist())}")
 
 
-@dataclass(frozen=True)
-class XStateParams:
-    """Correlation coefficients (a, b, c) of the Pauli-diagonal pair state."""
-
-    a: float
-    b: float
-    c: float
-
-
-SINGLET_PARAMS = XStateParams(-1.0, -1.0, -1.0)
-
-
-def werner_params(x: float) -> XStateParams:
-    """Werner mixture x * singlet + (1 - x) * I/4."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"werner parameter {x} outside [0, 1]")
-    return XStateParams(-x, -x, -x)
-
-
 def propagator_phases(eps_tilde: np.ndarray, taus: np.ndarray, eps_key: str,
                       tau_key: str) -> np.ndarray:
     """(3, N) phases kappa * tau of the propagator's three Pauli-pair terms,
@@ -154,12 +136,13 @@ class NetworkConfig:
             if not 0.0 <= x <= 1.0:
                 raise FieldError((key,), f"werner parameter {x} outside [0, 1]")
 
-    def pair_params(self) -> tuple[XStateParams, XStateParams]:
-        if self.kind == "MM":
-            return SINGLET_PARAMS, SINGLET_PARAMS
-        if self.kind == "WW":
-            return werner_params(self.werner_x1), werner_params(self.werner_x2)
-        return SINGLET_PARAMS, werner_params(self.werner_x2)
+    def pair_params(self) -> np.ndarray:
+        """(2, 3) Pauli-diagonal triples (a, b, c), one row per pair, by the
+        one Werner rule: x * singlet + (1 - x) * I/4 is (-x, -x, -x), with
+        x = 1 (the singlet) for an M pair and its werner_x for a W pair."""
+        xs = [x if k == "W" else 1.0
+              for k, x in zip(self.kind, (self.werner_x1, self.werner_x2))]
+        return -np.array([[x] * 3 for x in xs], dtype=float)
 
 
 def _require_unit_norm(r: np.ndarray) -> np.ndarray:
@@ -255,11 +238,10 @@ def x_states(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
                    + c[:, None, None] * ZZ)
 
 
-def x_state(params: XStateParams) -> DensityMatrix:
-    """Two-qubit Pauli-diagonal state 1/4 (I + a XX + b YY + c ZZ)."""
-    m = x_states(*(np.array([x], dtype=float)
-                   for x in (params.a, params.b, params.c)))
-    return DensityMatrix(m[0])
+def x_state(pair) -> DensityMatrix:
+    """Two-qubit Pauli-diagonal state 1/4 (I + a XX + b YY + c ZZ) of the
+    triple `pair` = (a, b, c)."""
+    return DensityMatrix(x_states(*np.array(pair, dtype=float)[:, None])[0])
 
 
 @functools.lru_cache(maxsize=INITIAL_NETWORKS_KEPT)

@@ -5,7 +5,8 @@ Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of the
 computational-basis index. Two rules hold for every kernel and for the
 `DensityMatrix` carrier: the qubit count n is read from the matrices
 (`qubit_count`: a (..., 2**n, 2**n) array, else ValueError), and qubit
-indices are integers, strictly increasing and below n (else BadSubsystem).
+indices are integers (not bools), strictly increasing and below n (else
+BadSubsystem).
 """
 
 import operator
@@ -141,10 +142,13 @@ def trace_norm(a: ComplexMatrix) -> float:
 
 def _check_keep(indices, nqubits: int) -> tuple:
     """The one qubit-index rule: each index an integer (`operator.index`,
-    so numpy integers pass and floats do not), strictly increasing, in
-    range(nqubits); BadSubsystem otherwise."""
+    so numpy integers pass and floats and bools do not), strictly
+    increasing, in range(nqubits); BadSubsystem otherwise."""
     try:
-        idx = tuple(operator.index(q) for q in indices)
+        # operator.index reads True as 1, so a bool goes in as None, which
+        # it refuses
+        idx = tuple(operator.index(None if isinstance(q, bool) else q)
+                    for q in indices)
     except TypeError as exc:
         raise BadSubsystem(f"bad qubit indices {indices!r}") from exc
     if not idx or idx != tuple(q for q in range(nqubits) if q in idx):

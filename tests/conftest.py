@@ -16,6 +16,16 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+# Pair presets as (a, b, c) triples; the library's one rule is
+# NetworkConfig.pair_params.
+SINGLET_PARAMS = (-1.0, -1.0, -1.0)
+
+
+def werner_params(x: float) -> tuple:
+    """Werner mixture x * singlet + (1 - x) * I/4."""
+    return (-x, -x, -x)
+
+
 def ginibre_density(rng, nqubits: int) -> DensityMatrix:
     """Random full-rank density matrix (Ginibre construction)."""
     dim = 2 ** nqubits

@@ -14,14 +14,14 @@ from dipnet.ledger import (CAUSE_DUPLICATED_COEFF, CAUSE_MALFORMED_KETBRA,
                            typo_ledger)
 from dipnet.measures import (global_negativity, naqc_degree, negativity,
                              negativity_stack, pairwise_negativity, pi_tangle)
-from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, NetworkConfig,
+from dipnet.netmodel import (DipolarParams, NetworkConfig,
                              network_channel_state, network_channel_states,
-                             propagator_matrix, werner_params, x_state)
+                             propagator_matrix, x_state)
 from dipnet.qmat import density_matrix, require_density_stack
 from dipnet.scan import (ZERO_TOL, ExtensionSpec, ScanGrid,
                          detect_zero_intervals, sweep)
 
-from conftest import random_pure
+from conftest import SINGLET_PARAMS, random_pure, werner_params
 
 MM = NetworkConfig("MM")
 WW = NetworkConfig("WW", werner_x1=0.7, werner_x2=0.7)

@@ -14,16 +14,17 @@ import pytest
 import dipnet.cli
 import dipnet.scan
 from dipnet.cli import (_KNOWN_KEYS, EXIT_COMPUTE, EXIT_OK, EXIT_ORACLE,
-                        EXIT_USAGE, ParseError, Scenario, UnknownKey,
-                        ValidationError, main, parse_scenario, render_csv,
-                        render_events, run)
+                        EXIT_USAGE, Scenario, ScenarioError, main,
+                        parse_scenario, render_csv, render_events, run)
 from dipnet.closedform import OracleMismatch
 from dipnet.netmodel import NetworkConfig
-from dipnet.scan import ExtensionSpec, ScanGrid, sweep
+from dipnet.scan import MODES, ExtensionSpec, ScanGrid, sweep
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS_DIR = REPO / "scenarios"
 TYPO_LEDGER_GOLDEN = Path(__file__).resolve().parent / "data" / "typo_ledger.txt"
+THREE_MODE_PINS = (Path(__file__).resolve().parent / "data"
+                   / "three_mode_outputs.sha256")
 
 MINIMAL = """
 name = tiny
@@ -67,30 +68,31 @@ def test_parse_comments_and_lists():
 
 
 def test_parse_rejects_bad_werner():
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ScenarioError, match=r"^line 3: key werner_x1: werner "
+                       r"parameter 1\.5 outside \[0, 1\]$"):
         parse_scenario("name = x\nnetwork = WW\nwerner_x1 = 1.5\n")
-    assert "werner_x1" in str(err.value)
 
 
 def test_parse_rejects_channel_18_without_extension():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ScenarioError, match=r"^line 3: key channels: "
+                       r"channel 18 needs an extension$"):
         parse_scenario("name = x\nnetwork = MM\nchannels = 18\n"
                        "quantifiers = negativity\n")
 
 
 def test_parse_rejects_unknown_key():
-    with pytest.raises(UnknownKey) as err:
+    with pytest.raises(ScenarioError, match=r"^line 3: unknown key 'bogus'$"):
         parse_scenario("name = x\nnetwork = MM\nbogus = 1\n")
-    assert "line 3" in str(err.value)
 
 
 def test_parse_rejects_malformed_line():
-    with pytest.raises(ParseError):
+    with pytest.raises(ScenarioError, match=r"^line 2: expected 'key = "
+                       r"value', got 'network MM'$"):
         parse_scenario("name = x\nnetwork MM\n")
 
 
 def test_parse_rejects_duplicate_key():
-    with pytest.raises(ParseError):
+    with pytest.raises(ScenarioError, match=r"^line 2: duplicate key 'name'$"):
         parse_scenario("name = x\nname = y\nnetwork = MM\n")
 
 
@@ -451,6 +453,31 @@ def test_bundled_scenarios_match_pinned_digests(tmp_path, command, name):
                        ("events", tmp_path / f"{name}_events.txt")):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == pins["scenarios"][name][kind], kind
+
+
+@pytest.mark.parametrize("mode, name", [
+    (mode, f"fig{k}") for mode in MODES for k in range(2, 11)])
+def test_bundled_scenarios_match_three_mode_digests(tmp_path, mode, name):
+    # each bundled scenario at tau_steps = 121 in each mode (27 runs) must
+    # write the CSV and events bytes pinned, as `sha256sum` lines of
+    # ./<mode>/<file>, in tests/data/three_mode_outputs.sha256. The pins
+    # are regenerated by hand, at the commit whose bytes they should hold
+    # and with single-threaded BLAS (OPENBLAS_NUM_THREADS=1): write the 27
+    # runs to OUT/<mode>/ as this test does, then write
+    # `sha256sum ./*/*.csv ./*/*_events.txt`, taken in OUT, to the pins file.
+    lines = [line for line in
+             (SCENARIOS_DIR / f"{name}.scn").read_text().splitlines()
+             if not re.match(r"(tau_steps|mode)\s*=", line)]
+    scn = tmp_path / f"{name}.scn"
+    scn.write_text("\n".join(lines + ["tau_steps = 121", f"mode = {mode}"])
+                   + "\n")
+    assert main(["run", str(scn), "--output-dir",
+                 str(tmp_path / mode)]) == EXIT_OK
+    pins = dict(reversed(line.split()) for line in
+                THREE_MODE_PINS.read_text().splitlines())
+    for path in (f"{mode}/{name}.csv", f"{mode}/{name}_events.txt"):
+        digest = hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+        assert digest == pins[f"./{path}"], path
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS_DIR.glob("fig*.scn")),

@@ -13,7 +13,7 @@ from dipnet.ledger import (CAUSE_DUPLICATED_COEFF, CAUSE_MALFORMED_KETBRA,
                            render_typo_report, typo_ledger)
 from dipnet.measures import pi_tangle
 from dipnet.netmodel import (PAULIS, DipolarParams, NetworkConfig,
-                             XStateParams, channel_qubits,
+                             channel_qubits,
                              extend_to_eight, network_channel_state,
                              THREE_NODE_CHANNELS, coeff_gammas,
                              propagator_coeffs,
@@ -65,7 +65,7 @@ def test_coeffs_gammas_at_tau_zero():
 
 
 def test_coeffs_maximally_mixed_pairs():
-    mixed = XStateParams(0.0, 0.0, 0.0)
+    mixed = (0.0, 0.0, 0.0)
     gammas = coeff_gammas(propagator_coeffs(DipolarParams(eps_tilde=0.1,
                                                           tau=0.4)))
     for channel in CLOSED_CHANNELS + ("13", "24", "18"):
@@ -137,9 +137,8 @@ def _random_pair(rng):
     # the closed forms hold for every valid pair, not just the MM/WW/MW
     # presets: sample Bell weights from the simplex and map back to (a,b,c)
     w = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-    return XStateParams(a=w[0] - w[1] + w[2] - w[3],
-                        b=-w[0] + w[1] + w[2] - w[3],
-                        c=w[0] + w[1] - w[2] - w[3])
+    return (w[0] - w[1] + w[2] - w[3], -w[0] + w[1] + w[2] - w[3],
+            w[0] + w[1] - w[2] - w[3])
 
 
 def test_closed_forms_match_dense_random_params(rng):
@@ -172,7 +171,7 @@ def test_three_node_states_equal_the_all_words_reference():
         taus = rng.uniform(0.0, 10.0, size=n)
         eps[rng.random(n) < 0.1] = 0.0
         taus[rng.random(n) < 0.1] = 0.0
-        weights = [np.array([1.0, q.a, q.b, q.c]) for q in cfg.pair_params()]
+        weights = [np.array([1.0, *q]) for q in cfg.pair_params()]
         gammas = propagator_gammas(eps, taus)
         for channel in THREE_NODE_CHANNELS:
             got = closed_channel_states(cfg, channel, eps, taus)

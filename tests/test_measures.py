@@ -4,14 +4,15 @@ import pytest
 from dipnet.measures import (NAQC_CRITICAL, global_negativity, naqc_degree,
                              naqc_degree_stack, negativity, negativity_stack,
                              pairwise_negativity, pi_tangle, pi_tangle_stack)
-from dipnet.netmodel import (SINGLET_PARAMS, DipolarParams, NetworkConfig,
-                             evolved_network, werner_params, x_state)
+from dipnet.netmodel import (DipolarParams, NetworkConfig, evolved_network,
+                             x_state)
 from dipnet.qmat import (BadSubsystem, density_matrix, kron,
                          partial_transpose, trace_norm)
 
-from conftest import (ZeroProbability, charpoly_eigenvalues,
+from conftest import (SINGLET_PARAMS, ZeroProbability, charpoly_eigenvalues,
                       conditional_states, ginibre_density, l1_coherence,
-                      naqc_average, random_product_pure, random_pure)
+                      naqc_average, random_product_pure, random_pure,
+                      werner_params)
 
 SINGLET = x_state(SINGLET_PARAMS)
 I2 = np.eye(2, dtype=complex)
@@ -121,13 +122,14 @@ def test_pairwise_negativity_refuses_what_is_not_a_pair(pair):
     lambda: global_negativity(W_STATE, np.float64(1.0)),
     lambda: global_negativity(W_STATE, 3),
     lambda: global_negativity(W_STATE, -1),
+    lambda: global_negativity(W_STATE, True),
     lambda: pairwise_negativity(W_STATE, (0.5, 1)),
     lambda: pairwise_negativity(W_STATE, (0, 1.5))],
-    ids=["focus_1.5", "focus_float_1", "focus_3", "focus_-1", "pair_0.5_1",
-         "pair_0_1.5"])
+    ids=["focus_1.5", "focus_float_1", "focus_3", "focus_-1", "focus_True",
+         "pair_0.5_1", "pair_0_1.5"])
 def test_tangle_parts_refuse_a_qubit_that_is_not_an_index(call):
-    # one index rule: a float is not truncated to a qubit, and a focus out
-    # of range is refused by the same rule
+    # one index rule: a float or a bool is not read as a qubit, and a focus
+    # out of range is refused by the same rule
     with pytest.raises(BadSubsystem):
         call()
 

@@ -8,22 +8,23 @@ from dipnet.measures import negativity
 import dipnet.netmodel as netmodel
 import dipnet.qmat as qmat
 import dipnet.scan as scan
-from dipnet.netmodel import (ALL_CHANNELS, SINGLET_PARAMS, DipolarParams,
-                             FieldError, NetworkConfig, XStateParams,
-                             bell_weights, coeff_gammas, evolved_network,
-                             extend_to_eight, initial_network,
-                             network_channel_state, network_channel_states,
-                             propagator_coeff_stack, propagator_coeffs,
-                             propagator_gammas, propagator_matrix,
-                             werner_params, x_state)
+from dipnet.netmodel import (ALL_CHANNELS, DipolarParams, FieldError,
+                             NetworkConfig, bell_weights, coeff_gammas,
+                             evolved_network, extend_to_eight,
+                             initial_network, network_channel_state,
+                             network_channel_states, propagator_coeff_stack,
+                             propagator_coeffs, propagator_gammas,
+                             propagator_matrix, x_state)
 from dipnet.qmat import (BadSubsystem, NotPositive, NotUnitary,
                          conjugate_pair_stack, kron, partial_trace,
                          partial_trace_stack, require_unitary)
 
-from conftest import (charpoly_eigenvalues, dense_channel_states_reference,
+from conftest import (SINGLET_PARAMS, charpoly_eigenvalues,
+                      dense_channel_states_reference,
                       dipolar_hamiltonian, gammas_reference, ginibre_density,
                       hermitian_eigenvalues, matrix_exp_hermitian,
-                      propagator_coeffs_reference, tau_to_time)
+                      propagator_coeffs_reference, tau_to_time,
+                      werner_params)
 
 SINGLET_MAT = np.array([[0, 0, 0, 0],
                         [0, 0.5, -0.5, 0],
@@ -183,7 +184,7 @@ def test_x_state_singlet():
 
 
 def test_x_state_maximally_mixed():
-    assert np.abs(x_state(XStateParams(0, 0, 0)).mat - np.eye(4) / 4).max() < 1e-14
+    assert np.abs(x_state((0, 0, 0)).mat - np.eye(4) / 4).max() < 1e-14
 
 
 def test_x_state_werner_mixture():
@@ -195,13 +196,13 @@ def test_x_state_werner_mixture():
 
 def test_x_state_rejects_nonpositive_params():
     with pytest.raises(NotPositive):
-        x_state(XStateParams(1.0, 1.0, 1.0))
+        x_state((1.0, 1.0, 1.0))
 
 
 def test_xstate_psd_condition_matches_bell_weights(rng):
     for _ in range(50):
         a, b, c = rng.uniform(-1.2, 1.2, size=3)
-        params = XStateParams(a, b, c)
+        params = (a, b, c)
         ok = min(bell_weights(a, b, c)) >= -1e-12
         if ok:
             rho = x_state(params)
@@ -218,6 +219,18 @@ def test_initial_network_kinds():
     assert np.abs(ww0.mat - np.eye(16) / 16).max() < 1e-14
     mw1 = initial_network(NetworkConfig("MW", werner_x2=1.0))
     assert np.abs(mw1.mat - mm.mat).max() < 1e-14
+
+
+def test_pair_params_is_the_werner_rule():
+    # one (a, b, c) row per pair, -x three times: x = 1 for an M pair, its
+    # werner_x for a W pair
+    cases = [(NetworkConfig("MM"), 1.0, 1.0),
+             (NetworkConfig("MW", werner_x2=0.4), 1.0, 0.4),
+             (NetworkConfig("WW", werner_x1=0.3, werner_x2=0.4), 0.3, 0.4)]
+    for cfg, x1, x2 in cases:
+        got = cfg.pair_params()
+        assert got.shape == (2, 3) and got.dtype == float, cfg.kind
+        assert (got == np.array([[-x1] * 3, [-x2] * 3])).all(), cfg.kind
 
 
 def test_conjugate_pair_stack_identity():
@@ -361,7 +374,7 @@ def test_evolved_network_matches_pair_closed_form():
         p = DipolarParams(eps_tilde=eps, tau=tau)
         dense = partial_trace(evolved_network(cfg, p), (0, 1))
         lx, ly, lz = kept_pair_damping(coeff_gammas(propagator_coeffs(p)))
-        closed = x_state(XStateParams(-lx, -ly, -lz))
+        closed = x_state((-lx, -ly, -lz))
         assert np.abs(dense.mat - closed.mat).max() < 1e-12
 
 

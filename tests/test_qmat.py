@@ -6,9 +6,10 @@ from dipnet.qmat import (BadSubsystem, DensityMatrix, NotHermitian,
                          kron, partial_trace, partial_trace_stack,
                          partial_transpose, partial_transpose_stack,
                          trace_norm)
-from dipnet.netmodel import SINGLET_PARAMS, x_state
+from dipnet.netmodel import x_state
 
-from conftest import (charpoly_eigenvalues, dipolar_hamiltonian,
+from conftest import (SINGLET_PARAMS, charpoly_eigenvalues,
+                      dipolar_hamiltonian,
                       ginibre_density, hermitian_eigenvalues,
                       matrix_exp_hermitian)
 
@@ -116,11 +117,12 @@ def test_partial_trace_preserves_trace(rng):
 
 # qubit selections the one index rule refuses on a two-qubit state: empty,
 # repeated, out of order, out of range, not integers, not a sequence
+# operator.index reads a bool as 0 or 1, so (False, True) would be (0, 1)
 BAD_QUBITS = [(), (0, 0), (2, 0), (0, 5), (0.5, 1), (1, 0), (-1,),
-              (np.float64(1.0),), ("0",), 1]
+              (np.float64(1.0),), ("0",), 1, (True,), (False, True)]
 
 
-@pytest.mark.parametrize("keep", BAD_QUBITS[:5])
+@pytest.mark.parametrize("keep", BAD_QUBITS[:5] + BAD_QUBITS[-2:])
 def test_partial_trace_bad_subsystem(keep):
     rho = ginibre_density(np.random.default_rng(0), 2)
     with pytest.raises(BadSubsystem):
