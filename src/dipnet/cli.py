@@ -41,6 +41,10 @@ class ScenarioError(Exception):
 _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]*")
 
 
+def _fmt(value: float) -> str:
+    return f"{value:.12g}"
+
+
 @dataclass(frozen=True)
 class Scenario:
     """What a scenario file means. Its defaults and range rules, with those
@@ -71,9 +75,18 @@ class Scenario:
         if not has_18 and self.extension is not None:
             raise FieldError(("extension",), "only channel 18 reads an "
                                              "extension")
+        # the CSV's eps_tilde column, the events headers and the plot
+        # filters print each eps, so two that print alike key one series
+        printed = [_fmt(eps) for eps in self.grid.eps_values]
+        for text in printed:
+            if printed.count(text) > 1:
+                raise FieldError(("eps_values",), f"eps_values has two "
+                                 f"entries that print as {text}")
         for key in ("zero_tol", "peak_prominence", "slope_jump_tol"):
             value = getattr(self, key)
-            if value is not None and not 0.0 <= value < math.inf:
+            if value is None and key == "peak_prominence":  # the default
+                continue
+            if value is None or not 0.0 <= value < math.inf:
                 raise FieldError((key,), f"{key} must be finite and >= 0, "
                                          f"got {value}")
 
@@ -192,10 +205,6 @@ def parse_scenario(text: str) -> Scenario:
                                   f"bridge parameters", lines[key])
     return build(Scenario, _SCENARIO, network=network, grid=grid,
                  extension=extension)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
 
 
 def _csv_blocks(scenario_name: str,

@@ -44,7 +44,7 @@ it replaced. Keep these rules when editing:
 
 import numpy as np
 
-from .qmat import BadSubsystem, DensityMatrix, ORACLE_TOL
+from .qmat import DensityMatrix, ORACLE_TOL
 from .netmodel import (IDENTITY_4, PAULIS, DipolarParams, NetworkConfig,
                        coupling_matrices, network_channel_state,
                        propagator_gammas, x_states)
@@ -119,7 +119,7 @@ def _three_node_states(channel: str, pair1: np.ndarray, pair2: np.ndarray,
         m = np.einsum("kl,kij,Nklab,lcd->Niacjbd", np.outer(w1, w2), p, psi,
                       p) / 16.0
     else:
-        raise BadSubsystem(f"unknown channel {channel!r}")
+        raise ValueError(f"unknown channel {channel!r}")
     return m.reshape(-1, 8, 8)
 
 

@@ -13,16 +13,17 @@ Each quantifier maps an (N, d, d) stack of states to its (N,) values
 (`negativity_stack`, `naqc_degree_stack`, `pi_tangle_stack`); each scalar
 function returns the float of its N = 1 case, so every route scores with
 the same arithmetic. `global_negativity` and `pairwise_negativity` read the
-pi-tangle's parts of one three-qubit state.
+pi-tangle's parts of one three-qubit state. Each function refuses, with
+ValueError, a state of other than the qubit count it reads (two for
+negativity and NAQC, three for the tangle and its parts).
 """
 
 import math
 
 import numpy as np
 
-from .qmat import (BadSubsystem, DensityMatrix, partial_trace_stack,
-                   partial_transpose_stack, qubit_count,
-                   require_density_stack, trace_norm_stack)
+from .qmat import (DensityMatrix, partial_trace_stack, partial_transpose_stack,
+                   qubit_count, require_density_stack, trace_norm_stack)
 from .netmodel import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 NAQC_CRITICAL = math.sqrt(6.0)
@@ -48,7 +49,7 @@ _STEERED_BASES = np.array([[_AXIS_BASIS[j] for j in AXES if j != axis]
 def _require_qubits(mats: np.ndarray, n: int, what: str) -> None:
     got = qubit_count(mats)
     if got != n:
-        raise BadSubsystem(f"{what} needs a {n}-qubit state, got {got}")
+        raise ValueError(f"{what} needs a {n}-qubit state, got {got}")
 
 
 def negativity_stack(mats: np.ndarray) -> np.ndarray:
@@ -85,7 +86,7 @@ def _pairwise_negativities(mats: np.ndarray, pairs) -> np.ndarray:
     a three-qubit stack, transposed on each pair's second qubit."""
     marginals = np.stack([partial_trace_stack(mats, pair)
                           for pair in pairs], axis=1).reshape(-1, 4, 4)
-    require_density_stack(marginals, 2)
+    require_density_stack(marginals)
     return _negativities(partial_transpose_stack(marginals, (1,)), len(mats))
 
 
@@ -100,7 +101,7 @@ def pairwise_negativity(rho3: DensityMatrix, pair: tuple[int, int]) -> float:
     transpose on the pair's second qubit."""
     _require_qubits(rho3.mat, 3, "pairwise_negativity")
     if len(pair) != 2 or not 0 <= pair[0] < pair[1] < 3:
-        raise BadSubsystem(f"need a pair 0 <= i < j < 3, got {pair}")
+        raise ValueError(f"need a pair 0 <= i < j < 3, got {pair}")
     return float(_pairwise_negativities(rho3.mat[None], (pair,))[0, 0])
 
 
@@ -143,7 +144,7 @@ def _branch_conditionals(mats: np.ndarray):
     scale = np.where(zero, 1.0, p)[..., None, None]
     cond = np.trace(t, axis1=2, axis2=4) / scale
     cond = 0.5 * (cond + cond.conj().swapaxes(-1, -2))
-    require_density_stack(cond[~zero], 1)
+    require_density_stack(cond[~zero])
     return p, cond, zero
 
 

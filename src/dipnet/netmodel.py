@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import (BadSubsystem, ComplexMatrix, DensityMatrix, NotPositive,
-                   conjugate_pair_stack, kron, partial_trace_stack,
-                   require_density_stack, require_unitary)
+from .qmat import (ComplexMatrix, DensityMatrix, conjugate_pair_stack, kron,
+                   partial_trace_stack, require_density_stack,
+                   require_unitary)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,14 +75,14 @@ def bell_weights(a, b, c) -> tuple:
 
 
 def _require_bell_weights(a, b, c) -> None:
-    """NotPositive for the first element whose Bell weights dip below
+    """ValueError for the first element whose Bell weights dip below
     -XSTATE_PSD_TOL."""
     weights = np.array(bell_weights(a, b, c), dtype=float).reshape(4, -1)
     bad = weights < -XSTATE_PSD_TOL
     if np.count_nonzero(bad):
         i = int(bad.any(axis=0).argmax())
         params = tuple(float(np.ravel(x)[i]) for x in (a, b, c))
-        raise NotPositive(
+        raise ValueError(
             f"X-state params {params} give negative Bell weights "
             f"{tuple(weights[:, i].tolist())}")
 
@@ -268,7 +268,7 @@ def channel_qubits(channel: str) -> tuple[int, ...]:
     try:
         return CHANNEL_QUBITS[channel]
     except KeyError:
-        raise BadSubsystem(f"unknown channel {channel!r}") from None
+        raise ValueError(f"unknown channel {channel!r}") from None
 
 
 def network_channel_states(cfg: NetworkConfig, channel: str,
@@ -293,7 +293,7 @@ def network_channel_states(cfg: NetworkConfig, channel: str,
     us = require_unitary(coupling_matrices(coeff_gammas(
         propagator_coeff_stack(eps_tilde, taus))))
     hops = require_density_stack(conjugate_pair_stack(np.broadcast_to(
-        initial_network(cfg).mat, (len(us), 16, 16)), us, (1, 2)), 4)
+        initial_network(cfg).mat, (len(us), 16, 16)), us, (1, 2)))
     if channel != "18":
         return partial_trace_stack(hops, channel_qubits(channel))
     bridge = (np.repeat(us, 32, axis=0) if p_bridge is None

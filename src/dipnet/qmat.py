@@ -4,9 +4,9 @@ Everything here operates on small (dim <= 16) square complex numpy arrays.
 Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of the
 computational-basis index. Two rules hold for every kernel and for the
 `DensityMatrix` carrier: the qubit count n is read from the matrices
-(`qubit_count`: a (..., 2**n, 2**n) array, else ValueError), and qubit
-indices are integers (not bools), strictly increasing and below n (else
-BadSubsystem).
+(`qubit_count`: a (..., 2**n, 2**n) array), and qubit indices are integers
+(not bools), strictly increasing and below n. Every check here refuses
+with ValueError.
 """
 
 import operator
@@ -21,22 +21,6 @@ PSD_TOL = 1e-10
 ORACLE_TOL = 1e-10
 
 ComplexMatrix = np.ndarray
-
-
-class NotHermitian(ValueError):
-    """Matrix fails the Hermitian symmetry check."""
-
-
-class NotPositive(ValueError):
-    """Matrix has an eigenvalue below the PSD tolerance."""
-
-
-class NotUnitary(ValueError):
-    """Matrix fails the unitarity check."""
-
-
-class BadSubsystem(ValueError):
-    """Qubit indices are out of range, duplicated or otherwise malformed."""
 
 
 def as_complex_matrix(a) -> ComplexMatrix:
@@ -63,25 +47,23 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
 
 def require_hermitian_stack(mats: np.ndarray) -> np.ndarray:
     """Check every matrix of an (N, d, d) stack for Hermiticity within
-    TRACE_TOL; the lowest-index offender raises NotHermitian."""
+    TRACE_TOL; the lowest-index offender raises."""
     dev = np.abs(mats - _adjoint(mats))
     if np.count_nonzero(dev > TRACE_TOL):
         dev = dev.max(axis=(-2, -1))
         i = int((dev > TRACE_TOL).argmax())
-        raise NotHermitian(
+        raise ValueError(
             f"Hermitian deviation {dev[i]:.3e} exceeds {TRACE_TOL:.1e}")
     return mats
 
 
-def require_density_stack(mats: np.ndarray, nqubits: int) -> np.ndarray:
-    """Check every matrix of an (N, d, d) stack as DensityMatrix checks one:
-    d = 2**nqubits, Hermiticity within HERM_TOL, unit trace within
-    TRACE_TOL, eigenvalues >= -PSD_TOL (one batched eigvalsh). As in a loop
-    over the stack, the lowest-index failing matrix raises, with the first
-    check it fails."""
-    if qubit_count(mats) != nqubits:
-        raise ValueError(
-            f"dim {mats.shape[-1]} does not match 2**{nqubits} qubits")
+def require_density_stack(mats: np.ndarray) -> np.ndarray:
+    """Check every matrix of an (N, 2**n, 2**n) stack as DensityMatrix
+    checks one: Hermiticity within HERM_TOL, unit trace within TRACE_TOL,
+    eigenvalues >= -PSD_TOL (one batched eigvalsh). As in a loop over the
+    stack, the lowest-index failing matrix raises, with the first check it
+    fails."""
+    qubit_count(mats)  # refuses any other shape
     adj = _adjoint(mats)
     dev = np.abs(mats - adj)
     tr = mats.diagonal(0, -2, -1).sum(axis=-1)
@@ -93,12 +75,12 @@ def require_density_stack(mats: np.ndarray, nqubits: int) -> np.ndarray:
         bad = (dev > HERM_TOL) | (np.abs(tr - 1.0) > TRACE_TOL) | (lo < -PSD_TOL)
         i = int(bad.argmax())
         if dev[i] > HERM_TOL:
-            raise NotHermitian(
+            raise ValueError(
                 f"Hermitian deviation {dev[i]:.3e} exceeds {HERM_TOL:.1e}")
         if abs(tr[i] - 1.0) > TRACE_TOL:
             raise ValueError(
                 f"trace {tr[i]} deviates from 1 by more than {TRACE_TOL:.1e}")
-        raise NotPositive(f"minimum eigenvalue {lo[i]:.3e} below -{PSD_TOL:.1e}")
+        raise ValueError(f"minimum eigenvalue {lo[i]:.3e} below -{PSD_TOL:.1e}")
     return mats
 
 
@@ -107,15 +89,15 @@ class DensityMatrix:
     """A validated multi-qubit density matrix.
 
     Invariants checked on construction (`require_density_stack` on a
-    1-stack): dim = 2**n for the n that `qubit_count` reads, Hermiticity
-    within HERM_TOL, unit trace within TRACE_TOL, eigenvalues >= -PSD_TOL.
+    1-stack): dim = 2**n, Hermiticity within HERM_TOL, unit trace within
+    TRACE_TOL, eigenvalues >= -PSD_TOL.
     """
 
     mat: ComplexMatrix
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat)
-        require_density_stack(m[None], qubit_count(m))
+        require_density_stack(m[None])
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
@@ -143,17 +125,17 @@ def trace_norm(a: ComplexMatrix) -> float:
 def _check_keep(indices, nqubits: int) -> tuple:
     """The one qubit-index rule: each index an integer (`operator.index`,
     so numpy integers pass and floats and bools do not), strictly
-    increasing, in range(nqubits); BadSubsystem otherwise."""
+    increasing, in range(nqubits)."""
     try:
         # operator.index reads True as 1, so a bool goes in as None, which
         # it refuses
         idx = tuple(operator.index(None if isinstance(q, bool) else q)
                     for q in indices)
     except TypeError as exc:
-        raise BadSubsystem(f"bad qubit indices {indices!r}") from exc
+        raise ValueError(f"bad qubit indices {indices!r}") from exc
     if not idx or idx != tuple(q for q in range(nqubits) if q in idx):
-        raise BadSubsystem(f"qubit indices {idx} must be strictly increasing "
-                           f"in range({nqubits})")
+        raise ValueError(f"qubit indices {idx} must be strictly increasing "
+                         f"in range({nqubits})")
     return idx
 
 
@@ -179,8 +161,8 @@ def conjugate_pair_stack(mats: np.ndarray, u: ComplexMatrix,
     pair = _check_keep(qubits, nqubits)
     u = np.asarray(u, dtype=complex)
     if len(pair) != 2 or u.shape[-2:] != (4, 4) or u.ndim not in (2, 3):
-        raise BadSubsystem(f"need 4x4 operators on a qubit pair, got "
-                           f"shape {u.shape} on {pair}")
+        raise ValueError(f"need 4x4 operators on a qubit pair, got "
+                         f"shape {u.shape} on {pair}")
     t = mats.reshape((-1,) + (2,) * (2 * nqubits))
     rows = (-1, 4) if u.ndim == 2 else (len(t), -1, 4)
     for first, op in ((1, u.swapaxes(-1, -2)), (1 + nqubits, _adjoint(u))):
@@ -214,10 +196,10 @@ def partial_transpose(rho: DensityMatrix, subsystem) -> ComplexMatrix:
 
 
 def require_unitary(u: ComplexMatrix) -> ComplexMatrix:
-    """NotUnitary unless u u^+ equals the identity within HERM_TOL, for one
+    """ValueError unless u u^+ equals the identity within HERM_TOL, for one
     matrix or for every matrix of an (N, d, d) stack."""
     u = np.asarray(u, dtype=complex)
     dev = float(np.abs(u @ _adjoint(u) - np.eye(u.shape[-1])).max())
     if not dev <= HERM_TOL:  # NaN fails too
-        raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
+        raise ValueError(f"unitarity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
     return u

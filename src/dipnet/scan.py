@@ -4,7 +4,9 @@ sudden death/birth intervals, peaks, sudden slope changes. In every mode
 of (channel, eps, tau) points, every channel and eps in one call, from one
 channel and one eps per tau. Its block loop is the one place where each
 run of channels is checked against `QUANTIFIER_TABLE` and each route's
-stack of states is validated and, in validate mode, oracle-checked."""
+stack of states is validated and, in validate mode, oracle-checked. The
+table names no qubit count: the validation reads it from the stack, and the
+quantifier's scorer refuses a state of another count."""
 
 from dataclasses import dataclass
 from itertools import groupby, product
@@ -31,19 +33,19 @@ MAX_TAU_STEPS = 100_000
 SPACING_TOL = 1e-9  # relative spread of tau steps that still counts as uniform
 
 MODES = ("closed_form", "dense", "validate")
-# quantifier -> (qubits of the states it reads, the channels it reads, its
-# scorer, from a validated (n, d, d) stack to its (n,) values); ScanGrid and
-# series_values obey it
+# quantifier -> (the channels it reads, its scorer, from a validated
+# (n, d, d) stack to its (n,) values, which refuses a state of another qubit
+# count); ScanGrid and series_values obey it
 QUANTIFIER_TABLE = {
-    "negativity": (2, TWO_NODE_CHANNELS + ("18",), negativity_stack),
-    "naqc": (2, TWO_NODE_CHANNELS + ("18",), naqc_degree_stack),
-    "tangle": (3, THREE_NODE_CHANNELS, pi_tangle_stack),
+    "negativity": (TWO_NODE_CHANNELS + ("18",), negativity_stack),
+    "naqc": (TWO_NODE_CHANNELS + ("18",), naqc_degree_stack),
+    "tangle": (THREE_NODE_CHANNELS, pi_tangle_stack),
 }
 QUANTIFIERS = tuple(QUANTIFIER_TABLE)
 
 
 def _require_readable(q: str, ch: str) -> None:
-    if ch not in QUANTIFIER_TABLE[q][1]:
+    if ch not in QUANTIFIER_TABLE[q][0]:
         raise FieldError(("channels", "quantifiers"), f"quantifier {q!r} "
                          f"cannot be evaluated on channel {ch!r}")
 
@@ -191,7 +193,7 @@ def series_values(cfg: NetworkConfig, quantifier: str, channels: np.ndarray,
         raise ValueError(f"unknown mode {mode!r}")
     if quantifier not in QUANTIFIER_TABLE:
         raise ValueError(f"unknown quantifier {quantifier!r}")
-    nqubits, _, score = QUANTIFIER_TABLE[quantifier]
+    _, score = QUANTIFIER_TABLE[quantifier]
     routes = {"closed_form": [closed_channel_states],
               "dense": [network_channel_states],
               "validate": [closed_channel_states, network_channel_states]}[mode]
@@ -213,8 +215,7 @@ def series_values(cfg: NetworkConfig, quantifier: str, channels: np.ndarray,
             parts = [route(cfg, ch, eps[run], block[run], p_bridge)
                      for ch, run in runs]
             stacks.append(require_density_stack(
-                np.concatenate(parts) if len(parts) > 1 else parts[0],
-                nqubits))
+                np.concatenate(parts) if len(parts) > 1 else parts[0]))
         if mode == "validate":
             require_oracle_agreement(chs, *stacks, eps, block)
         values.append(score(stacks[0]))

@@ -6,7 +6,7 @@ import pytest
 import dipnet.closedform as closedform
 import dipnet.measures as measures
 from dipnet.netmodel import channel_qubits, coupling_matrices, initial_network
-from dipnet.qmat import (BadSubsystem, DensityMatrix, as_complex_matrix,
+from dipnet.qmat import (DensityMatrix, as_complex_matrix,
                          conjugate_pair_stack, kron, partial_trace_stack,
                          require_hermitian_stack)
 
@@ -76,7 +76,7 @@ def require_hermitian(m) -> np.ndarray:
 
 def hermitian_eigenvalues(a) -> np.ndarray:
     """Ascending real eigenvalues (`eigvalsh`) of a matrix that is Hermitian
-    within TRACE_TOL; any other matrix raises NotHermitian."""
+    within TRACE_TOL; any other matrix raises ValueError."""
     return np.linalg.eigvalsh(require_hermitian(a))
 
 
@@ -125,7 +125,7 @@ def _axis_basis(axis: str) -> np.ndarray:
 def l1_coherence(rho: DensityMatrix, axis: str) -> float:
     """Sum of |off-diagonal| entries in the eigenbasis of the named Pauli."""
     if rho.mat.shape != (2, 2):
-        raise BadSubsystem(f"l1_coherence needs 1 qubit, got {rho.mat.shape}")
+        raise ValueError(f"l1_coherence needs 1 qubit, got {rho.mat.shape}")
     return float(measures._l1_coherence_stack(rho.mat, _axis_basis(axis)))
 
 
@@ -134,8 +134,8 @@ def conditional_states(rho2: DensityMatrix, axis: str,
     """Measure the named Pauli on qubit 0; return the branch probability and
     the conditional state of qubit 1."""
     if rho2.mat.shape != (4, 4):
-        raise BadSubsystem(f"conditional_states needs 2 qubits, got "
-                           f"{rho2.mat.shape}")
+        raise ValueError(f"conditional_states needs 2 qubits, got "
+                         f"{rho2.mat.shape}")
     if outcome not in (+1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     _axis_basis(axis)  # rejects an unknown axis
@@ -222,5 +222,5 @@ def three_node_states_reference(channel: str, w1: np.ndarray, w2: np.ndarray,
         m = np.einsum("kl,kij,Nklab,lcd->Niacjbd", np.outer(w1, w2), p, psi,
                       p) / 16.0
     else:
-        raise BadSubsystem(f"unknown channel {channel!r}")
+        raise ValueError(f"unknown channel {channel!r}")
     return m.reshape(-1, 8, 8)

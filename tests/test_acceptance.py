@@ -63,9 +63,8 @@ def test_criterion_02_oracle_equivalence():
         for eps in EPS_SET:
             eps_tilde = np.full(taus.shape, eps)
             for ch in channels:  # channel 18 with the tracking bridge
-                n = 2 if ch == "18" else len(ch)
                 closed, dense = (require_density_stack(
-                    states(cfg, ch, eps_tilde, taus), n) for states in
+                    states(cfg, ch, eps_tilde, taus)) for states in
                     (closed_channel_states, network_channel_states))
                 worst = max(worst, float(np.abs(closed - dense).max()))
     entries = typo_ledger()
@@ -137,7 +136,7 @@ def test_criterion_06_absent_channels():
         for eps in EPS_SET:
             for ch in ("13", "24"):
                 states = require_density_stack(network_channel_states(
-                    cfg, ch, np.full(taus.shape, eps), taus), 2)
+                    cfg, ch, np.full(taus.shape, eps), taus))
                 worst = max(worst, float(negativity_stack(states).max()))
     ok = worst < 1e-10
     _report(6, ok, f"max negativity over channels 13/24, full grid, all "

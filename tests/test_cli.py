@@ -264,6 +264,9 @@ def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     # a repeated entry would write two series under one key
     (["eps_values = 0.1,0.1", "tau_max = 2"], 3),
     (["eps_values = -0,0"], 3),
+    # two eps that the CSV, the events headers and the plot filters print
+    # alike, at 12 significant digits
+    (["eps_values = 0.1,0.1000000000001"], 3),
     (["channels = 12,12", "quantifiers = naqc"], 3),
     (["quantifiers = negativity,negativity"], 3),
     # propagator phases kappa * tau_max that overflow
@@ -297,6 +300,8 @@ GRID_ERROR_REASONS = {
     "channels = 12,12": "channels repeats an entry",
     "quantifiers = negativity,negativity": "quantifiers repeats an entry",
     "eps_values = -0,0": "eps_values repeats an entry",
+    "eps_values = 0.1,0.1000000000001":
+        "key eps_values: eps_values has two entries that print as 0.1\n",
 }
 
 
@@ -316,6 +321,11 @@ def test_main_refuses_unsafe_names(tmp_path, capsys, name):
     pytest.param({"zero_tol": math.inf}, id="zero_tol_inf"),
     {"grid": ScanGrid(channels=("18",)), "extension": None},
     {"extension": ExtensionSpec("track")},
+    # only peak_prominence may be None
+    pytest.param({"zero_tol": None}, id="zero_tol_none"),
+    pytest.param({"slope_jump_tol": None}, id="slope_jump_tol_none"),
+    pytest.param({"grid": ScanGrid(eps_values=(0.1, 0.1000000000001))},
+                 id="eps_printed_alike"),
 ], ids=lambda change: next(iter(change)))
 def test_hand_built_scenarios_are_refused(tmp_path, change):
     # Scenario owns the rules parse_scenario applies, so a hand-built or

@@ -241,9 +241,9 @@ def test_closed_states_are_validated_once(monkeypatch, channel):
     validate = dipnet.qmat.require_density_stack
     oracle = dipnet.scan.require_oracle_agreement
 
-    def spy(mats, nqubits):
-        calls.append(nqubits)
-        return validate(mats, nqubits)
+    def spy(mats):
+        calls.append(dipnet.qmat.qubit_count(mats))
+        return validate(mats)
 
     def oracle_spy(*args):
         calls.append("oracle")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from dipnet.measures import (NAQC_CRITICAL, global_negativity, naqc_degree,
                              pairwise_negativity, pi_tangle, pi_tangle_stack)
 from dipnet.netmodel import (DipolarParams, NetworkConfig, evolved_network,
                              x_state)
-from dipnet.qmat import (BadSubsystem, density_matrix, kron,
-                         partial_transpose, trace_norm)
+from dipnet.qmat import density_matrix, kron, partial_transpose, trace_norm
 
 from conftest import (SINGLET_PARAMS, ZeroProbability, charpoly_eigenvalues,
                       conditional_states, ginibre_density, l1_coherence,
@@ -97,40 +98,48 @@ def test_pairwise_negativity_embedded_singlet():
     assert abs(pairwise_negativity(rho, (0, 1)) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("rho", [
-    evolved_network(NetworkConfig("MM"), DipolarParams(0.1, 0.7)), SINGLET],
-    ids=["four_qubit_network", "two_qubit_singlet"])
-def test_tangle_parts_refuse_a_state_of_other_than_three_qubits(rho):
+@pytest.mark.parametrize("rho, got", [
+    (evolved_network(NetworkConfig("MM"), DipolarParams(0.1, 0.7)), 4),
+    (SINGLET, 2)], ids=["four_qubit_network", "two_qubit_singlet"])
+def test_tangle_parts_refuse_a_state_of_other_than_three_qubits(rho, got):
     # one qubit rule for the tangle and both of its parts
-    with pytest.raises(BadSubsystem, match="needs a 3-qubit state"):
-        pairwise_negativity(rho, (0, 1))
-    with pytest.raises(BadSubsystem, match="needs a 3-qubit state"):
-        global_negativity(rho, 0)
-    with pytest.raises(BadSubsystem, match="needs a 3-qubit state"):
-        pi_tangle(rho)
+    calls = {"pairwise_negativity": lambda: pairwise_negativity(rho, (0, 1)),
+             "global_negativity": lambda: global_negativity(rho, 0),
+             "pi_tangle": lambda: pi_tangle(rho)}
+    for what, call in calls.items():
+        with pytest.raises(ValueError,
+                           match=f"^{what} needs a 3-qubit state, got {got}$"):
+            call()
 
 
 @pytest.mark.parametrize("pair", [(0, 1, 2), (1,), (), (1, 0), (1, 1),
                                   (0, 3), (-1, 2)])
 def test_pairwise_negativity_refuses_what_is_not_a_pair(pair):
-    with pytest.raises(BadSubsystem, match="need a pair"):
+    message = f"need a pair 0 <= i < j < 3, got {pair}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         pairwise_negativity(W_STATE, pair)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: global_negativity(W_STATE, 1.5),
-    lambda: global_negativity(W_STATE, np.float64(1.0)),
-    lambda: global_negativity(W_STATE, 3),
-    lambda: global_negativity(W_STATE, -1),
-    lambda: global_negativity(W_STATE, True),
-    lambda: pairwise_negativity(W_STATE, (0.5, 1)),
-    lambda: pairwise_negativity(W_STATE, (0, 1.5))],
+_OUT_OF_RANGE = "qubit indices {} must be strictly increasing in range(3)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: global_negativity(W_STATE, 1.5), "bad qubit indices (1.5,)"),
+    (lambda: global_negativity(W_STATE, np.float64(1.0)),
+     f"bad qubit indices {(np.float64(1.0),)!r}"),
+    (lambda: global_negativity(W_STATE, 3), _OUT_OF_RANGE.format((3,))),
+    (lambda: global_negativity(W_STATE, -1), _OUT_OF_RANGE.format((-1,))),
+    (lambda: global_negativity(W_STATE, True), "bad qubit indices (True,)"),
+    (lambda: pairwise_negativity(W_STATE, (0.5, 1)),
+     "bad qubit indices (0.5, 1)"),
+    (lambda: pairwise_negativity(W_STATE, (0, 1.5)),
+     "bad qubit indices (0, 1.5)")],
     ids=["focus_1.5", "focus_float_1", "focus_3", "focus_-1", "focus_True",
          "pair_0.5_1", "pair_0_1.5"])
-def test_tangle_parts_refuse_a_qubit_that_is_not_an_index(call):
+def test_tangle_parts_refuse_a_qubit_that_is_not_an_index(call, message):
     # one index rule: a float or a bool is not read as a qubit, and a focus
     # out of range is refused by the same rule
-    with pytest.raises(BadSubsystem):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from dipnet.netmodel import (ALL_CHANNELS, DipolarParams, FieldError,
                              network_channel_states, propagator_coeff_stack,
                              propagator_coeffs, propagator_gammas,
                              propagator_matrix, x_state)
-from dipnet.qmat import (BadSubsystem, NotPositive, NotUnitary,
-                         conjugate_pair_stack, kron, partial_trace,
+from dipnet.qmat import (conjugate_pair_stack, kron, partial_trace,
                          partial_trace_stack, require_unitary)
 
 from conftest import (SINGLET_PARAMS, charpoly_eigenvalues,
@@ -195,7 +195,9 @@ def test_x_state_werner_mixture():
 
 
 def test_x_state_rejects_nonpositive_params():
-    with pytest.raises(NotPositive):
+    with pytest.raises(ValueError, match=r"^X-state params \(1\.0, 1\.0, 1\.0\)"
+                       r" give negative Bell weights"
+                       r" \(0\.5, 0\.5, 0\.5, -0\.5\)$"):
         x_state((1.0, 1.0, 1.0))
 
 
@@ -208,7 +210,10 @@ def test_xstate_psd_condition_matches_bell_weights(rng):
             rho = x_state(params)
             assert hermitian_eigenvalues(rho.mat).min() > -1e-10
         else:
-            with pytest.raises(NotPositive):
+            weights = tuple(float(w) for w in bell_weights(a, b, c))
+            message = (f"X-state params {tuple(map(float, params))} give "
+                       f"negative Bell weights {weights}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 x_state(params)
 
 
@@ -249,6 +254,19 @@ def _embedded(u, i, j, n):
     same = (bits[:, None, rest] == bits[None, :, rest]).all(axis=-1)
     pair = 2 * bits[:, i] + bits[:, j]
     return np.where(same, u[pair[:, None], pair[None, :]], 0)
+
+
+def _unitarity(dev: str) -> str:
+    """Full-message pattern of require_unitary's refusal at deviation `dev`
+    (a pattern)."""
+    return rf"^unitarity deviation {dev} exceeds 1\.0e-12$"
+
+
+def _out_of_order(pair) -> str:
+    """Full-message pattern of the index rule's refusal of `pair` on the
+    four-qubit network."""
+    return "^" + re.escape(f"qubit indices {pair} must be strictly "
+                           f"increasing in range(4)") + "$"
 
 
 def _random_unitary(rng):
@@ -321,21 +339,21 @@ def test_require_unitary_checks_every_member_of_a_stack():
     for k in range(len(us)):
         bad = us.copy()
         bad[k] *= 1.0 + 1e-9
-        with pytest.raises(NotUnitary):
+        with pytest.raises(ValueError, match=_unitarity(r"2\.000e-09")):
             require_unitary(bad)
 
 
 @pytest.mark.parametrize("channel", ["18", "99", ""])
 def test_channel_qubits_knows_only_the_four_node_channels(channel):
     # channel 18 lives on the eight-node extension, so it is unknown here
-    with pytest.raises(BadSubsystem, match="unknown channel"):
+    with pytest.raises(ValueError, match=f"^unknown channel {channel!r}$"):
         netmodel.channel_qubits(channel)
 
 
 def test_conjugate_pair_stack_refuses_other_pairs():
     mats = initial_network(NetworkConfig("MM")).mat[None]
     for pair in [(2, 1), (1, 1), (0, 4)]:
-        with pytest.raises(BadSubsystem):
+        with pytest.raises(ValueError, match=_out_of_order(pair)):
             conjugate_pair_stack(mats, np.eye(4), pair)
 
 
@@ -351,18 +369,18 @@ def test_evolved_network_preserves_spectrum():
 
 def test_conjugate_pair_stack_and_require_unitary_reject_bad_input():
     mats = initial_network(NetworkConfig("MM")).mat[None]
-    with pytest.raises(BadSubsystem):
+    with pytest.raises(ValueError, match=_out_of_order((2, 1))):
         conjugate_pair_stack(mats, np.eye(4), (2, 1))
-    with pytest.raises(BadSubsystem):
+    with pytest.raises(ValueError, match=_out_of_order((1, 4))):
         conjugate_pair_stack(mats, np.eye(4), (1, 4))
-    with pytest.raises(NotUnitary):
+    with pytest.raises(ValueError, match=_unitarity(r"3\.000e\+00")):
         require_unitary(np.eye(4) * 2.0)
     # NaN compares false with the tolerance, so it must fail the check
-    with pytest.raises(NotUnitary):
+    with pytest.raises(ValueError, match=_unitarity("nan")):
         require_unitary(np.full((4, 4), np.nan))
     us = np.array([np.eye(4, dtype=complex)] * 3)
     us[1, 2, 3] = complex("nan")
-    with pytest.raises(NotUnitary):
+    with pytest.raises(ValueError, match=_unitarity("nan")):
         require_unitary(us)
 
 
@@ -458,9 +476,9 @@ def test_channel_18_refuses_a_non_unitary_fixed_bridge(monkeypatch):
 
     monkeypatch.setattr(netmodel, "propagator_matrix", leaky)
     network_channel_state(cfg, p, "18", p)  # a track bridge still runs
-    with pytest.raises(NotUnitary):
+    with pytest.raises(ValueError, match=_unitarity(r"2\.010e-02")):
         network_channel_state(cfg, p, "18", bridge)
-    with pytest.raises(NotUnitary):
+    with pytest.raises(ValueError, match=_unitarity(r"2\.010e-02")):
         network_channel_states(cfg, "18", np.full(2, 0.1),
                                np.array([0.2, 0.7]), bridge)
 
@@ -476,9 +494,9 @@ def test_dense_states_are_validated_once(monkeypatch, channel):
     validate = qmat.require_density_stack
     oracle = scan.require_oracle_agreement
 
-    def spy(mats, nqubits):
-        calls.append(nqubits)
-        return validate(mats, nqubits)
+    def spy(mats):
+        calls.append(qmat.qubit_count(mats))
+        return validate(mats)
 
     def oracle_spy(*args):
         calls.append("oracle")

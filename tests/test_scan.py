@@ -18,7 +18,7 @@ from dipnet.netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS,
                              DipolarParams, FieldError, NetworkConfig,
                              network_channel_state, propagator_coeff_stack,
                              propagator_gammas)
-from dipnet.qmat import NotPositive, conjugate_pair_stack
+from dipnet.qmat import conjugate_pair_stack
 from dipnet.scan import (BISECTION_MAX_ITER, BISECTION_RESOLUTION,
                          PEAK_PROMINENCE_FRACTION, ZERO_TOL, EventRecord,
                          ExtensionSpec, MeasureSeries, ScanGrid, _uneven,
@@ -451,7 +451,7 @@ def test_validate_raises_at_the_earliest_failing_tau(monkeypatch):
 
     def faulty(cfg, channel, eps_tilde, taus, p_bridge):
         if taus.max() > 1.0:
-            raise NotPositive("a block-1 state fails validation")
+            raise ValueError("a block-1 state fails validation")
         return route(cfg, channel, eps_tilde + 0.05, taus, p_bridge)
 
     monkeypatch.setattr(dipnet.scan, "network_channel_states", faulty)

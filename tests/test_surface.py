@@ -5,9 +5,13 @@ or by the acceptance tests. A helper that only unit tests call belongs in
 a `src/dipnet` dataclass, and every attribute a `src/dipnet` class stores
 on `self`, is read, as an attribute, by those same callers: a value kept
 for inspection only goes. No module but `__init__.py`, whose imports are
-the package's re-exports, imports a name it never reads."""
+the package's re-exports, imports a name it never reads. Every exception
+class of `src/dipnet` is caught by name in `src/dipnet` or `perfbench`: a
+refusal no caller tells apart is a plain ValueError."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +79,33 @@ def test_every_attribute_stored_on_self_is_read_outside_the_unit_tests():
                      and node.attr not in read})
     assert not unread, (f"no caller outside the unit tests reads "
                         f"{', '.join(unread)}")
+
+
+def _caught_names(tree: ast.Module) -> set:
+    """Names of the classes the `except` clauses of a module name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for t in (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type]):
+                names.add(t.id if isinstance(t, ast.Name) else t.attr)
+    return names
+
+
+def test_every_library_exception_class_is_caught_by_name():
+    caught = set()
+    for path in PACKAGE + sorted((ROOT / "perfbench").glob("*.py")):
+        caught |= _caught_names(_tree(path))
+    uncaught = []
+    for path in PACKAGE:
+        module = importlib.import_module(f"dipnet.{path.stem}")
+        uncaught += [f"{path.stem}.{name}" for name, cls
+                     in inspect.getmembers(module, inspect.isclass)
+                     if issubclass(cls, BaseException)
+                     and cls.__module__ == module.__name__
+                     and name not in caught]
+    assert not uncaught, (f"no except clause names {', '.join(uncaught)}; "
+                          f"raise ValueError instead")
 
 
 def test_no_library_module_imports_a_name_it_never_reads():
