@@ -10,7 +10,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -82,6 +81,14 @@ class Scenario:
             if printed.count(text) > 1:
                 raise FieldError(("eps_values",), f"eps_values has two "
                                  f"entries that print as {text}")
+        # the CSV's tau column too; the taus increase, so two that print
+        # alike are neighbours
+        printed = [_fmt(tau) for tau in self.grid.taus().tolist()]
+        for text, after in zip(printed, printed[1:]):
+            if text == after:
+                raise FieldError(("tau_steps", "tau_max", "tau_min"),
+                                 f"two of the {self.grid.tau_steps} taus "
+                                 f"print as {text}")
         for key in ("zero_tol", "peak_prominence", "slope_jump_tol"):
             value = getattr(self, key)
             if value is None and key == "peak_prominence":  # the default
@@ -229,8 +236,9 @@ def render_events(scenario: Scenario, series_list: list[MeasureSeries]) -> str:
     intervals = {}  # series -> its death/birth events
     for quantifier in dict.fromkeys(s.quantifier for s in series_list):
         group = [s for s in series_list if s.quantifier == quantifier]
-        refine = partial(series_values, scenario.network, quantifier,
-                         mode=scenario.mode, extension=scenario.extension)
+        refine = lambda chs, eps, taus: series_values(
+            scenario.network, (quantifier,), chs, eps, taus, scenario.mode,
+            scenario.extension)[0]
         intervals.update(zip(group, pair_zero_intervals(
             group, scenario.zero_tol, refine)))
     lines = []

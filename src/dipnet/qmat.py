@@ -47,7 +47,10 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
 
 def require_hermitian_stack(mats: np.ndarray) -> np.ndarray:
     """Check every matrix of an (N, d, d) stack for Hermiticity within
-    TRACE_TOL; the lowest-index offender raises."""
+    TRACE_TOL; the lowest-index offender raises, as does any other shape."""
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"expected an (N, d, d) stack, got shape "
+                         f"{mats.shape}")
     dev = np.abs(mats - _adjoint(mats))
     if np.count_nonzero(dev > TRACE_TOL):
         dev = dev.max(axis=(-2, -1))
@@ -62,8 +65,11 @@ def require_density_stack(mats: np.ndarray) -> np.ndarray:
     checks one: Hermiticity within HERM_TOL, unit trace within TRACE_TOL,
     eigenvalues >= -PSD_TOL (one batched eigvalsh). As in a loop over the
     stack, the lowest-index failing matrix raises, with the first check it
-    fails."""
-    qubit_count(mats)  # refuses any other shape
+    fails. Any other shape raises."""
+    if mats.ndim != 3:
+        raise ValueError(f"expected an (N, 2**n, 2**n) stack, got shape "
+                         f"{mats.shape}")
+    qubit_count(mats)  # refuses any other matrix shape
     adj = _adjoint(mats)
     dev = np.abs(mats - adj)
     tr = mats.diagonal(0, -2, -1).sum(axis=-1)

@@ -1,12 +1,12 @@
 """Parameter sweeps over (tau, eps_tilde) and series post-processing:
 sudden death/birth intervals, peaks, sudden slope changes. In every mode
-`series_values` builds and scores the series of one quantifier in blocks
-of (channel, eps, tau) points, every channel and eps in one call, from one
+`series_values` builds the series of a tuple of quantifiers in blocks of
+(channel, eps, tau) points, every channel and eps in one call, from one
 channel and one eps per tau. Its block loop is the one place where each
 run of channels is checked against `QUANTIFIER_TABLE` and each route's
-stack of states is validated and, in validate mode, oracle-checked. The
-table names no qubit count: the validation reads it from the stack, and the
-quantifier's scorer refuses a state of another count."""
+stack of states is validated, oracle-checked in validate mode and scored
+by every quantifier. The table names no qubit count: the validation reads
+it from the stack, and each scorer refuses a state of another count."""
 
 from dataclasses import dataclass
 from itertools import groupby, product
@@ -169,31 +169,32 @@ def _clamped(values: np.ndarray) -> np.ndarray:
     return np.where((values > -1e-10) & (values <= 0.0), 0.0, values)
 
 
-def series_values(cfg: NetworkConfig, quantifier: str, channels: np.ndarray,
-                  eps_tilde: np.ndarray, taus: np.ndarray,
-                  mode: str = "closed_form",
+def series_values(cfg: NetworkConfig, quantifiers: tuple[str, ...],
+                  channels: np.ndarray, eps_tilde: np.ndarray,
+                  taus: np.ndarray, mode: str = "closed_form",
                   extension: Optional[ExtensionSpec] = None) -> np.ndarray:
-    """Values of one quantifier at every tau of the 1-d array `taus`, with
-    `channels` and `eps_tilde` 1-d arrays of one channel and one eps per
-    tau. Per block of BLOCK_TAUS taus each run of equal channels is checked
-    against `QUANTIFIER_TABLE` (channel 18 also needs an extension), and
-    each route joins the runs' states into one (n, d, d) stack, closed-form,
-    dense, or (validate) both; this loop is the one place each stack is
-    validated, once, before the validate-mode oracle check, and scores the
-    first. The first failing block raises: a refused channel before any
-    state is built, else the earliest failing tau. `sweep`, the event
-    refinement and `evaluate_point` (N = 1) come here."""
-    if not len(taus):
-        raise ValueError("series_values needs at least one tau")
+    """(len(quantifiers), N) values at the N taus of the 1-d array `taus`,
+    with `channels` and `eps_tilde` 1-d arrays of one channel and one eps
+    per tau. Per block of BLOCK_TAUS taus each run of equal channels is
+    checked against `QUANTIFIER_TABLE` for every quantifier (channel 18 also
+    needs an extension), and each route joins the runs' states into one
+    (n, d, d) stack, closed-form, dense, or (validate) both; this loop is
+    the one place each stack is validated, once, before the validate-mode
+    oracle check, and every quantifier scores the first. The first failing
+    block raises: a refused channel before any state is built, else the
+    earliest failing tau. `sweep`, refinement and `evaluate_point` use it."""
+    if not len(taus) or not quantifiers:
+        raise ValueError("series_values needs at least one tau and one "
+                         "quantifier")
     for name, noun, arr in (("channels", "channel", channels),
                             ("eps_tilde", "eps", eps_tilde)):
         if not isinstance(arr, np.ndarray) or arr.shape != taus.shape:
             raise ValueError(f"{name} must be an array of one {noun} per tau")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if quantifier not in QUANTIFIER_TABLE:
-        raise ValueError(f"unknown quantifier {quantifier!r}")
-    _, score = QUANTIFIER_TABLE[quantifier]
+    for q in quantifiers:
+        if q not in QUANTIFIER_TABLE:
+            raise ValueError(f"unknown quantifier {q!r}")
     routes = {"closed_form": [closed_channel_states],
               "dense": [network_channel_states],
               "validate": [closed_channel_states, network_channel_states]}[mode]
@@ -205,7 +206,8 @@ def series_values(cfg: NetworkConfig, quantifier: str, channels: np.ndarray,
         chs = channels[i:i + BLOCK_TAUS]
         runs, stop = [], 0  # (channel, slice) of each run of equal channels
         for ch, run in groupby(chs.tolist()):
-            _require_readable(quantifier, ch)
+            for q in quantifiers:
+                _require_readable(q, ch)
             if ch == "18" and extension is None:
                 raise ValueError("channel 18 requires an ExtensionSpec")
             start, stop = stop, stop + len(list(run))
@@ -218,35 +220,33 @@ def series_values(cfg: NetworkConfig, quantifier: str, channels: np.ndarray,
                 np.concatenate(parts) if len(parts) > 1 else parts[0]))
         if mode == "validate":
             require_oracle_agreement(chs, *stacks, eps, block)
-        values.append(score(stacks[0]))
-    return _clamped(np.concatenate(values))
+        values.append([QUANTIFIER_TABLE[q][1](stacks[0]) for q in quantifiers])
+    return _clamped(np.concatenate(values, axis=1))
 
 
 def evaluate_point(cfg: NetworkConfig, p: DipolarParams, channel: str,
                    quantifier: str, mode: str = "closed_form",
                    extension: Optional[ExtensionSpec] = None) -> float:
-    """Single quantifier value at one parameter point."""
-    return float(series_values(cfg, quantifier, np.array([channel]),
+    """One quantifier's value at one point: `series_values` at N = 1."""
+    return float(series_values(cfg, (quantifier,), np.array([channel]),
                                np.array([p.eps_tilde]), np.array([p.tau]),
-                               mode, extension)[0])
+                               mode, extension)[0, 0])
 
 
 def sweep(cfg: NetworkConfig, grid: ScanGrid, mode: str = "closed_form",
           extension: Optional[ExtensionSpec] = None) -> list[MeasureSeries]:
     """One series per (channel, quantifier, eps), grid order: one
-    `series_values` call per quantifier on every (channel, eps) series' taus
-    end to end, split back by series."""
+    `series_values` call of every quantifier of the grid on every (channel,
+    eps) series' taus end to end, split back by quantifier and series."""
     taus = grid.taus()
-    n_series = len(grid.channels) * len(grid.eps_values)
-    all_channels = np.repeat(grid.channels, len(grid.eps_values) * len(taus))
-    all_eps = np.tile(np.repeat(grid.eps_values, len(taus)), len(grid.channels))
-    all_taus = np.tile(taus, n_series)
-    # each quantifier's values, consumed in (channel, eps) order
-    parts = {q: iter(np.split(series_values(cfg, q, all_channels, all_eps,
-                                            all_taus, mode, extension),
-                              n_series))
-             for q in grid.quantifiers}
-    return [MeasureSeries(ch, q, eps, taus, next(parts[q]))
+    keys = list(product(grid.channels, grid.eps_values))  # one per series
+    all_channels, all_eps = (np.repeat(col, len(taus)) for col in zip(*keys))
+    values = series_values(cfg, grid.quantifiers, all_channels, all_eps,
+                           np.tile(taus, len(keys)), mode, extension)
+    # quantifier -> (channel, eps) -> the values of that series
+    split = {q: dict(zip(keys, np.split(row, len(keys))))
+             for q, row in zip(grid.quantifiers, values)}
+    return [MeasureSeries(ch, q, eps, taus, split[q][ch, eps])
             for ch, q in product(grid.channels, grid.quantifiers)
             for eps in grid.eps_values]
 
@@ -256,10 +256,10 @@ def series_evaluator(cfg: NetworkConfig, series: MeasureSeries,
                      extension: Optional[ExtensionSpec] = None
                      ) -> Callable[[np.ndarray], np.ndarray]:
     """taus -> values callable matching a swept series, for event refinement:
-    `series_values` on a 1-d tau vector at the series' channel and eps."""
+    row 0 of `series_values` of its quantifier at its channel and eps."""
     return lambda taus: series_values(
-        cfg, series.quantifier, np.full(len(taus), series.channel),
-        np.full(len(taus), series.eps_tilde), taus, mode, extension)
+        cfg, (series.quantifier,), np.full(len(taus), series.channel),
+        np.full(len(taus), series.eps_tilde), taus, mode, extension)[0]
 
 
 # (channels, eps, taus) -> values, one channel and one eps per tau
@@ -292,9 +292,9 @@ def pair_zero_intervals(group: list[MeasureSeries], zero_tol: float = ZERO_TOL,
     """`detect_zero_intervals` of each series of a group, such as every
     (channel, eps) series of one quantifier, in one pass over the series
     laid end to end. With a quantifier callable ((channels, eps, taus) ->
-    values: `series_values` with the quantifier bound) every interval edge
-    of the group is refined in one lockstep bisection, so the group makes
-    as many calls as its slowest series; a call gives one channel and one
+    values: row 0 of `series_values` of the one quantifier) every interval
+    edge of the group is refined in one lockstep bisection, so the group
+    makes as many calls as its slowest series; a call gives one channel and one
     eps per midpoint and lists the series in group order, each one's left
     edges first. The callable must equal each series at its taus, channel
     and eps: each bracket's grid end is read from the series, so the

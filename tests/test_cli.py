@@ -278,6 +278,8 @@ def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     (["tau_max = 5e-324", "tau_steps = 12"], 4),
     (["channels = 123", "quantifiers = tangle", "tau_min = 1e16",
       "tau_max = 1.00000000000001e16", "tau_steps = 7"], 7),
+    # distinct taus that the CSV's tau column prints alike
+    (["tau_min = 1", "tau_max = 1.00000000001", "tau_steps = 3"], 5),
 ], ids=lambda v: "|".join(v) if isinstance(v, list) else str(v))
 def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line):
     text = "name = bad\nnetwork = MM\n" + "\n".join(lines) + "\n"
@@ -302,6 +304,8 @@ GRID_ERROR_REASONS = {
     "eps_values = -0,0": "eps_values repeats an entry",
     "eps_values = 0.1,0.1000000000001":
         "key eps_values: eps_values has two entries that print as 0.1\n",
+    "tau_min = 1":
+        "key tau_steps: two of the 3 taus print as 1.00000000001\n",
 }
 
 
@@ -326,6 +330,8 @@ def test_main_refuses_unsafe_names(tmp_path, capsys, name):
     pytest.param({"slope_jump_tol": None}, id="slope_jump_tol_none"),
     pytest.param({"grid": ScanGrid(eps_values=(0.1, 0.1000000000001))},
                  id="eps_printed_alike"),
+    pytest.param({"grid": ScanGrid(tau_min=1.0, tau_max=1.00000000001,
+                                   tau_steps=3)}, id="taus_printed_alike"),
 ], ids=lambda change: next(iter(change)))
 def test_hand_built_scenarios_are_refused(tmp_path, change):
     # Scenario owns the rules parse_scenario applies, so a hand-built or

@@ -267,8 +267,8 @@ def test_closed_states_are_validated_once(monkeypatch, channel):
     for mode, block in (("closed_form", [n]),
                         ("validate", [n, 4, n, "oracle"])):
         calls.clear()
-        series_values(WW, quantifier, np.full(3, channel), eps, taus, mode,
-                      ExtensionSpec("fixed", p))
+        series_values(WW, (quantifier,), np.full(3, channel), eps, taus, mode,
+                      ExtensionSpec("fixed", p))[0]
         assert calls == 2 * block, mode  # blocks of 2 and 1 taus
 
 

@@ -520,8 +520,8 @@ def test_dense_states_are_validated_once(monkeypatch, channel):
     for mode, block in (("dense", [4, reduced]),
                         ("validate", [reduced, 4, reduced, "oracle"])):
         calls.clear()
-        scan.series_values(cfg, quantifier, np.full(3, channel), eps, taus,
-                           mode, scan.ExtensionSpec("fixed", p))
+        scan.series_values(cfg, (quantifier,), np.full(3, channel), eps, taus,
+                           mode, scan.ExtensionSpec("fixed", p))[0]
         assert calls == 2 * block, mode  # blocks of 2 and 1 taus
 
 

@@ -127,8 +127,9 @@ def test_kernel_on_any_tau_vector_equals_points(mode, cfg, kind, ext, eps, taus)
     # unsorted and repeated taus included; event refinement sends such
     # vectors in every mode
     channel, quantifier = kind
-    values = series_values(cfg, quantifier, np.full(len(taus), channel),
-                           np.full(len(taus), eps), np.array(taus), mode, ext)
+    values = series_values(cfg, (quantifier,), np.full(len(taus), channel),
+                           np.full(len(taus), eps), np.array(taus), mode,
+                           ext)[0]
     points = [evaluate_point(cfg, DipolarParams(eps_tilde=eps, tau=t), channel,
                              quantifier, mode, ext) for t in taus]
     assert values.tolist() == points
@@ -151,8 +152,8 @@ def test_kernel_on_mixed_eps_vector_equals_points(mode, cfg, kind, ext, block,
     eps, taus = (np.array(v) for v in zip(*points))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dipnet.scan, "BLOCK_TAUS", block)
-        values = series_values(cfg, quantifier, np.full(len(taus), channel),
-                               eps, taus, mode, ext)
+        values = series_values(cfg, (quantifier,), np.full(len(taus), channel),
+                               eps, taus, mode, ext)[0]
     assert values.tolist() == [
         evaluate_point(cfg, DipolarParams(eps_tilde=e, tau=t), channel,
                        quantifier, mode, ext) for e, t in points]
@@ -172,8 +173,8 @@ def test_blocks_straddling_an_eps_change_equal_points(monkeypatch, mode,
     ext = ExtensionSpec("track" if bridge is None else "fixed", bridge)
     eps = np.array([-0.2, -0.2, 0.1, 0.1, 0.1, 0.3, 0.3])
     taus = np.array([0.4, 2.1, 0.4, 1.3, 7.9, 0.0, 2.1])
-    values = series_values(cfg, quantifier, np.full(len(taus), channel), eps,
-                           taus, mode, ext)
+    values = series_values(cfg, (quantifier,), np.full(len(taus), channel),
+                           eps, taus, mode, ext)[0]
     assert values.tolist() == [
         evaluate_point(cfg, DipolarParams(eps_tilde=e, tau=t), channel,
                        quantifier, mode, ext)
@@ -243,8 +244,8 @@ def _bell_diagonal_oracle(rho: DensityMatrix, quantifier: str) -> float:
 def test_analytic_bell_diagonal_oracle(cfg, channel, quantifier, ext, eps, t):
     p = DipolarParams(eps_tilde=eps, tau=t)
     dense = network_channel_state(cfg, p, channel, ext.bridge)
-    kernel = series_values(cfg, quantifier, np.array([channel]),
-                           np.array([eps]), np.array([t]), extension=ext)[0]
+    kernel = series_values(cfg, (quantifier,), np.array([channel]),
+                           np.array([eps]), np.array([t]), extension=ext)[0, 0]
     assert math.isclose(kernel, _bell_diagonal_oracle(dense, quantifier),
                         rel_tol=0.0, abs_tol=1e-12)
 

@@ -6,6 +6,7 @@ import pytest
 from dipnet.qmat import (DensityMatrix, conjugate_pair_stack, density_matrix,
                          kron, partial_trace, partial_trace_stack,
                          partial_transpose, partial_transpose_stack,
+                         require_density_stack, require_hermitian_stack,
                          trace_norm)
 from dipnet.netmodel import x_state
 
@@ -175,14 +176,30 @@ def test_numpy_integer_qubits_give_the_bits_of_int_qubits():
 
 def test_qubit_count_comes_from_the_matrices():
     # a dimension that is not a power of two is refused by every kernel
-    # and by the carrier, before any qubit index is read
+    # and by the carrier, before any qubit index is read; the stack checks
+    # refuse it too, and anything that is not an (N, d, d) stack: a lone
+    # matrix, or a 4-d array whose [0, 1] member is not positive
     mats = np.array([np.eye(6) / 6.0] * 4)
+    not_stacks = [np.eye(4) / 4.0]
+    for shape in ((2, 4, 4, 4), (2, 3, 4, 4)):
+        rows = np.broadcast_to(np.eye(4) / 4.0, shape).astype(complex)
+        rows[0, 1] = np.diag([-0.25, 0.5, 0.5, 0.25])
+        not_stacks.append(rows)
+    lopsided = np.array([[0.0, 1.0], [0.0, 0.0]])
     for call in (lambda: partial_trace_stack(mats, (0,)),
                  lambda: partial_transpose_stack(mats, (0,)),
                  lambda: conjugate_pair_stack(mats, np.eye(4), (0, 1)),
-                 lambda: DensityMatrix(mats[0])):
+                 lambda: DensityMatrix(mats[0]),
+                 lambda: require_density_stack(mats),
+                 *[lambda m=m: require_density_stack(m) for m in not_stacks]):
         with pytest.raises(ValueError, match=r"2\*\*n") as err:
             call()
+        assert type(err.value) is ValueError
+    for m in (lopsided, np.broadcast_to(lopsided, (2, 3, 2, 2)),
+              np.zeros((2, 4, 2))):
+        with pytest.raises(ValueError, match=r"^expected an \(N, d, d\) "
+                           r"stack, got shape ") as err:
+            require_hermitian_stack(m)
         assert type(err.value) is ValueError
 
 

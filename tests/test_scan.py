@@ -1,6 +1,5 @@
 import inspect
 from dataclasses import replace
-from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Callable, Optional
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import dipnet.closedform
 import dipnet.netmodel
 import dipnet.scan
-from dipnet.cli import EXIT_ORACLE, main, parse_scenario
+from dipnet.cli import EXIT_COMPUTE, EXIT_ORACLE, main, parse_scenario
 from dipnet.closedform import OracleMismatch, closed_channel_state
 from dipnet.netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS,
                              DipolarParams, FieldError, NetworkConfig,
@@ -117,7 +116,7 @@ def test_series_validation():
     ("12", "negativity"), ("123", "tangle"), ("18", "negativity")])
 def test_series_values_refuses_empty_taus(mode, channel, quantifier):
     with pytest.raises(ValueError, match="at least one tau"):
-        series_values(MM, quantifier, np.full(0, channel), np.array([]),
+        series_values(MM, (quantifier,), np.full(0, channel), np.array([]),
                       np.array([]), mode, ExtensionSpec("track"))
 
 
@@ -126,7 +125,7 @@ def test_series_values_refuses_empty_taus(mode, channel, quantifier):
                          ids=["float", "0-d", "short", "long", "list"])
 def test_series_values_refuses_eps_not_one_per_tau(eps):
     with pytest.raises(ValueError, match="one eps per tau"):
-        series_values(MM, "negativity", np.full(2, "12"), eps,
+        series_values(MM, ("negativity",), np.full(2, "12"), eps,
                       np.array([0.3, 0.6]))
 
 
@@ -135,7 +134,7 @@ def test_series_values_refuses_eps_not_one_per_tau(eps):
                          ids=["str", "0-d", "short", "long", "list"])
 def test_series_values_refuses_channels_not_one_per_tau(channels):
     with pytest.raises(ValueError, match="one channel per tau"):
-        series_values(MM, "negativity", channels, np.full(2, 0.1),
+        series_values(MM, ("negativity",), channels, np.full(2, 0.1),
                       np.array([0.3, 0.6]))
 
 
@@ -145,7 +144,7 @@ def test_series_values_refuses_channels_not_one_per_tau(channels):
 def test_series_values_refuses_mixed_state_shapes(mode, channels):
     # one call scores one stack, so its channels' states share one shape
     with pytest.raises(ValueError, match="cannot be evaluated on channel"):
-        series_values(MM, "negativity", np.array(channels),
+        series_values(MM, ("negativity",), np.array(channels),
                       np.full(len(channels), 0.1),
                       np.linspace(0.3, 0.9, len(channels)), mode,
                       ExtensionSpec("track"))
@@ -164,7 +163,7 @@ def test_scan_grid_and_series_values_refuse_the_same_pairs(mode):
             refused.add((q, ch))
         ext = ExtensionSpec("track") if ch == "18" else None
         try:
-            series_values(MM, q, np.full(2, ch), eps, taus, mode, ext)
+            series_values(MM, (q,), np.full(2, ch), eps, taus, mode, ext)
         except ValueError:
             assert (q, ch) in refused, (q, ch)
         else:
@@ -179,7 +178,7 @@ def test_scan_grid_and_series_values_refuse_the_same_pairs(mode):
 def test_series_values_refuses_channel_18_without_an_extension(mode,
                                                                quantifier):
     with pytest.raises(ValueError, match="requires an ExtensionSpec"):
-        series_values(MM, quantifier, np.array(["12", "18"]),
+        series_values(MM, (quantifier,), np.array(["12", "18"]),
                       np.full(2, 0.1), np.array([0.3, 0.9]), mode)
 
 
@@ -203,8 +202,9 @@ def test_series_values_refuses_what_dipolar_params_refuses(
         DipolarParams(eps_tilde=eps, tau=tau)
     eps_tilde, taus = np.array([0.2, eps, 0.2]), np.array([0.5, tau, 0.7])
     for refuse in (propagator_gammas, propagator_coeff_stack,
-                   partial(series_values, MM, quantifier, np.full(3, channel),
-                           mode=mode, extension=ext)):
+                   lambda e, t: series_values(
+                       MM, (quantifier,), np.full(3, channel), e, t, mode,
+                       ext)):
         with pytest.raises(FieldError, match=PHASE_REFUSAL) as got:
             refuse(eps_tilde, taus)
         assert got.value.keys == want.value.keys, refuse
@@ -213,15 +213,21 @@ def test_series_values_refuses_what_dipolar_params_refuses(
 
 @pytest.mark.parametrize("mode", dipnet.scan.MODES)
 def test_series_values_refuses_an_unknown_quantifier(monkeypatch, mode):
-    # refused as an unknown mode is, before any state is built
+    # refused as an unknown mode is, before any state is built, wherever it
+    # sits in the tuple; so is an empty tuple
     def forbidden(*args):
         raise AssertionError("a state was built")
 
     for route in ("closed_channel_states", "network_channel_states"):
         monkeypatch.setattr(dipnet.scan, route, forbidden)
-    with pytest.raises(ValueError, match="unknown quantifier 'concurrence'"):
-        series_values(MM, "concurrence", np.array(["12"]), np.array([0.1]),
-                      np.array([0.5]), mode)
+    for quantifiers, message in (
+            (("concurrence",), "^unknown quantifier 'concurrence'$"),
+            (("negativity", "concurrence"),
+             "^unknown quantifier 'concurrence'$"),
+            ((), "^series_values needs at least one tau and one quantifier$")):
+        with pytest.raises(ValueError, match=message):
+            series_values(MM, quantifiers, np.array(["12"]), np.array([0.1]),
+                          np.array([0.5]), mode)
 
 
 @pytest.mark.parametrize("mode", dipnet.scan.MODES)
@@ -246,12 +252,12 @@ def test_mixed_channel_vector_equals_each_channel_alone(monkeypatch, mode,
     chs = rng.permutation(np.repeat(channels, 4))
     eps = rng.choice([-0.2, 0.1, 0.3], size=chs.size)
     taus = rng.uniform(0.0, 6.0, size=chs.size)
-    got = series_values(cfg, quantifier, chs, eps, taus, mode, ext)
+    got = series_values(cfg, (quantifier,), chs, eps, taus, mode, ext)[0]
     assert (chs[1:] == chs[:-1]).any() and (chs[1:] != chs[:-1]).sum() > 3
     for ch in channels:
         own = chs == ch
-        alone = series_values(cfg, quantifier, chs[own], eps[own], taus[own],
-                              mode, ext)
+        alone = series_values(cfg, (quantifier,), chs[own], eps[own],
+                              taus[own], mode, ext)[0]
         assert got[own].tobytes() == alone.tobytes(), ch
 
 
@@ -326,8 +332,8 @@ def test_dense_route_is_independent_of_the_closed_form(monkeypatch):
              ("18", "negativity",
               ExtensionSpec("fixed", DipolarParams(eps_tilde=0.1, tau=0.5)))]
     eps = np.full(taus.shape, 0.1)
-    expected = [series_values(cfg, q, np.full(taus.shape, ch), eps, taus,
-                              "dense", ext)
+    expected = [series_values(cfg, (q,), np.full(taus.shape, ch), eps, taus,
+                              "dense", ext)[0]
                 for ch, q, ext in cases]
 
     def forbidden(*args, **kwargs):
@@ -343,11 +349,11 @@ def test_dense_route_is_independent_of_the_closed_form(monkeypatch):
             if any(obj is g for g in guarded):
                 monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(ClosedFormCalled):  # the guard is live
-        series_values(cfg, "negativity", np.full(taus.shape, "12"), eps, taus,
-                      "closed_form")
+        series_values(cfg, ("negativity",), np.full(taus.shape, "12"), eps,
+                      taus, "closed_form")
     for (ch, q, ext), want in zip(cases, expected):
-        got = series_values(cfg, q, np.full(taus.shape, ch), eps, taus,
-                            "dense", ext)
+        got = series_values(cfg, (q,), np.full(taus.shape, ch), eps, taus,
+                            "dense", ext)[0]
         assert np.array_equal(got, want), (ch, ext)
 
 
@@ -392,8 +398,8 @@ def test_series_is_built_in_bounded_blocks(monkeypatch):
     cfg = NetworkConfig("WW", werner_x1=0.9, werner_x2=0.6)
     n = dipnet.scan.BLOCK_TAUS
     taus = np.linspace(0.0, 10.0, n + 2)
-    got = series_values(cfg, "negativity", np.full(taus.shape, "14"),
-                        np.full(taus.shape, 0.2), taus, "dense")
+    got = series_values(cfg, ("negativity",), np.full(taus.shape, "14"),
+                        np.full(taus.shape, 0.2), taus, "dense")[0]
     assert sizes == [n, 2]
     assert [block for block, _ in dense] == [taus[:n].tolist(),
                                              taus[n:].tolist()]
@@ -423,8 +429,8 @@ def test_series_blocks_join_to_the_one_point_values(monkeypatch, mode,
     if channel == "18":
         ext = ExtensionSpec("track" if bridge is None else "fixed", bridge)
     taus = np.linspace(0.0, 6.0, 7)
-    got = series_values(cfg, quantifier, np.full(taus.shape, channel),
-                        np.full(taus.shape, 0.15), taus, mode, ext)
+    got = series_values(cfg, (quantifier,), np.full(taus.shape, channel),
+                        np.full(taus.shape, 0.15), taus, mode, ext)[0]
     blocks = [taus[:3].tolist(), taus[3:6].tolist(), taus[6:].tolist()]
     for calls, used in ((closed, mode != "dense"),
                         (dense, mode != "closed_form"),
@@ -442,6 +448,83 @@ def test_series_blocks_join_to_the_one_point_values(monkeypatch, mode,
         assert value == evaluate_point(cfg, p, channel, quantifier, mode, ext)
 
 
+@pytest.mark.parametrize("mode", dipnet.scan.MODES)
+def test_sweep_builds_validates_and_checks_each_block_once(monkeypatch, mode):
+    # a sweep of two quantifiers is one series_values call: each block of
+    # every (channel, eps) series is built and validated once per route and,
+    # in validate mode, oracle-checked once; both quantifiers score it
+    monkeypatch.setattr(dipnet.scan, "BLOCK_TAUS", 4)
+    closed = _recorded(monkeypatch, "closed_channel_states", 3)
+    dense = _recorded(monkeypatch, "network_channel_states", 3)
+    oracle = _recorded(monkeypatch, "require_oracle_agreement", 4)
+    validated = []
+    validate = dipnet.scan.require_density_stack
+
+    def spy(mats):
+        validated.append(len(mats))
+        return validate(mats)
+
+    monkeypatch.setattr(dipnet.scan, "require_density_stack", spy)
+    calls = []
+    monkeypatch.setattr(
+        dipnet.scan, "series_values",
+        lambda *args: calls.append(args) or series_values(*args))
+    grid = ScanGrid(tau_max=2.0, tau_steps=5, eps_values=(0.0, 0.1),
+                    channels=("12", "14"), quantifiers=("negativity", "naqc"))
+    series = sweep(MM, grid, mode)
+    assert [(s.channel, s.quantifier) for s in series][::2] == [
+        ("12", "negativity"), ("12", "naqc"), ("14", "negativity"),
+        ("14", "naqc")]
+    assert len(calls) == 1
+    # 20 taus in blocks of 4; block 2 holds the last two taus of channel
+    # 12 and the first two of channel 14, so each route builds it in two runs
+    taus = np.tile(grid.taus(), 4).tolist()
+    blocks = [taus[i:i + 4] for i in range(0, 20, 4)]
+    runs = blocks[:2] + [blocks[2][:2], blocks[2][2:]] + blocks[3:]
+    for route, used in ((closed, mode != "dense"),
+                        (dense, mode != "closed_form")):
+        assert [run for run, _ in route] == (runs if used else [])
+    assert validated == [4] * (10 if mode == "validate" else 5)
+    assert [block for block, _ in oracle] == (
+        blocks if mode == "validate" else [])
+
+
+def test_a_failing_second_quantifier_raises_at_its_block(monkeypatch,
+                                                         tmp_path, capsys):
+    # the quantifiers score each block in turn, so the second one's failure
+    # at block 1 is raised there, after the first has scored blocks 0 and 1
+    # only; the CLI reports it as a compute error and writes nothing
+    monkeypatch.setattr(dipnet.scan, "BLOCK_TAUS", 4)
+    scored = []
+    table = dipnet.scan.QUANTIFIER_TABLE
+
+    def scorer(name, score):
+        def scoring(mats):
+            scored.append(name)
+            if name == "naqc" and scored.count(name) == 2:
+                raise ValueError("naqc fails at block 1")
+            return score(mats)
+        return scoring
+
+    for name in ("negativity", "naqc"):
+        channels, score = table[name]
+        monkeypatch.setitem(table, name, (channels, scorer(name, score)))
+    grid = ScanGrid(tau_max=2.0, tau_steps=5, eps_values=(0.0, 0.1),
+                    quantifiers=("negativity", "naqc"))
+    with pytest.raises(ValueError, match="^naqc fails at block 1$"):
+        sweep(MM, grid)
+    assert scored == ["negativity", "naqc"] * 2
+    scn = tmp_path / "two.scn"
+    scn.write_text("name = two\nnetwork = MM\ntau_max = 2\ntau_steps = 5\n"
+                   "eps_values = 0,0.1\nquantifiers = negativity,naqc\n")
+    scored.clear()
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--output-dir", str(out)]) == EXIT_COMPUTE
+    assert capsys.readouterr().err == "compute error: naqc fails at block 1\n"
+    assert scored == ["negativity", "naqc"] * 2
+    assert not any(out.iterdir())
+
+
 def test_validate_raises_at_the_earliest_failing_tau(monkeypatch):
     # a series is built and checked block by block in tau order, so an
     # oracle mismatch in block 0 wins over a state that fails validation in
@@ -457,7 +540,7 @@ def test_validate_raises_at_the_earliest_failing_tau(monkeypatch):
     monkeypatch.setattr(dipnet.scan, "network_channel_states", faulty)
     taus = np.array([0.3, 0.6, 1.2, 1.5])
     with pytest.raises(OracleMismatch) as err:
-        series_values(MM, "negativity", np.full(taus.shape, "12"),
+        series_values(MM, ("negativity",), np.full(taus.shape, "12"),
                       np.full(taus.shape, 0.1), taus, "validate")
     assert "tau=0.3 eps=0.1 " in str(err.value)
 
@@ -477,7 +560,7 @@ def test_validate_names_the_failing_channel_of_a_mixed_block(monkeypatch):
     channels = np.array(["12", "12", "14", "14", "23", "23"])
     taus = np.array([0.6, 0.9, 0.3, 0.6, 0.6, 0.9])
     with pytest.raises(OracleMismatch) as err:
-        series_values(MM, "negativity", channels, np.full(taus.shape, 0.1),
+        series_values(MM, ("negativity",), channels, np.full(taus.shape, 0.1),
                       taus, "validate")
     assert str(err.value).startswith("channel 14 tau=0.6 eps=0.1 ")
 
@@ -554,8 +637,10 @@ def test_grouped_refinement_equals_per_series(name):
     series = sweep(cfg, grid)
     for quantifier in grid.quantifiers:
         group = [s for s in series if s.quantifier == quantifier]
-        grouped = pair_zero_intervals(group, scenario.zero_tol, partial(
-            series_values, cfg, quantifier))
+        grouped = pair_zero_intervals(
+            group, scenario.zero_tol,
+            lambda chs, eps, taus: series_values(cfg, (quantifier,), chs, eps,
+                                                 taus)[0])
         assert grouped == [detect_zero_intervals(s, scenario.zero_tol,
                                                  series_evaluator(cfg, s))
                            for s in group]
@@ -575,7 +660,8 @@ def test_grouped_refinement_calls_as_often_as_its_slowest_series():
         detect_zero_intervals(s, ZERO_TOL,
                               lambda taus: calls.append(taus.tolist()) or fn(taus))
         alone.append(calls)
-    pair = partial(series_values, MM, "naqc")
+    pair = lambda chs, eps, taus: series_values(MM, ("naqc",), chs, eps,
+                                                taus)[0]
     together = []
 
     def spy(channels, eps, taus):
@@ -619,7 +705,8 @@ def test_grouped_refinement_names_the_failing_eps(monkeypatch, tmp_path,
     group = sweep(MM, grid, "validate")
     _mismatch_off_grid(monkeypatch, 0.1, grid.taus())
     calls = []
-    pair = partial(series_values, MM, "negativity", mode="validate")
+    pair = lambda chs, eps, taus: series_values(MM, ("negativity",), chs, eps,
+                                                taus, "validate")[0]
 
     def spy(channels, eps, taus):
         calls.append((eps.tolist(), taus.tolist()))
@@ -746,11 +833,11 @@ def test_series_values_match_pinned_bits():
         for net, cfg in BIT_NETWORKS.items():
             for channel, quantifier in BIT_SERIES:
                 for eps in (-0.2, 0.1):
-                    values = series_values(cfg, quantifier,
+                    values = series_values(cfg, (quantifier,),
                                            np.full(mode_taus.shape, channel),
                                            np.full(mode_taus.shape, eps),
                                            mode_taus, mode,
-                                           ExtensionSpec("track"))
+                                           ExtensionSpec("track"))[0]
                     lines.append(" ".join(
                         [mode, net, channel, quantifier, repr(eps)]
                         + [float.hex(v) for v in values.tolist()]))
