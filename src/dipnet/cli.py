@@ -17,8 +17,8 @@ from .closedform import OracleMismatch
 from .ledger import render_typo_report
 from .netmodel import DipolarParams, FieldError, NetworkConfig
 from .scan import (MODES, ExtensionSpec, MeasureSeries, ScanGrid, ZERO_TOL,
-                   count_peaks, detect_sudden_changes, pair_zero_intervals,
-                   series_values, sweep)
+                   count_peaks, detect_sudden_changes, fmt,
+                   pair_zero_intervals, series_values, sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,18 +36,15 @@ class ScenarioError(Exception):
 
 
 # a name becomes file names in the output directory, the CSV's first column
-# and quoted gnuplot strings: no separators, commas, quotes or leading dots
-_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]*")
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+# and quoted gnuplot strings: no separators, commas, quotes or leading dots,
+# and at most 244 characters, so <name>_events.txt fits a 255-byte file name
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]{0,243}")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """What a scenario file means. Its defaults and range rules, with those
-    of the parts it holds, are the only ones: a hand-built or `replace`d
+    """What a scenario file means. Its defaults and rules, with those its
+    parts checked when built, are the only ones: a hand-built or `replace`d
     Scenario is refused exactly as `parse_scenario` refuses the text."""
 
     name: str
@@ -74,21 +71,6 @@ class Scenario:
         if not has_18 and self.extension is not None:
             raise FieldError(("extension",), "only channel 18 reads an "
                                              "extension")
-        # the CSV's eps_tilde column, the events headers and the plot
-        # filters print each eps, so two that print alike key one series
-        printed = [_fmt(eps) for eps in self.grid.eps_values]
-        for text in printed:
-            if printed.count(text) > 1:
-                raise FieldError(("eps_values",), f"eps_values has two "
-                                 f"entries that print as {text}")
-        # the CSV's tau column too; the taus increase, so two that print
-        # alike are neighbours
-        printed = [_fmt(tau) for tau in self.grid.taus().tolist()]
-        for text, after in zip(printed, printed[1:]):
-            if text == after:
-                raise FieldError(("tau_steps", "tau_max", "tau_min"),
-                                 f"two of the {self.grid.tau_steps} taus "
-                                 f"print as {text}")
         for key in ("zero_tol", "peak_prominence", "slope_jump_tol"):
             value = getattr(self, key)
             if value is None and key == "peak_prominence":  # the default
@@ -220,8 +202,8 @@ def _csv_blocks(scenario_name: str,
     yield "scenario,channel,quantifier,eps_tilde,tau,value\n"
     for s in series_list:
         prefix = (f"{scenario_name},{s.channel},{s.quantifier},"
-                  f"{_fmt(s.eps_tilde)},")
-        yield "".join(f"{prefix}{_fmt(tau)},{_fmt(value)}\n"
+                  f"{fmt(s.eps_tilde)},")
+        yield "".join(f"{prefix}{fmt(tau)},{fmt(value)}\n"
                       for tau, value in zip(s.taus.tolist(), s.values.tolist()))
 
 
@@ -247,7 +229,7 @@ def render_events(scenario: Scenario, series_list: list[MeasureSeries]) -> str:
         if s.quantifier == "tangle":
             events += detect_sudden_changes(s, scenario.slope_jump_tol)
         lines.append(f"# channel={s.channel} quantifier={s.quantifier} "
-                     f"eps_tilde={_fmt(s.eps_tilde)}")
+                     f"eps_tilde={fmt(s.eps_tilde)}")
         for e in events:
             line = f"{e.kind} tau={e.tau:.4f} value={e.value:.6f}"
             if e.interval_end is not None:
@@ -274,9 +256,9 @@ def render_plot_script(scenario: Scenario, csv_name: str) -> str:
             plots = []
             for eps in scenario.grid.eps_values:
                 cond = (f"(strcol(2) eq '{channel}' && strcol(3) eq '{quant}' "
-                        f"&& strcol(4) eq '{_fmt(eps)}')")
+                        f"&& strcol(4) eq '{fmt(eps)}')")
                 plots.append(f"'{csv_name}' using ({cond} ? $5 : NaN):6 "
-                             f"with lines title 'eps={_fmt(eps)}'")
+                             f"with lines title 'eps={fmt(eps)}'")
             lines.append("plot \\\n    " + ", \\\n    ".join(plots))
     return "\n".join(lines) + "\n"
 

@@ -54,8 +54,16 @@ def _uneven(steps: np.ndarray) -> bool:
     return steps.size > 0 and steps.max() - steps.min() > SPACING_TOL * steps.max()
 
 
+def fmt(value: float) -> str:
+    """How every output prints an eps, a tau or a value."""
+    return f"{value:.12g}"
+
+
 @dataclass(frozen=True)
 class ScanGrid:
+    """The grid of a sweep. Every grid rule is here, the print rules (`fmt`)
+    too, so a grid whose eps or taus print alike never reaches `sweep`."""
+
     tau_min: float = 0.0
     tau_max: float = 10.0
     tau_steps: int = 1001
@@ -73,12 +81,10 @@ class ScanGrid:
         if not MIN_TAU_STEPS <= self.tau_steps <= MAX_TAU_STEPS:
             raise FieldError(("tau_steps",), f"tau_steps must be in "
                              f"[{MIN_TAU_STEPS}, {MAX_TAU_STEPS}]")
-        for ch in self.channels:
-            if ch not in ALL_CHANNELS:
-                raise FieldError(("channels",), f"unknown channel {ch!r}")
-        for q in self.quantifiers:
-            if q not in QUANTIFIERS:
-                raise FieldError(("quantifiers",), f"unknown quantifier {q!r}")
+        for key, known in (("channels", ALL_CHANNELS), ("quantifiers", QUANTIFIERS)):
+            for entry in getattr(self, key):
+                if entry not in known:
+                    raise FieldError((key,), f"unknown {key[:-1]} {entry!r}")
         for key in ("eps_values", "channels", "quantifiers"):
             entries = getattr(self, key)
             if not entries:
@@ -89,19 +95,31 @@ class ScanGrid:
         propagator_phases(np.array(self.eps_values, dtype=float),
                           np.full(len(self.eps_values), float(self.tau_max)),
                           "eps_values", "tau_max")
-        steps = np.diff(self.taus())
+        taus = self.taus()
+        # the outputs print each eps and tau, so two eps that print alike
+        # key one series. fmt is monotone and taus() never decreases, so
+        # equal prints are neighbours, and taus that print apart increase
+        tau_keys = ("tau_steps", "tau_max", "tau_min")
+        for keys, values, what in (
+                (("eps_values",), sorted(self.eps_values),
+                 "eps_values has two entries that"),
+                (tau_keys, taus.tolist(), f"two of the {self.tau_steps} taus")):
+            printed = [fmt(value) for value in values]
+            for text, after in zip(printed, printed[1:]):
+                if text == after:
+                    raise FieldError(keys, f"{what} print as {text}")
         # tangle series are scanned for sudden changes, which need even steps
-        if (steps <= 0).any() or ("tangle" in self.quantifiers
-                                  and _uneven(steps)):
-            raise FieldError(("tau_steps", "tau_max", "tau_min"),
-                             f"{self.tau_steps} tau points over [tau_min, "
-                             f"tau_max] are not strictly increasing (evenly, "
-                             f"for tangle) at float resolution")
+        if "tangle" in self.quantifiers and _uneven(np.diff(taus)):
+            raise FieldError(tau_keys, f"the {self.tau_steps} taus are not evenly "
+                             f"spaced at float resolution, as tangle needs")
         for ch, q in product(self.channels, self.quantifiers):
             _require_readable(q, ch)
 
     def taus(self) -> np.ndarray:
-        return np.linspace(self.tau_min, self.tau_max, self.tau_steps)
+        # a subnormal step can carry linspace past tau_max before its last
+        # point; clipped, the taus never decrease (on a valid grid, a no-op)
+        return np.minimum(np.linspace(self.tau_min, self.tau_max,
+                                      self.tau_steps), self.tau_max)
 
 
 @dataclass(frozen=True, eq=False)

@@ -272,14 +272,18 @@ def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     # propagator phases kappa * tau_max that overflow
     (["tau_max = 1e308"], 3),
     (["tau_max = 1e10", "eps_values = 1e300"], 4),
-    # tau points that float resolution cannot space evenly
+    # taus that the CSV's tau column prints alike: float resolution repeats
+    # them, or they are distinct but agree to 12 significant digits
     (["tau_min = 1e16", "tau_max = 1.0000000000000002e16", "tau_steps = 5"],
      5),
     (["tau_max = 5e-324", "tau_steps = 12"], 4),
     (["channels = 123", "quantifiers = tangle", "tau_min = 1e16",
       "tau_max = 1.00000000000001e16", "tau_steps = 7"], 7),
-    # distinct taus that the CSV's tau column prints alike
     (["tau_min = 1", "tau_max = 1.00000000001", "tau_steps = 3"], 5),
+    # taus that print apart but that float resolution cannot space evenly,
+    # as the tangle's sudden-change scan needs
+    (["channels = 123", "quantifiers = tangle", "tau_min = 9.999",
+      "tau_max = 10"], 6),
 ], ids=lambda v: "|".join(v) if isinstance(v, list) else str(v))
 def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line):
     text = "name = bad\nnetwork = MM\n" + "\n".join(lines) + "\n"
@@ -288,28 +292,42 @@ def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line):
     assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"line {bad_line}:" in err
-    assert GRID_ERROR_REASONS.get(lines[0], "") in err
+    assert GRID_ERROR_REASONS.get("|".join(lines), "") in err
 
 
-# the reason a grid error must give, by the first line of its case; an
-# empty entry is an unknown name, not a repeat
+# the reason a grid error must give, by the id of its case; an empty entry
+# is an unknown name, not a repeat
 GRID_ERROR_REASONS = {
     "channels = ,": "unknown channel ''",
-    "quantifiers = ,": "unknown quantifier ''",
-    "channels = 12,,14": "unknown channel ''",
+    "quantifiers = ,|tau_max = 2": "unknown quantifier ''",
+    "channels = 12,,14|tau_max = 2": "unknown channel ''",
     "channels = 12,99": "unknown channel '99'",
     "quantifiers = negativity,bogus": "unknown quantifier 'bogus'",
-    "channels = 12,12": "channels repeats an entry",
+    "channels = 12,12|quantifiers = naqc": "channels repeats an entry",
     "quantifiers = negativity,negativity": "quantifiers repeats an entry",
     "eps_values = -0,0": "eps_values repeats an entry",
     "eps_values = 0.1,0.1000000000001":
         "key eps_values: eps_values has two entries that print as 0.1\n",
-    "tau_min = 1":
+    "tau_min = 1e16|tau_max = 1.0000000000000002e16|tau_steps = 5":
+        "key tau_steps: two of the 5 taus print as 1e+16\n",
+    "tau_max = 5e-324|tau_steps = 12":
+        "key tau_steps: two of the 12 taus print as 0\n",
+    "channels = 123|quantifiers = tangle|tau_min = 1e16|"
+    "tau_max = 1.00000000000001e16|tau_steps = 7":
+        "key tau_steps: two of the 7 taus print as 1e+16\n",
+    "tau_min = 1|tau_max = 1.00000000001|tau_steps = 3":
         "key tau_steps: two of the 3 taus print as 1.00000000001\n",
+    "channels = 123|quantifiers = tangle|tau_min = 9.999|tau_max = 10":
+        "key tau_max: the 1001 taus are not evenly spaced at float "
+        "resolution, as tangle needs\n",
 }
 
 
-@pytest.mark.parametrize("name", ["a/b", "../escaped", "a,b", "it's"])
+@pytest.mark.parametrize("name", [
+    "a/b", "../escaped", "a,b", "it's",
+    # <name>_events.txt would be longer than a file name may be (255 bytes)
+    pytest.param("n" * 245, id="245_chars"),
+    pytest.param("n" * 300, id="300_chars")])
 def test_main_refuses_unsafe_names(tmp_path, capsys, name):
     # the name becomes file names, the CSV's first column and gnuplot quotes
     scenario = tmp_path / "bad.scn"
@@ -320,6 +338,17 @@ def test_main_refuses_unsafe_names(tmp_path, capsys, name):
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scenario]
 
 
+def test_main_writes_every_output_of_the_longest_name(tmp_path):
+    # <name>_events.txt, the longest output name, is 255 bytes
+    name = "n" * 244
+    scenario = tmp_path / "long.scn"
+    scenario.write_text(MINIMAL.replace("name = tiny", f"name = {name}"))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--output-dir", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"{name}.csv", f"{name}_events.txt", f"{name}_plots.gp"]
+
+
 @pytest.mark.parametrize("change", [
     {"name": "../escaped"}, {"mode": "bogus"}, {"zero_tol": -1.0},
     pytest.param({"zero_tol": math.inf}, id="zero_tol_inf"),
@@ -328,14 +357,12 @@ def test_main_refuses_unsafe_names(tmp_path, capsys, name):
     # only peak_prominence may be None
     pytest.param({"zero_tol": None}, id="zero_tol_none"),
     pytest.param({"slope_jump_tol": None}, id="slope_jump_tol_none"),
-    pytest.param({"grid": ScanGrid(eps_values=(0.1, 0.1000000000001))},
-                 id="eps_printed_alike"),
-    pytest.param({"grid": ScanGrid(tau_min=1.0, tau_max=1.00000000001,
-                                   tau_steps=3)}, id="taus_printed_alike"),
 ], ids=lambda change: next(iter(change)))
 def test_hand_built_scenarios_are_refused(tmp_path, change):
-    # Scenario owns the rules parse_scenario applies, so a hand-built or
-    # replaced scenario is refused at construction and run never writes
+    # Scenario owns the rules parse_scenario applies to its own fields, and
+    # ScanGrid those of the grid (test_scan.py's test_grid_validation), so a
+    # hand-built or replaced scenario is refused at construction and run
+    # never writes
     base = parse_scenario(MINIMAL)
     fields = dict(vars(base), output_dir=tmp_path / "out" / "sub", **change)
     with pytest.raises(ValueError):
@@ -353,6 +380,22 @@ def test_main_accepts_two_node_zoom_grid(tmp_path):
     zoom.write_text("name = zoom\nnetwork = MM\ntau_min = 9.999\n"
                     "tau_max = 10\ntau_steps = 1001\nchannels = 12\n")
     assert main(["run", str(zoom), "--output-dir", str(tmp_path)]) == EXIT_OK
+
+
+def test_validate_prints_the_taus_once(tmp_path, monkeypatch):
+    # ScanGrid prints every tau to check it; the Scenario builds (the parse,
+    # --output-dir and the forced mode) reuse the grid and print none
+    calls = []
+    taus, sweep_ = ScanGrid.taus, dipnet.cli.sweep
+    monkeypatch.setattr(ScanGrid, "taus",
+                        lambda grid: calls.append("taus") or taus(grid))
+    monkeypatch.setattr(dipnet.cli, "sweep",
+                        lambda *args: calls.append("sweep") or sweep_(*args))
+    scenario = tmp_path / "tiny.scn"
+    scenario.write_text(MINIMAL)
+    assert main(["validate", str(scenario),
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    assert calls == ["taus", "sweep", "taus"]
 
 
 def test_validate_subcommand_forces_mode(tmp_path):

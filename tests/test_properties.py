@@ -16,6 +16,8 @@
  - The stack validator raises what DensityMatrix raises for a bad matrix.
  - The propagator obeys the group law U(t1) U(t2) = U(t1 + t2) and is
    unitary, on the dense route and the closed (vectorised) one.
+ - Every grid `ScanGrid` accepts has strictly increasing taus, at tau
+   bounds from subnormal to 1e300 and at any tau_steps in range.
  - Any scenario text (tiny grids) gives exit 0 or 2 from `dipnet run`:
    every invalid input is a parse error, never a compute error, and names
    its line unless `name` or `network` is missing.
@@ -39,14 +41,15 @@ from dipnet.measures import (NAQC_CRITICAL, NAQC_MAX, naqc_degree,
                              naqc_degree_stack, negativity, negativity_stack,
                              pi_tangle, pi_tangle_stack)
 from dipnet.netmodel import (ALL_CHANNELS, XX, YY, ZZ, DipolarParams,
-                             NetworkConfig, bell_weights, channel_qubits,
-                             coupling_matrices, evolved_network,
+                             FieldError, NetworkConfig, bell_weights,
+                             channel_qubits, coupling_matrices, evolved_network,
                              network_channel_state, network_channel_states,
                              propagator_gammas, propagator_matrix)
 from dipnet.qmat import (ORACLE_TOL, DensityMatrix, conjugate_pair_stack,
                          kron, partial_trace_stack, require_density_stack)
-from dipnet.scan import (MODES, QUANTIFIERS, ExtensionSpec, ScanGrid,
-                         evaluate_point, series_values, sweep)
+from dipnet.scan import (MAX_TAU_STEPS, MIN_TAU_STEPS, MODES, QUANTIFIERS,
+                         ExtensionSpec, ScanGrid, evaluate_point,
+                         series_values, sweep)
 
 from conftest import ginibre_density
 
@@ -303,6 +306,30 @@ def test_propagator_group_law(eps, t1, t2):
         assert np.abs(u1 @ u2 - u12).max() < 1e-10
         for u in (u1, u2, u12):
             assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
+
+
+# tau bounds at the ends of the float range, where linspace may repeat a tau
+EXTREME_TAUS = st.sampled_from((0.0, 5e-324, 1e-320, 2.2250738585072014e-308,
+                                1.0, 1e16, 1e300)) | st.floats(0.0, 1e300)
+
+
+@settings(PROPERTY)
+@given(tau_min=EXTREME_TAUS, tau_max=EXTREME_TAUS, ulps=st.integers(0, 64),
+       steps=st.integers(MIN_TAU_STEPS, MAX_TAU_STEPS))
+@example(tau_min=1e16, tau_max=1.0000000000000002e16, ulps=0, steps=5)
+@example(tau_min=0.0, tau_max=5e-324, ulps=0, steps=12)
+# a subnormal step: linspace's fifth tau, 2e-323, passes tau_max
+@example(tau_min=0.0, tau_max=1.5e-323, ulps=0, steps=6)
+def test_every_accepted_grid_strictly_increases(tau_min, tau_max, ulps, steps):
+    # ulps > 0 puts tau_max that many ulps above tau_min, closer than the
+    # taus can be spaced
+    if ulps:
+        tau_max = tau_min + ulps * math.ulp(tau_min)
+    try:
+        grid = ScanGrid(tau_min=tau_min, tau_max=tau_max, tau_steps=steps)
+    except FieldError:
+        return
+    assert (np.diff(grid.taus()) > 0).all(), (tau_min, tau_max, steps)
 
 
 # scenario values: extremes the float parser accepts, and junk

@@ -64,6 +64,14 @@ def test_grid_validation():
     with pytest.raises(ValueError):  # uneven steps, which tangle refuses
         ScanGrid(tau_min=9.999, tau_max=10.0, channels=("123",),
                  quantifiers=("tangle",))
+    # eps or taus that the outputs print alike, even on their way straight
+    # to sweep
+    with pytest.raises(FieldError, match=r"^eps_values has two entries that "
+                       r"print as 0\.1$"):
+        ScanGrid(eps_values=(0.1, 0.1000000000001))
+    with pytest.raises(FieldError, match=r"^two of the 3 taus print as "
+                       r"1\.00000000001$"):
+        ScanGrid(tau_min=1.0, tau_max=1.00000000001, tau_steps=3)
     ScanGrid(channels=("123",), quantifiers=("tangle",))
     ScanGrid(channels=("18",), quantifiers=("naqc",))
     ScanGrid(tau_min=9.999, tau_max=10.0)  # uneven, strictly increasing
