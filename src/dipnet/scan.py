@@ -55,7 +55,7 @@ def _uneven(steps: np.ndarray) -> bool:
 
 
 def fmt(value: float) -> str:
-    """How every output prints an eps, a tau or a value."""
+    """How the CSV, the events headers and the plot filters print a number."""
     return f"{value:.12g}"
 
 
