@@ -357,6 +357,12 @@ def test_main_writes_every_output_of_the_longest_name(tmp_path):
     # only peak_prominence may be None
     pytest.param({"zero_tol": None}, id="zero_tol_none"),
     pytest.param({"slope_jump_tol": None}, id="slope_jump_tol_none"),
+    # ScanGrid refuses these grids itself, so they are built in the test
+    pytest.param({"grid": lambda: ScanGrid(eps_values=(0.1, 0.1000000000001))},
+                 id="eps_printed_alike"),
+    pytest.param({"grid": lambda: ScanGrid(tau_min=1.0, tau_max=1.00000000001,
+                                           tau_steps=3)},
+                 id="taus_printed_alike"),
 ], ids=lambda change: next(iter(change)))
 def test_hand_built_scenarios_are_refused(tmp_path, change):
     # Scenario owns the rules parse_scenario applies to its own fields, and
@@ -364,11 +370,16 @@ def test_hand_built_scenarios_are_refused(tmp_path, change):
     # hand-built or replaced scenario is refused at construction and run
     # never writes
     base = parse_scenario(MINIMAL)
-    fields = dict(vars(base), output_dir=tmp_path / "out" / "sub", **change)
+
+    def fields():
+        built = {key: value() if callable(value) else value
+                 for key, value in change.items()}
+        return dict(vars(base), output_dir=tmp_path / "out" / "sub", **built)
+
     with pytest.raises(ValueError):
-        run(Scenario(**fields))
+        run(Scenario(**fields()))
     with pytest.raises(ValueError):
-        run(replace(base, **fields))
+        run(replace(base, **fields()))
     assert not any(tmp_path.iterdir())
 
 
