@@ -37,8 +37,9 @@ class ScenarioError(Exception):
 
 # a name becomes file names in the output directory, the CSV's first column
 # and quoted gnuplot strings: no separators, commas, quotes or leading dots,
-# and at most 244 characters, so <name>_events.txt fits a 255-byte file name
-_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]{0,243}")
+# and at most 237 characters, so <name>_12_negativity.png, the longest file
+# name a run writes or names, fits a 255-byte file name
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]{0,236}")
 
 
 @dataclass(frozen=True)

@@ -155,16 +155,24 @@ def _require_unit_norm(r: np.ndarray) -> np.ndarray:
     return r
 
 
+# Factor indices into (c1, c2, c3, s1, s2, s3) of the products, taken left
+# to right, that form Re r1..r4 and -Im r1..r4 in `propagator_coeff_stack`.
+_R_FACTORS = np.array([[0, 1, 2], [0, 4, 5], [1, 3, 5], [2, 3, 4],
+                       [3, 4, 5], [1, 2, 3], [0, 2, 4], [0, 1, 5]]).T
+
+
 def propagator_coeff_stack(eps_tilde: np.ndarray,
                            taus: np.ndarray) -> np.ndarray:
-    """(4, N) dense-route propagator coefficients r1..r4 at every tau of the
-    1-d array `taus`, with `eps_tilde` a 1-d array of one eps per tau, each
-    a product of the phases' cosines c1..c3 and sines s1..s3."""
+    """(4, N) propagator coefficients r1..r4 at every tau of the 1-d array
+    `taus`, with `eps_tilde` a 1-d array of one eps per tau, each a product
+    of the phases' cosines c1..c3 and sines s1..s3 (`_R_FACTORS`): the one
+    place both routes' propagators are formed, checked for unit norm."""
     phases = propagator_phases(eps_tilde, taus, "eps_tilde", "tau")
-    (c1, c2, c3), (s1, s2, s3) = np.cos(phases), np.sin(phases)
+    f = np.concatenate([np.cos(phases), np.sin(phases)])[_R_FACTORS]
+    prod = f[0] * f[1] * f[2]
     r = np.empty((4, len(taus)), dtype=complex)
-    r.real = c1 * c2 * c3, c1 * s2 * s3, c2 * s1 * s3, c3 * s1 * s2
-    r.imag = -s1 * s2 * s3, -c2 * c3 * s1, -c1 * c3 * s2, -c1 * c2 * s3
+    r.real = prod[:4]
+    np.negative(prod[4:], out=r.imag)
     return _require_unit_norm(r)
 
 
@@ -180,26 +188,10 @@ def propagator_coeffs(p: DipolarParams) -> np.ndarray:
                                   np.array([p.tau]))[:, 0]
 
 
-# Factor indices into (c1, c2, c3, s1, s2, s3) of the products, taken left
-# to right, that form Re r1..r4 and -Im r1..r4 in `propagator_coeff_stack`.
-_R_FACTORS = np.array([[0, 1, 2], [0, 4, 5], [1, 3, 5], [2, 3, 4],
-                       [3, 4, 5], [1, 2, 3], [0, 2, 4], [0, 1, 5]]).T
-
-
 def propagator_gammas(eps_tilde: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """(4, N) propagator entries g1..g4 at every tau of the 1-d array
-    `taus`, with `eps_tilde` a 1-d array of one eps per tau, for the
-    closed-form kernel: the phase rule, norm check and r -> g map of
-    `propagator_coeff_stack`, but its own gather of the cos and sin
-    products, so each route forms the propagator on its own."""
-    phases = propagator_phases(eps_tilde, taus, "eps_tilde", "tau")
-    cs = np.concatenate([np.cos(phases), np.sin(phases)])
-    f = cs[_R_FACTORS]
-    prod = f[0] * f[1] * f[2]
-    r = np.empty((4, len(taus)), dtype=complex)
-    r.real = prod[:4]
-    np.negative(prod[4:], out=r.imag)
-    return coeff_gammas(_require_unit_norm(r))
+    """(4, N) propagator entries g1..g4 of `propagator_coeff_stack`, as the
+    closed-form kernel reads the one stack both routes share."""
+    return coeff_gammas(propagator_coeff_stack(eps_tilde, taus))
 
 
 # Entry of (g1, g2, g3, g4, 0) at each position of the 4x4 propagator.
@@ -278,7 +270,8 @@ def network_channel_states(cfg: NetworkConfig, channel: str,
     1-d array `taus` (a block of `scan.series_values`), with `eps_tilde` a
     1-d array of one eps per tau, in one pass: the initial network
     conjugated on qubits (1, 2) by the block's propagators (one
-    `propagator_coeff_stack`, one `coupling_matrices` call), then reduced.
+    `coupling_matrices` call on the `propagator_coeff_stack` the closed
+    route reads too), then reduced.
     The unitaries and the evolved network stack are validated here, the
     reduced states by the caller.
 

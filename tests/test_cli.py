@@ -18,7 +18,8 @@ from dipnet.cli import (_KNOWN_KEYS, EXIT_COMPUTE, EXIT_OK, EXIT_ORACLE,
                         parse_scenario, render_csv, render_events, run)
 from dipnet.closedform import OracleMismatch
 from dipnet.netmodel import NetworkConfig
-from dipnet.scan import MODES, ExtensionSpec, ScanGrid, sweep
+from dipnet.scan import (MODES, QUANTIFIER_TABLE, ExtensionSpec, ScanGrid,
+                         sweep)
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS_DIR = REPO / "scenarios"
@@ -205,16 +206,30 @@ def test_main_typo_ledger(capsys):
     assert out == TYPO_LEDGER_GOLDEN.read_text()
 
 
-@pytest.mark.parametrize("module", ["dipnet", "dipnet.cli"])
+def console_script_args() -> list[str]:
+    """Interpreter arguments that call the `dipnet` console script's target,
+    `module:function` under pyproject.toml's [project.scripts], as the
+    installed script does: sys.exit(function())."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(REPO / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["dipnet"]
+    module, function = target.split(":")
+    return ["-c", f"import importlib, sys; sys.exit(getattr("
+                  f"importlib.import_module({module!r}), {function!r})())"]
+
+
+@pytest.mark.parametrize("module", ["dipnet", "dipnet.cli", "console_script"])
 def test_python_m_entry_points(module):
     src = str(Path(dipnet.scan.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", module, "typo-ledger"],
+    args = (console_script_args() if module == "console_script"
+            else ["-m", module])
+    proc = subprocess.run([sys.executable, *args, "typo-ledger"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout.startswith("# Closed-form repair report.")
+    assert proc.stdout == TYPO_LEDGER_GOLDEN.read_text()
     assert "RuntimeWarning" not in proc.stderr
 
 
@@ -247,85 +262,89 @@ def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     assert f"line {len(text.splitlines())}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lines, bad_line", [
-    (["tau_min = 5", "tau_max = 1"], 4),
-    (["tau_max = 1", "tau_min = 5"], 3),
-    (["tau_min = 20"], 3),  # tau_max left at its default: blame tau_min
-    (["channels = 12,99"], 3),
-    (["channels = 123", "quantifiers = negativity"], 3),
-    (["quantifiers = negativity", "channels = 14,124"], 4),
-    (["quantifiers = negativity,bogus"], 3),
-    (["eps_values = ,"], 3),
-    (["channels = ,"], 3),
-    (["quantifiers = ,", "tau_max = 2"], 3),
-    # an empty entry is refused, not dropped
-    (["channels = 12,,14", "tau_max = 2"], 3),
-    (["eps_values = 0.1,,0.2", "tau_max = 2"], 3),
-    # a repeated entry would write two series under one key
-    (["eps_values = 0.1,0.1", "tau_max = 2"], 3),
-    (["eps_values = -0,0"], 3),
-    # two eps that the CSV, the events headers and the plot filters print
-    # alike, at 12 significant digits
-    (["eps_values = 0.1,0.1000000000001"], 3),
-    (["channels = 12,12", "quantifiers = naqc"], 3),
-    (["quantifiers = negativity,negativity"], 3),
-    # propagator phases kappa * tau_max that overflow
-    (["tau_max = 1e308"], 3),
-    (["tau_max = 1e10", "eps_values = 1e300"], 4),
-    # taus that the CSV's tau column prints alike: float resolution repeats
-    # them, or they are distinct but agree to 12 significant digits
-    (["tau_min = 1e16", "tau_max = 1.0000000000000002e16", "tau_steps = 5"],
-     5),
-    (["tau_max = 5e-324", "tau_steps = 12"], 4),
-    (["channels = 123", "quantifiers = tangle", "tau_min = 1e16",
-      "tau_max = 1.00000000000001e16", "tau_steps = 7"], 7),
-    (["tau_min = 1", "tau_max = 1.00000000001", "tau_steps = 3"], 5),
-    # taus that print apart but that float resolution cannot space evenly,
-    # as the tangle's sudden-change scan needs
-    (["channels = 123", "quantifiers = tangle", "tau_min = 9.999",
-      "tau_max = 10"], 6),
-], ids=lambda v: "|".join(v) if isinstance(v, list) else str(v))
-def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line):
+@pytest.mark.parametrize("lines, bad_line, reason", [
+    pytest.param(lines, bad_line, reason, id=f"{'|'.join(lines)}-{bad_line}")
+    for lines, bad_line, reason in [
+        (["tau_min = 5", "tau_max = 1"], 4,
+         "key tau_max: need 0 <= tau_min < tau_max"),
+        (["tau_max = 1", "tau_min = 5"], 3,
+         "key tau_max: need 0 <= tau_min < tau_max"),
+        # tau_max left at its default: blame tau_min
+        (["tau_min = 20"], 3, "key tau_min: need 0 <= tau_min < tau_max"),
+        (["channels = 12,99"], 3, "key channels: unknown channel '99'"),
+        (["channels = 123", "quantifiers = negativity"], 3,
+         "key channels: quantifier 'negativity' cannot be evaluated on "
+         "channel '123'"),
+        (["quantifiers = negativity", "channels = 14,124"], 4,
+         "key channels: quantifier 'negativity' cannot be evaluated on "
+         "channel '124'"),
+        (["quantifiers = negativity,bogus"], 3,
+         "key quantifiers: unknown quantifier 'bogus'"),
+        (["eps_values = ,"], 3, "key eps_values: not a number: ''"),
+        # an empty entry is an unknown name, not a repeat
+        (["channels = ,"], 3, "key channels: unknown channel ''"),
+        (["quantifiers = ,", "tau_max = 2"], 3,
+         "key quantifiers: unknown quantifier ''"),
+        # an empty entry is refused, not dropped
+        (["channels = 12,,14", "tau_max = 2"], 3,
+         "key channels: unknown channel ''"),
+        (["eps_values = 0.1,,0.2", "tau_max = 2"], 3,
+         "key eps_values: not a number: ''"),
+        # a repeated entry would write two series under one key
+        (["eps_values = 0.1,0.1", "tau_max = 2"], 3,
+         "key eps_values: eps_values repeats an entry"),
+        (["eps_values = -0,0"], 3,
+         "key eps_values: eps_values repeats an entry"),
+        # two eps that the CSV, the events headers and the plot filters
+        # print alike, at 12 significant digits
+        (["eps_values = 0.1,0.1000000000001"], 3,
+         "key eps_values: eps_values has two entries that print as 0.1"),
+        (["channels = 12,12", "quantifiers = naqc"], 3,
+         "key channels: channels repeats an entry"),
+        (["quantifiers = negativity,negativity"], 3,
+         "key quantifiers: quantifiers repeats an entry"),
+        # propagator phases kappa * tau_max that overflow
+        (["tau_max = 1e308"], 3,
+         "key tau_max: need tau >= 0 and finite phases kappa * tau, got "
+         "eps_tilde = -0.2, tau = 1e+308"),
+        (["tau_max = 1e10", "eps_values = 1e300"], 4,
+         "key eps_values: need tau >= 0 and finite phases kappa * tau, got "
+         "eps_tilde = 1e+300, tau = 10000000000.0"),
+        # taus that the CSV's tau column prints alike: float resolution
+        # repeats them, or they are distinct but agree to 12 significant
+        # digits
+        (["tau_min = 1e16", "tau_max = 1.0000000000000002e16",
+          "tau_steps = 5"], 5,
+         "key tau_steps: two of the 5 taus print as 1e+16"),
+        (["tau_max = 5e-324", "tau_steps = 12"], 4,
+         "key tau_steps: two of the 12 taus print as 0"),
+        (["channels = 123", "quantifiers = tangle", "tau_min = 1e16",
+          "tau_max = 1.00000000000001e16", "tau_steps = 7"], 7,
+         "key tau_steps: two of the 7 taus print as 1e+16"),
+        (["tau_min = 1", "tau_max = 1.00000000001", "tau_steps = 3"], 5,
+         "key tau_steps: two of the 3 taus print as 1.00000000001"),
+        # taus that print apart but that float resolution cannot space
+        # evenly, as the tangle's sudden-change scan needs
+        (["channels = 123", "quantifiers = tangle", "tau_min = 9.999",
+          "tau_max = 10"], 6,
+         "key tau_max: the 1001 taus are not evenly spaced at float "
+         "resolution, as tangle needs"),
+    ]])
+def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line,
+                                            reason):
     text = "name = bad\nnetwork = MM\n" + "\n".join(lines) + "\n"
     bad = tmp_path / "bad.scn"
     bad.write_text(text)
     assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"line {bad_line}:" in err
-    assert GRID_ERROR_REASONS.get("|".join(lines), "") in err
-
-
-# the reason a grid error must give, by the id of its case; an empty entry
-# is an unknown name, not a repeat
-GRID_ERROR_REASONS = {
-    "channels = ,": "unknown channel ''",
-    "quantifiers = ,|tau_max = 2": "unknown quantifier ''",
-    "channels = 12,,14|tau_max = 2": "unknown channel ''",
-    "channels = 12,99": "unknown channel '99'",
-    "quantifiers = negativity,bogus": "unknown quantifier 'bogus'",
-    "channels = 12,12|quantifiers = naqc": "channels repeats an entry",
-    "quantifiers = negativity,negativity": "quantifiers repeats an entry",
-    "eps_values = -0,0": "eps_values repeats an entry",
-    "eps_values = 0.1,0.1000000000001":
-        "key eps_values: eps_values has two entries that print as 0.1\n",
-    "tau_min = 1e16|tau_max = 1.0000000000000002e16|tau_steps = 5":
-        "key tau_steps: two of the 5 taus print as 1e+16\n",
-    "tau_max = 5e-324|tau_steps = 12":
-        "key tau_steps: two of the 12 taus print as 0\n",
-    "channels = 123|quantifiers = tangle|tau_min = 1e16|"
-    "tau_max = 1.00000000000001e16|tau_steps = 7":
-        "key tau_steps: two of the 7 taus print as 1e+16\n",
-    "tau_min = 1|tau_max = 1.00000000001|tau_steps = 3":
-        "key tau_steps: two of the 3 taus print as 1.00000000001\n",
-    "channels = 123|quantifiers = tangle|tau_min = 9.999|tau_max = 10":
-        "key tau_max: the 1001 taus are not evenly spaced at float "
-        "resolution, as tangle needs\n",
-}
+    assert (capsys.readouterr().err
+            == f"scenario error: line {bad_line}: {reason}\n")
 
 
 @pytest.mark.parametrize("name", [
     "a/b", "../escaped", "a,b", "it's",
-    # <name>_events.txt would be longer than a file name may be (255 bytes)
+    # <name>_12_negativity.png, which the plot script names, would be longer
+    # than a file name may be (255 bytes)
+    pytest.param("n" * 238, id="238_chars"),
     pytest.param("n" * 245, id="245_chars"),
     pytest.param("n" * 300, id="300_chars")])
 def test_main_refuses_unsafe_names(tmp_path, capsys, name):
@@ -339,14 +358,23 @@ def test_main_refuses_unsafe_names(tmp_path, capsys, name):
 
 
 def test_main_writes_every_output_of_the_longest_name(tmp_path):
-    # <name>_events.txt, the longest output name, is 255 bytes
-    name = "n" * 244
+    # every file a run writes, and every PNG its plot script names, fits a
+    # 255-byte file name, the longest being <name>_12_negativity.png
+    name = "n" * 237
+    longest_suffix = max(len(f"_{channel}_{quant}.png".encode())
+                         for quant, (channels, _) in QUANTIFIER_TABLE.items()
+                         for channel in channels)
+    assert len(name) + longest_suffix <= 255
     scenario = tmp_path / "long.scn"
     scenario.write_text(MINIMAL.replace("name = tiny", f"name = {name}"))
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--output-dir", str(out)]) == EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == [
         f"{name}.csv", f"{name}_events.txt", f"{name}_plots.gp"]
+    pngs = re.findall(r"^set output '(.*)'$",
+                      (out / f"{name}_plots.gp").read_text(), re.M)
+    assert pngs == [f"{name}_12_negativity.png", f"{name}_12_naqc.png"]
+    assert all(len(png.encode()) <= 255 for png in pngs)
 
 
 @pytest.mark.parametrize("change", [

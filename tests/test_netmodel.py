@@ -104,11 +104,24 @@ def test_propagator_coeffs_normalization():
     assert abs(norm - 1.0) < 1e-12
 
 
+# (eps_tilde, tau) at the edges of the accepted range: subnormal taus, taus
+# far past any sweep, |eps| = 1e10 near tau = 1e-5, kappa_x = 0 at
+# eps = 1/3, and eps = 0 of either sign
+EXTREME_PROPAGATOR_POINTS = [
+    (0.2, 5e-324), (-0.3, 1e-320), (0.0, 5e-324),
+    (0.1, 1e15), (-0.2, 1e100), (0.45, 1e15),
+    (1e10, 1e-5), (-1e10, 3e-5), (1e10, 1.3e-5),
+    (1 / 3, 2.0), (1 / 3, 1e100), (-1 / 3, 0.9),
+    (0.0, 1e15), (-0.0, 1e100), (-0.0, 0.7), (0.0, 0.0), (-0.0, 0.0)]
+
+
 def test_propagator_stacks_equal_the_scalar_reference():
     # the dense stack, its one-point column and matrix, and the closed
     # route's gammas keep the scalar formula's bits at every point: eps = 0
-    # of either sign, tau = 0 and both signs of eps among them
+    # of either sign, tau = 0 and both signs of eps among them, and the
+    # extreme points
     rng = np.random.default_rng(21)
+    vectors = [np.array(EXTREME_PROPAGATOR_POINTS).T]
     for n in (1, 9, 300):
         eps = rng.uniform(-0.5, 0.5, size=n)
         taus = rng.uniform(0.0, 10.0, size=n)
@@ -116,13 +129,15 @@ def test_propagator_stacks_equal_the_scalar_reference():
         taus[:5] = [0.0, 1.7, 0.0, 2.9, 1e6][:n]
         eps[rng.random(n) < 0.1] = 0.0
         taus[rng.random(n) < 0.1] = 0.0
+        vectors.append((eps, taus))
+    for eps, taus in vectors:
         points = list(zip(eps.tolist(), taus.tolist()))
         want = np.array([propagator_coeffs_reference(*pt) for pt in points]).T
         assert propagator_coeff_stack(eps, taus).tobytes() == want.tobytes()
         gammas = np.array([gammas_reference(*pt) for pt in points]).T
         assert coeff_gammas(want).tobytes() == gammas.tobytes()
         assert propagator_gammas(eps, taus).tobytes() == gammas.tobytes()
-        for k, (e, t) in enumerate(points[:12]):
+        for k, (e, t) in enumerate(points[:20]):
             p = DipolarParams(eps_tilde=e, tau=t)
             assert propagator_coeffs(p).tobytes() == want[:, k].tobytes()
             assert propagator_matrix(p).tobytes() == netmodel.coupling_matrices(
@@ -161,13 +176,16 @@ def test_propagator_commutes_with_swap():
 
 def test_propagator_matches_hamiltonian_exponential():
     # tau <-> t calibration: U(tau, eps/delta) = exp(-i H(delta, eps) t)
-    # at t = -12 tau / delta, exact over a tau grid
-    delta, eps = 1.0, 0.3
-    h = dipolar_hamiltonian(delta, eps)
-    for tau in np.linspace(0.0, 6.0, 25):
-        u = propagator_matrix(DipolarParams(eps_tilde=eps / delta, tau=tau))
-        u_h = matrix_exp_hermitian(h, tau_to_time(tau, delta))
-        assert np.abs(u - u_h).max() < 1e-12
+    # at t = -12 tau / delta, exact over a tau grid, for deltas other than 1,
+    # eps of both signs and zero, and eps / delta > 1/3 (kappa_x < 0)
+    for delta, eps in [(1.0, 0.3), (1.0, 0.5), (2.5, 0.9), (1.0, -0.2),
+                       (0.4, -0.3), (1.0, 0.0), (3.0, -0.0), (1.0, 1 / 3)]:
+        h = dipolar_hamiltonian(delta, eps)
+        for tau in np.linspace(0.0, 6.0, 25):
+            u = propagator_matrix(DipolarParams(eps_tilde=eps / delta,
+                                                tau=tau))
+            u_h = matrix_exp_hermitian(h, tau_to_time(tau, delta))
+            assert np.abs(u - u_h).max() < 1e-12, (delta, eps, tau)
 
 
 def test_propagator_group_property():
