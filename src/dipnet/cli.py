@@ -83,12 +83,9 @@ class Scenario:
 
 def _number(raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ValueError(f"not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw!r}")
-    return value
 
 
 def _integer(raw: str) -> int:
@@ -113,36 +110,34 @@ def _yes_no(raw: str) -> bool:
         raise ValueError(f"expected yes/no, got {raw!r}") from None
 
 
-# text -> value per key; defaults and range rules belong to the dataclasses
-_CONVERTERS: dict[str, Callable[[str], object]] = {
-    "name": str, "network": str, "werner_x1": _number, "werner_x2": _number,
-    "tau_min": _number, "tau_max": _number, "tau_steps": _integer,
-    "eps_values": _listed(_number), "channels": _listed(str),
-    "quantifiers": _listed(str), "mode": str, "output_dir": Path,
-    "emit_plot_script": _yes_no,
-    "extension": lambda raw: None if raw == "none" else raw,
-    "bridge_tau": _number, "bridge_eps_tilde": _number,
-    "zero_tol": _number, "peak_prominence": _number,
-    "slope_jump_tol": _number,
+# text -> value per key, under the dataclass whose field the key sets; every
+# default and range rule, finiteness included, belongs to the dataclasses
+_PARTS: dict[type, dict[str, Callable[[str], object]]] = {
+    NetworkConfig: {"network": str, "werner_x1": _number,
+                    "werner_x2": _number},
+    ScanGrid: {"tau_min": _number, "tau_max": _number, "tau_steps": _integer,
+               "eps_values": _listed(_number), "channels": _listed(str),
+               "quantifiers": _listed(str)},
+    DipolarParams: {"bridge_eps_tilde": _number, "bridge_tau": _number},
+    ExtensionSpec: {"extension": lambda raw: None if raw == "none" else raw},
+    Scenario: {"name": str, "mode": str, "output_dir": Path,
+               "emit_plot_script": _yes_no, "zero_tol": _number,
+               "peak_prominence": _number, "slope_jump_tol": _number},
 }
+# the keys whose field has another name
+_RENAMED = {"network": "kind", "extension": "mode",
+            "bridge_eps_tilde": "eps_tilde", "bridge_tau": "tau"}
+_CONVERTERS = {key: convert for keys in _PARTS.values()
+               for key, convert in keys.items()}
 _KNOWN_KEYS = frozenset(_CONVERTERS)
-
-# scenario key -> field, for each dataclass the parser builds
-_NETWORK = {"network": "kind", "werner_x1": "werner_x1",
-            "werner_x2": "werner_x2"}
-_GRID = {k: k for k in ("tau_min", "tau_max", "tau_steps", "eps_values",
-                        "channels", "quantifiers")}
-_BRIDGE = {"bridge_eps_tilde": "eps_tilde", "bridge_tau": "tau"}
-_EXTENSION = {"extension": "mode"}
-_SCENARIO = {k: k for k in ("name", "mode", "output_dir", "emit_plot_script",
-                            "zero_tol", "peak_prominence", "slope_jump_tol")}
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse flat `key = value` lines; `#` starts a comment, lists are
-    comma-separated. Only the keys the file sets reach the dataclasses,
-    which supply every default; their FieldError is reported on the line
-    of the first blamed key the file sets."""
+    comma-separated. Each value is converted and routed to its part in
+    `_PARTS`; only the keys the file sets reach the dataclasses, which
+    supply every default and rule. Their FieldError is reported on the
+    line of the first blamed key the file sets."""
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -170,31 +165,31 @@ def parse_scenario(text: str) -> Scenario:
         if key not in values:
             raise ScenarioError(f"missing required key {key!r}")
 
-    def build(cls, fields: dict[str, str], **given):
+    def build(cls, **given):
+        field_of = {key: _RENAMED.get(key, key) for key in _PARTS[cls]}
         try:
             return cls(**given, **{field: values[key]
-                                   for key, field in fields.items()
+                                   for key, field in field_of.items()
                                    if key in values})
         except FieldError as exc:
-            key_of = {field: key for key, field in fields.items()}
+            key_of = {field: key for key, field in field_of.items()}
             keys = [key_of.get(k, k) for k in exc.keys]
             key = next((k for k in keys if k in lines), keys[0])
             raise ScenarioError(f"key {key}: {exc}", lines.get(key)) from None
 
-    network = build(NetworkConfig, _NETWORK)
-    grid = build(ScanGrid, _GRID)
+    network = build(NetworkConfig)
+    grid = build(ScanGrid)
     extension = None
     if values.get("extension") is not None:
         bridge = None
-        if _BRIDGE.keys() <= values.keys():
-            bridge = build(DipolarParams, _BRIDGE)
-        extension = build(ExtensionSpec, _EXTENSION, bridge=bridge)
-    for key in _BRIDGE:
+        if _PARTS[DipolarParams].keys() <= values.keys():
+            bridge = build(DipolarParams)
+        extension = build(ExtensionSpec, bridge=bridge)
+    for key in _PARTS[DipolarParams]:
         if key in values and (extension is None or extension.bridge is None):
             raise ScenarioError(f"key {key}: only extension = fixed takes "
                                   f"bridge parameters", lines[key])
-    return build(Scenario, _SCENARIO, network=network, grid=grid,
-                 extension=extension)
+    return build(Scenario, network=network, grid=grid, extension=extension)
 
 
 def _csv_blocks(scenario_name: str,

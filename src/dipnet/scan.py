@@ -305,11 +305,11 @@ def _bisect_crossings(fn: Refiner, channels: np.ndarray, eps: np.ndarray,
 
 
 def pair_zero_intervals(group: list[MeasureSeries], zero_tol: float = ZERO_TOL,
-                        quantifier: Optional[Refiner] = None
+                        refine: Optional[Refiner] = None
                         ) -> list[list[EventRecord]]:
     """`detect_zero_intervals` of each series of a group, such as every
     (channel, eps) series of one quantifier, in one pass over the series
-    laid end to end. With a quantifier callable ((channels, eps, taus) ->
+    laid end to end. With a `refine` callable ((channels, eps, taus) ->
     values: row 0 of `series_values` of the one quantifier) every interval
     edge of the group is refined in one lockstep bisection, so the group
     makes as many calls as its slowest series; a call gives one channel and one
@@ -332,7 +332,7 @@ def pair_zero_intervals(group: list[MeasureSeries], zero_tol: float = ZERO_TOL,
     owner = pads.searchsorted(first)  # the series of each run
     left, right = ~is_pad[first - 1], ~is_pad[after]  # [-1] is the last pad
     starts, ends, births = taus[first], taus[after - 1], taus[after]
-    if quantifier is not None:
+    if refine is not None:
         edge_owner = np.concatenate((owner[left], owner[right]))
         order = np.argsort(edge_owner, kind="stable")
         lo = np.concatenate((first[left], after[right]))[order] - 1
@@ -341,7 +341,7 @@ def pair_zero_intervals(group: list[MeasureSeries], zero_tol: float = ZERO_TOL,
         eps = np.array([s.eps_tilde for s in group])[owners]
         edges = np.empty(lo.size)
         edges[order] = _bisect_crossings(
-            quantifier, channels, eps, taus[lo], vals[lo] - zero_tol,
+            refine, channels, eps, taus[lo], vals[lo] - zero_tol,
             taus[lo + 1], zero_tol)
         starts[left], ends[right] = np.split(edges, [left.sum()])
         births = ends
@@ -356,15 +356,15 @@ def pair_zero_intervals(group: list[MeasureSeries], zero_tol: float = ZERO_TOL,
 
 
 def detect_zero_intervals(series: MeasureSeries, zero_tol: float = ZERO_TOL,
-                          quantifier: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                          refine: Optional[Callable[[np.ndarray], np.ndarray]] = None
                           ) -> list[EventRecord]:
     """Maximal runs of values <= zero_tol become death intervals; the first
-    point above zero_tol after a run is a birth. With a quantifier callable
+    point above zero_tol after a run is a birth. With a `refine` callable
     (taus -> values, as `series_evaluator` returns) every interval edge of
     the series is refined in one lockstep bisection, never at a grid tau:
     `pair_zero_intervals` on a group of one."""
-    pair = (None if quantifier is None
-            else lambda channels, eps, taus: quantifier(taus))
+    pair = (None if refine is None
+            else lambda channels, eps, taus: refine(taus))
     return pair_zero_intervals([series], zero_tol, pair)[0]
 
 

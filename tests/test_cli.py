@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,11 +14,11 @@ import pytest
 
 import dipnet.cli
 import dipnet.scan
-from dipnet.cli import (_KNOWN_KEYS, EXIT_COMPUTE, EXIT_OK, EXIT_ORACLE,
-                        EXIT_USAGE, Scenario, ScenarioError, main,
-                        parse_scenario, render_csv, render_events, run)
+from dipnet.cli import (_KNOWN_KEYS, _PARTS, _RENAMED, EXIT_COMPUTE, EXIT_OK,
+                        EXIT_ORACLE, EXIT_USAGE, Scenario, ScenarioError,
+                        main, parse_scenario, render_csv, render_events, run)
 from dipnet.closedform import OracleMismatch
-from dipnet.netmodel import NetworkConfig
+from dipnet.netmodel import DipolarParams, FieldError, NetworkConfig
 from dipnet.scan import (MODES, QUANTIFIER_TABLE, ExtensionSpec, ScanGrid,
                          sweep)
 
@@ -60,6 +61,11 @@ def test_readme_key_table_matches_the_dataclasses():
         if default.startswith("`"):
             text = f"{base}{key} = {default.strip('`')}\n"
             assert parse_scenario(text) == parse_scenario(base), key
+    # and every key of the parser's one table sets a field of its part
+    for cls, keys in _PARTS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for key in keys:
+            assert _RENAMED.get(key, key) in fields, (cls.__name__, key)
 
 
 def test_parse_comments_and_lists():
@@ -260,6 +266,43 @@ def test_main_rejects_bad_values_with_line(tmp_path, capsys, line):
     bad.write_text(text)
     assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert f"line {len(text.splitlines())}:" in capsys.readouterr().err
+
+
+FIXED_18 = "channels = 18\nextension = fixed\n"
+# each numeric key, the lines it needs before it, and its part built by hand
+# with the same value
+NUMERIC_KEYS = {
+    "werner_x1": ("", lambda v: NetworkConfig("MM", werner_x1=v)),
+    "werner_x2": ("", lambda v: NetworkConfig("MM", werner_x2=v)),
+    "tau_min": ("", lambda v: ScanGrid(tau_min=v)),
+    "tau_max": ("", lambda v: ScanGrid(tau_max=v)),
+    "eps_values": ("", lambda v: ScanGrid(eps_values=(v,))),
+    "bridge_tau": (f"{FIXED_18}bridge_eps_tilde = 0.1\n",
+                   lambda v: DipolarParams(eps_tilde=0.1, tau=v)),
+    "bridge_eps_tilde": (f"{FIXED_18}bridge_tau = 0.5\n",
+                         lambda v: DipolarParams(eps_tilde=v, tau=0.5)),
+    **{key: ("", lambda v, key=key: Scenario(
+        name="bad", network=NetworkConfig("MM"), grid=ScanGrid(), **{key: v}))
+       for key in ("zero_tol", "peak_prominence", "slope_jump_tol")},
+}
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_main_refuses_non_finite_numbers_as_the_parts_do(tmp_path, capsys,
+                                                         key, raw):
+    # the parser only converts: a non-finite number reaches the part that
+    # owns the key, so the file is refused with the hand-built part's message
+    before, build = NUMERIC_KEYS[key]
+    with pytest.raises(FieldError) as built:
+        build(float(raw))
+    text = f"name = bad\nnetwork = MM\n{before}{key} = {raw}\n"
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"scenario error: line {len(text.splitlines())}: key {key}: "
+        f"{built.value}\n")
 
 
 @pytest.mark.parametrize("lines, bad_line, reason", [
@@ -490,12 +533,12 @@ def test_render_events_refines_each_quantifier_in_one_group(monkeypatch):
     grouped = dipnet.cli.pair_zero_intervals
     groups = []
 
-    def spy(group, zero_tol, quantifier):
+    def spy(group, zero_tol, refine):
         steps = []
         groups.append((group, steps))
         return grouped(group, zero_tol, lambda channels, eps, taus: steps.append(
             list(zip(channels.tolist(), eps.tolist(), taus.tolist())))
-            or quantifier(channels, eps, taus))
+            or refine(channels, eps, taus))
 
     monkeypatch.setattr(dipnet.cli, "pair_zero_intervals", spy)
     render_events(scenario, series)

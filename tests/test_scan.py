@@ -600,7 +600,7 @@ def test_zero_intervals_bisection_refinement():
     fn = lambda taus: np.maximum(0.0, np.sin(np.pi * taus))
     taus = np.linspace(0.5, 2.5, 21)
     s = _series(taus, fn(taus))
-    events = detect_zero_intervals(s, 1e-9, quantifier=fn)
+    events = detect_zero_intervals(s, 1e-9, refine=fn)
     deaths = [e for e in events if e.kind == "death"]
     assert len(deaths) == 1
     assert abs(deaths[0].tau - 1.0) < 2e-4
@@ -828,27 +828,35 @@ BIT_NETWORKS = {"MM": MM, "WW": NetworkConfig("WW", 0.9, 0.8),
 BIT_SERIES = [(ch, q) for ch in ("12", "34", "14", "23", "18")
               for q in ("negativity", "naqc")] + [
                   (ch, "tangle") for ch in ("123", "124", "234")]
+# channel 18 again, behind a fixed bridge; its lines read "fixed" after eps
+BIT_FIXED_BRIDGE = ExtensionSpec("fixed", DipolarParams(eps_tilde=-0.2,
+                                                        tau=0.5))
 
 
 def test_series_values_match_pinned_bits():
     # every value of a fixed grid, as float.hex: the 12-digit CSV pins miss
     # a drift in the last bits of the kernel's rounding. Closed form on 41
-    # taus over [0, 10]; dense and validate on every fifth of them.
+    # taus over [0, 10]; dense and validate on every fifth of them. The
+    # tracking bridge's lines come first, then the fixed bridge's.
     taus = np.linspace(0.0, 10.0, 41)
+    modes = (("closed_form", taus), ("dense", taus[::5]),
+             ("validate", taus[::5]))
+    runs = [(ExtensionSpec("track"), BIT_SERIES, []),
+            (BIT_FIXED_BRIDGE, [("18", q) for q in ("negativity", "naqc")],
+             ["fixed"])]
     lines = []
-    for mode, mode_taus in (("closed_form", taus), ("dense", taus[::5]),
-                            ("validate", taus[::5])):
-        for net, cfg in BIT_NETWORKS.items():
-            for channel, quantifier in BIT_SERIES:
-                for eps in (-0.2, 0.1):
-                    values = series_values(cfg, (quantifier,),
-                                           np.full(mode_taus.shape, channel),
-                                           np.full(mode_taus.shape, eps),
-                                           mode_taus, mode,
-                                           ExtensionSpec("track"))[0]
-                    lines.append(" ".join(
-                        [mode, net, channel, quantifier, repr(eps)]
-                        + [float.hex(v) for v in values.tolist()]))
+    for extension, bit_series, label in runs:
+        for (mode, mode_taus), (net, cfg) in product(modes,
+                                                     BIT_NETWORKS.items()):
+            for (channel, quantifier), eps in product(bit_series,
+                                                      (-0.2, 0.1)):
+                values = series_values(cfg, (quantifier,),
+                                       np.full(mode_taus.shape, channel),
+                                       np.full(mode_taus.shape, eps),
+                                       mode_taus, mode, extension)[0]
+                lines.append(" ".join(
+                    [mode, net, channel, quantifier, repr(eps), *label]
+                    + [float.hex(v) for v in values.tolist()]))
     pinned = SERIES_BITS.read_text().splitlines()
     assert len(lines) == len(pinned)
     for got, want in zip(lines, pinned):
