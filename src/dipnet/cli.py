@@ -81,33 +81,29 @@ class Scenario:
                                          f"got {value}")
 
 
-def _number(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"not a number: {raw!r}") from None
-
-
-def _integer(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"not an integer: {raw!r}") from None
-
-
-def _listed(convert: Callable[[str], object]) -> Callable[[str], tuple]:
-    return lambda raw: tuple(convert(s.strip()) for s in raw.split(","))
+def _scalar(what: str, convert: Callable[[str], object]
+            ) -> Callable[[str], object]:
+    """`convert` on ASCII text with no `_`, which `float` and `int` then
+    read only as README's key table defines a number and an integer."""
+    def scalar(raw: str):
+        try:
+            if raw.isascii() and "_" not in raw:
+                return convert(raw)
+        except (ValueError, KeyError):
+            pass
+        raise ValueError(f"not {what}: {raw!r}")
+    return scalar
 
 
 _BOOL_WORDS = {"yes": True, "true": True, "1": True,
                "no": False, "false": False, "0": False}
+_number = _scalar("a number", float)
+_integer = _scalar("an integer", int)
+_yes_no = _scalar("yes/no", lambda raw: _BOOL_WORDS[raw.lower()])
 
 
-def _yes_no(raw: str) -> bool:
-    try:
-        return _BOOL_WORDS[raw.lower()]
-    except KeyError:
-        raise ValueError(f"expected yes/no, got {raw!r}") from None
+def _listed(convert: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda raw: tuple(convert(s.strip()) for s in raw.split(","))
 
 
 # text -> value per key, under the dataclass whose field the key sets; every

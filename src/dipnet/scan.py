@@ -8,6 +8,7 @@ stack of states is validated, oracle-checked in validate mode and scored
 by every quantifier. The table names no qubit count: the validation reads
 it from the stack, and each scorer refuses a state of another count."""
 
+import operator
 from dataclasses import dataclass
 from itertools import groupby, product
 from typing import Callable, Optional
@@ -78,6 +79,11 @@ class ScanGrid:
         if not 0.0 <= self.tau_min < self.tau_max:
             keys = ("tau_min",) if self.tau_min < 0 else ("tau_max", "tau_min")
             raise FieldError(keys, "need 0 <= tau_min < tau_max")
+        try:  # numpy integers pass, floats and strings do not
+            operator.index(self.tau_steps)
+        except TypeError:
+            raise FieldError(("tau_steps",), f"tau_steps must be an integer, "
+                             f"got {self.tau_steps!r}") from None
         if not MIN_TAU_STEPS <= self.tau_steps <= MAX_TAU_STEPS:
             raise FieldError(("tau_steps",), f"tau_steps must be in "
                              f"[{MIN_TAU_STEPS}, {MAX_TAU_STEPS}]")

@@ -68,6 +68,20 @@ def test_readme_key_table_matches_the_dataclasses():
             assert _RENAMED.get(key, key) in fields, (cls.__name__, key)
 
 
+def test_readme_library_example_runs():
+    # the python block under README's "## Library" documents the top-level
+    # API; run it as a reader would, in a fresh interpreter
+    readme = (REPO / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```$", library,
+                     re.MULTILINE | re.DOTALL)[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
 def test_parse_comments_and_lists():
     s = parse_scenario("# header\nname = x  # trailing\nnetwork = WW\n"
                        "eps_values = -0.2, 0 , 0.3\n")
@@ -381,6 +395,30 @@ def test_main_reports_grid_errors_with_line(tmp_path, capsys, lines, bad_line,
     assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert (capsys.readouterr().err
             == f"scenario error: line {bad_line}: {reason}\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    pytest.param("tau_steps = 1_0_1", "not an integer: '1_0_1'",
+                 id="int_underscores"),
+    pytest.param("tau_steps = \uff15", "not an integer: '\uff15'",
+                 id="int_full_width_five"),
+    pytest.param("tau_max = \u0663", "not a number: '\u0663'",
+                 id="float_arabic_indic_three"),
+    pytest.param("tau_max = 1_0.5", "not a number: '1_0.5'",
+                 id="float_underscores"),
+    pytest.param("eps_values = 0,\u0663", "not a number: '\u0663'",
+                 id="list_arabic_indic_three")])
+def test_main_reads_numbers_only_in_the_key_tables_ascii(tmp_path, capsys,
+                                                        line, message):
+    # int() and float() also read digit-group underscores and any Unicode
+    # decimal digit; README's number and integer are ASCII text without them
+    text = f"name = bad\nnetwork = MM\n{line}\n"
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["run", str(bad), "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    key = line.split(" = ")[0]
+    assert (capsys.readouterr().err
+            == f"scenario error: line 3: key {key}: {message}\n")
 
 
 @pytest.mark.parametrize("name", [

@@ -332,10 +332,11 @@ def test_every_accepted_grid_strictly_increases(tau_min, tau_max, ulps, steps):
     assert (np.diff(grid.taus()) > 0).all(), (tau_min, tau_max, steps)
 
 
-# scenario values: extremes the float parser accepts, and junk
+# scenario values: extremes the float parser accepts, and junk (the last
+# two are digit-group underscores and an Arabic-Indic three)
 NUMBERS = ("0", "0.1", "-0.2", "1", "10", "1e10", "1e16",
            "1.0000000000000002e16", "1e300", "1e308", "-1e308", "5e-324")
-JUNK = ("nan", "inf", "-inf", "-1", ",", "bogus")
+JUNK = ("nan", "inf", "-inf", "-1", ",", "bogus", "1_0", "\u0663")
 
 
 def _listed(words):

@@ -77,6 +77,17 @@ def test_grid_validation():
     ScanGrid(tau_min=9.999, tau_max=10.0)  # uneven, strictly increasing
 
 
+@pytest.mark.parametrize("steps", [5.0, "5", None])
+def test_grid_refuses_a_tau_steps_that_is_not_an_integer(steps):
+    # a hand-built or replaced grid is refused by the grid's own rule, with
+    # the FieldError that names the key, as every other grid fault is
+    with pytest.raises(FieldError, match=r"^tau_steps must be an integer, "
+                       r"got ") as err:
+        ScanGrid(tau_steps=steps)
+    assert err.value.keys == ("tau_steps",)
+    assert ScanGrid(tau_steps=np.int64(5)).taus().shape == (5,)
+
+
 @pytest.mark.parametrize("key, entries", [
     ("eps_values", (0.1, 0.3, 0.1)), ("eps_values", (-0.0, 0.0)),
     ("channels", ("12", "14", "12")),
@@ -331,8 +342,11 @@ class ClosedFormCalled(RuntimeError):
 
 def test_dense_route_is_independent_of_the_closed_form(monkeypatch):
     # the dense oracle must not lean on the closed-form kernel: with every
-    # public closedform function and the vectorised propagator made to
-    # raise, wherever a module holds them, dense series still come out
+    # public closedform function and the closed route's propagator_gammas
+    # wrapper made to raise, wherever a module holds them, dense series
+    # still come out. Both routes read r1..r4 from the one
+    # propagator_coeff_stack, which this guard does not cover; ROADMAP
+    # item 4 plans a check of that shared propagator against the Hamiltonian
     cfg = NetworkConfig("WW", 0.9, 0.8)
     taus = np.array([0.0, 0.7, 2.5])
     cases = [("12", "negativity", None), ("123", "tangle", None),
