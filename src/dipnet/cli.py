@@ -15,7 +15,8 @@ from typing import Callable, Iterator, Optional
 
 from .closedform import OracleMismatch
 from .ledger import render_typo_report
-from .netmodel import DipolarParams, FieldError, NetworkConfig
+from .netmodel import (DipolarParams, FieldError, NetworkConfig,
+                       require_numbers)
 from .scan import (MODES, ExtensionSpec, MeasureSeries, ScanGrid, ZERO_TOL,
                    count_peaks, detect_sudden_changes, fmt,
                    pair_zero_intervals, series_values, sweep)
@@ -76,7 +77,8 @@ class Scenario:
             value = getattr(self, key)
             if value is None and key == "peak_prominence":  # the default
                 continue
-            if value is None or not 0.0 <= value < math.inf:
+            require_numbers(key, value)
+            if not 0.0 <= value < math.inf:
                 raise FieldError((key,), f"{key} must be finite and >= 0, "
                                          f"got {value}")
 
@@ -100,10 +102,11 @@ _BOOL_WORDS = {"yes": True, "true": True, "1": True,
 _number = _scalar("a number", float)
 _integer = _scalar("an integer", int)
 _yes_no = _scalar("yes/no", lambda raw: _BOOL_WORDS[raw.lower()])
+_SPACE = " \t\n\r\x0b\x0c"  # string.whitespace: ASCII, unlike str.strip()'s
 
 
 def _listed(convert: Callable[[str], object]) -> Callable[[str], tuple]:
-    return lambda raw: tuple(convert(s.strip()) for s in raw.split(","))
+    return lambda raw: tuple(convert(s.strip(_SPACE)) for s in raw.split(","))
 
 
 # text -> value per key, under the dataclass whose field the key sets; every
@@ -125,29 +128,25 @@ _RENAMED = {"network": "kind", "extension": "mode",
             "bridge_eps_tilde": "eps_tilde", "bridge_tau": "tau"}
 _CONVERTERS = {key: convert for keys in _PARTS.values()
                for key, convert in keys.items()}
-_KNOWN_KEYS = frozenset(_CONVERTERS)
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse flat `key = value` lines; `#` starts a comment, lists are
-    comma-separated. Each value is converted and routed to its part in
-    `_PARTS`; only the keys the file sets reach the dataclasses, which
-    supply every default and rule. Their FieldError is reported on the
-    line of the first blamed key the file sets."""
+    """Parse `key = value` lines, each ended by a `\n`; `#` starts a comment,
+    lists are comma-separated, and `_SPACE` is trimmed off every line, key,
+    value and entry. Each value is converted and routed to its part in
+    `_PARTS`; only the keys the file sets reach the dataclasses, which supply
+    every default and rule, and their FieldError names its key's line."""
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip(_SPACE)
         if not stripped:
             continue
-        if "=" not in stripped:
+        key, eq, value = (part.strip(_SPACE) for part in stripped.partition("="))
+        if not (key and eq and value):
             raise ScenarioError(f"expected 'key = value', got {stripped!r}",
                                 lineno)
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ScenarioError(f"malformed assignment {stripped!r}", lineno)
-        if key not in _KNOWN_KEYS:
+        if key not in _CONVERTERS:
             raise ScenarioError(f"unknown key {key!r}", lineno)
         if key in lines:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
@@ -332,6 +331,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     return run(scenario)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

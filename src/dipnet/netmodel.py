@@ -19,6 +19,7 @@ Hamiltonian and time map as an oracle (tests/conftest.py).
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,14 @@ class FieldError(ValueError):
     def __init__(self, keys: tuple[str, ...], message: str):
         self.keys = keys
         super().__init__(message)
+
+
+def require_numbers(key: str, *values) -> None:
+    """FieldError naming `key` at the first value that is not a real number:
+    numpy floats and integers pass, a bool, a string or None does not."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise FieldError((key,), f"{key} must be a number, got {value!r}")
 
 
 CHANNEL_QUBITS = {
@@ -116,6 +125,8 @@ class DipolarParams:
     tau: float
 
     def __post_init__(self):
+        require_numbers("eps_tilde", self.eps_tilde)
+        require_numbers("tau", self.tau)
         propagator_phases(np.array([self.eps_tilde], dtype=float),
                           np.array([self.tau], dtype=float), "eps_tilde", "tau")
 
@@ -133,6 +144,7 @@ class NetworkConfig:
             raise FieldError(("kind",), f"unknown network kind {self.kind!r}")
         for key in ("werner_x1", "werner_x2"):
             x = getattr(self, key)
+            require_numbers(key, x)
             if not 0.0 <= x <= 1.0:
                 raise FieldError((key,), f"werner parameter {x} outside [0, 1]")
 

@@ -19,7 +19,8 @@ from .closedform import closed_channel_states, require_oracle_agreement
 from .measures import naqc_degree_stack, negativity_stack, pi_tangle_stack
 from .netmodel import (ALL_CHANNELS, THREE_NODE_CHANNELS, TWO_NODE_CHANNELS,
                        DipolarParams, FieldError, NetworkConfig,
-                       network_channel_states, propagator_phases)
+                       network_channel_states, propagator_phases,
+                       require_numbers)
 from .qmat import require_density_stack
 
 ZERO_TOL = 1e-6
@@ -73,6 +74,9 @@ class ScanGrid:
     quantifiers: tuple[str, ...] = ("negativity",)
 
     def __post_init__(self):
+        require_numbers("tau_min", self.tau_min)
+        require_numbers("tau_max", self.tau_max)
+        require_numbers("eps_values", *self.eps_values)
         for key in ("tau_min", "tau_max", "eps_values"):
             if not np.isfinite(getattr(self, key)).all():
                 raise FieldError((key,), "tau range and eps_values must be finite")

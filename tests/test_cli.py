@@ -14,7 +14,7 @@ import pytest
 
 import dipnet.cli
 import dipnet.scan
-from dipnet.cli import (_KNOWN_KEYS, _PARTS, _RENAMED, EXIT_COMPUTE, EXIT_OK,
+from dipnet.cli import (_CONVERTERS, _PARTS, _RENAMED, EXIT_COMPUTE, EXIT_OK,
                         EXIT_ORACLE, EXIT_USAGE, Scenario, ScenarioError,
                         main, parse_scenario, render_csv, render_events, run)
 from dipnet.closedform import OracleMismatch
@@ -55,7 +55,7 @@ def test_readme_key_table_matches_the_dataclasses():
     # leaves the key out gets
     rows = re.findall(r"^\| `(\w+)` \|[^|]*\| ([^|]*) \|",
                       (REPO / "README.md").read_text(), re.MULTILINE)
-    assert {key for key, _ in rows} == _KNOWN_KEYS
+    assert {key for key, _ in rows} == _CONVERTERS.keys()
     base = "name = t\nnetwork = MM\n"
     for key, default in rows:
         if default.startswith("`"):
@@ -238,7 +238,7 @@ def console_script_args() -> list[str]:
                   f"importlib.import_module({module!r}), {function!r})())"]
 
 
-@pytest.mark.parametrize("module", ["dipnet", "dipnet.cli", "console_script"])
+@pytest.mark.parametrize("module", ["dipnet", "console_script"])
 def test_python_m_entry_points(module):
     src = str(Path(dipnet.scan.__file__).resolve().parents[1])
     env = dict(os.environ,
@@ -421,6 +421,58 @@ def test_main_reads_numbers_only_in_the_key_tables_ascii(tmp_path, capsys,
             == f"scenario error: line 3: key {key}: {message}\n")
 
 
+# str.splitlines() ends a line at each of these; a scenario line does not
+SPLITLINES_BREAKS = {"ff": "\f", "vt": "\v", "nel": "\x85", "u2028": "\u2028"}
+# str.strip() trims these; a scenario line does not
+UNICODE_SPACES = {"nbsp": "\xa0", "ideographic": "\u3000"}
+BAD = "name = bad\nnetwork = MM\n"
+
+
+@pytest.mark.parametrize("text, code, err", [
+    *(pytest.param(f"{MINIMAL}# page{c}break\n", EXIT_OK, "",
+                   id=f"comment_{name}")
+      for name, c in SPLITLINES_BREAKS.items()),
+    *(pytest.param(f"{BAD}# page{c}break\ntau_steps = bogus\n", EXIT_USAGE,
+                   "scenario error: line 4: key tau_steps: not an integer: "
+                   "'bogus'\n", id=f"after_comment_{name}")
+      for name, c in SPLITLINES_BREAKS.items()),
+    *(pytest.param(f"{BAD}tau_max ={c}1{c}\n", EXIT_USAGE,
+                   f"scenario error: line 3: key tau_max: not a number: "
+                   f"{c + '1' + c!r}\n", id=f"value_{name}")
+      for name, c in UNICODE_SPACES.items()),
+    *(pytest.param(f"{BAD}{c}tau_max = 1\n", EXIT_USAGE,
+                   f"scenario error: line 3: unknown key {c + 'tau_max'!r}\n",
+                   id=f"key_{name}")
+      for name, c in UNICODE_SPACES.items()),
+    *(pytest.param(f"{BAD}eps_values = 0,{c}0.1\n", EXIT_USAGE,
+                   f"scenario error: line 3: key eps_values: not a number: "
+                   f"{c + '0.1'!r}\n", id=f"entry_{name}")
+      for name, c in UNICODE_SPACES.items()),
+    pytest.param(f"{BAD}name =\n", EXIT_USAGE,
+                 "scenario error: line 3: expected 'key = value', got "
+                 "'name ='\n", id="no_value"),
+    # the one case that passed under str.splitlines(): \r is ASCII space
+    pytest.param(MINIMAL.replace("\n", "\r\n"), EXIT_OK, "", id="crlf"),
+])
+def test_main_splits_lines_at_newline_and_trims_ascii_space(tmp_path, capsys,
+                                                            text, code, err):
+    # a line ends at \n alone, and lines, keys, values and list entries are
+    # trimmed of ASCII whitespace alone: a comment is free text, and a
+    # Unicode space is part of the key or value it touches
+    scenario = tmp_path / "tiny.scn"
+    scenario.write_bytes(text.encode())
+    assert main(["run", str(scenario), "--output-dir",
+                 str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == err
+    if code == EXIT_OK:  # the same CSV bytes as MINIMAL's, its LF twin
+        twin = tmp_path / "twin.scn"
+        twin.write_bytes(MINIMAL.encode())
+        assert main(["run", str(twin), "--output-dir",
+                     str(tmp_path / "twin")]) == EXIT_OK
+        assert ((tmp_path / "out" / "tiny.csv").read_bytes()
+                == (tmp_path / "twin" / "tiny.csv").read_bytes())
+
+
 @pytest.mark.parametrize("name", [
     "a/b", "../escaped", "a,b", "it's",
     # <name>_12_negativity.png, which the plot script names, would be longer
@@ -490,6 +542,17 @@ def test_hand_built_scenarios_are_refused(tmp_path, change):
     with pytest.raises(ValueError):
         run(replace(base, **fields()))
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["0.1", True, [0.1]], ids=repr)
+@pytest.mark.parametrize("key", ["zero_tol", "peak_prominence",
+                                 "slope_jump_tol"])
+def test_scenario_refuses_a_tolerance_that_is_not_a_number(key, value):
+    # a FieldError that names the key, as a tolerance out of range gets
+    with pytest.raises(FieldError, match=rf"^{key} must be a number, got "
+                       ) as err:
+        replace(parse_scenario(MINIMAL), **{key: value})
+    assert err.value.keys == (key,)
 
 
 def test_main_accepts_two_node_zoom_grid(tmp_path):

@@ -56,6 +56,30 @@ def test_hamiltonian_eigenvalues_oracle():
 
 
 @pytest.mark.parametrize("eps, tau, key", [
+    ("0.1", 0.5, "eps_tilde"), (0.1, [0.5, 0.6], "tau"),
+    (True, 0.5, "eps_tilde"), (0.1, None, "tau")])
+def test_coupling_refuses_a_parameter_that_is_not_a_number(eps, tau, key):
+    # refused by name before the phase rule, which would read a string as
+    # its float and a list as a vector of couplings; numpy numbers pass
+    with pytest.raises(FieldError, match=rf"^{key} must be a number, got "
+                       ) as err:
+        DipolarParams(eps_tilde=eps, tau=tau)
+    assert err.value.keys == (key,)
+    DipolarParams(eps_tilde=np.float64(0.1), tau=np.int64(1))
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True, [0.5]])
+def test_network_refuses_a_werner_parameter_that_is_not_a_number(value):
+    # a bool is no number here, though True == 1 lies in [0, 1]
+    for key in ("werner_x1", "werner_x2"):
+        with pytest.raises(FieldError, match=rf"^{key} must be a number, "
+                           rf"got ") as err:
+            NetworkConfig("WW", **{key: value})
+        assert err.value.keys == (key,)
+    NetworkConfig("WW", werner_x1=np.float64(0.5), werner_x2=np.int64(1))
+
+
+@pytest.mark.parametrize("eps, tau, key", [
     (0.1, float("nan"), "tau"), (float("nan"), 1.0, "eps_tilde"),
     (0.1, float("inf"), "tau"), (0.1, 1e308, "tau"), (1e308, 0.0, "eps_tilde"),
     (0.1, -1.0, "tau"), (1 / 3, float("inf"), "tau")])

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dipnet.scan
-from dipnet.cli import _KNOWN_KEYS, main
+from dipnet.cli import _CONVERTERS, main
 from dipnet.closedform import closed_channel_states
 from dipnet.measures import (NAQC_CRITICAL, NAQC_MAX, naqc_degree,
                              naqc_degree_stack, negativity, negativity_stack,
@@ -333,10 +333,12 @@ def test_every_accepted_grid_strictly_increases(tau_min, tau_max, ulps, steps):
 
 
 # scenario values: extremes the float parser accepts, and junk (the last
-# two are digit-group underscores and an Arabic-Indic three)
+# four are digit-group underscores, an Arabic-Indic three, a no-break space
+# before a value and a form feed inside one, which ends no line)
 NUMBERS = ("0", "0.1", "-0.2", "1", "10", "1e10", "1e16",
            "1.0000000000000002e16", "1e300", "1e308", "-1e308", "5e-324")
-JUNK = ("nan", "inf", "-inf", "-1", ",", "bogus", "1_0", "\u0663")
+JUNK = ("nan", "inf", "-inf", "-1", ",", "bogus", "1_0", "\u0663", "\xa01",
+        "1\x0c2")
 
 
 def _listed(words):
@@ -362,7 +364,7 @@ VALUES = {
 @st.composite
 def scenario_texts(draw):
     # tau_steps and eps_values are always set, so every grid stays tiny
-    keys = draw(st.sets(st.sampled_from(sorted(_KNOWN_KEYS))))
+    keys = draw(st.sets(st.sampled_from(sorted(_CONVERTERS))))
     keys |= {"tau_steps", "eps_values"}
     if draw(st.integers(0, 3)):
         keys |= {"name", "network"}
@@ -391,5 +393,5 @@ def test_any_scenario_text_exits_0_or_2(text):
     if code == 2 and "missing required key" not in err.getvalue():
         # every other refusal names a line of the file
         line = re.search(r"line (\d+):", err.getvalue())
-        assert line and 1 <= int(line[1]) <= len(text.splitlines()), (
+        assert line and 1 <= int(line[1]) <= text.count("\n"), (
             text, err.getvalue())

@@ -88,6 +88,21 @@ def test_grid_refuses_a_tau_steps_that_is_not_an_integer(steps):
     assert ScanGrid(tau_steps=np.int64(5)).taus().shape == (5,)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tau_max", "5"), ("tau_min", None), ("tau_max", True),
+    ("eps_values", ("0.1",)), ("eps_values", (0.1, True))],
+    ids=repr)
+def test_grid_refuses_a_bound_or_eps_that_is_not_a_number(key, value):
+    # refused by the grid's own rule before the finiteness check, which
+    # would raise TypeError on a string or None; numpy numbers pass
+    with pytest.raises(FieldError, match=rf"^{key} must be a number, got "
+                       ) as err:
+        ScanGrid(**{key: value})
+    assert err.value.keys == (key,)
+    grid = ScanGrid(tau_max=np.float64(5), eps_values=(np.int64(0), 0.1))
+    assert grid.taus()[-1] == 5.0
+
+
 @pytest.mark.parametrize("key, entries", [
     ("eps_values", (0.1, 0.3, 0.1)), ("eps_values", (-0.0, 0.0)),
     ("channels", ("12", "14", "12")),
